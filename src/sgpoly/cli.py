@@ -42,7 +42,6 @@ class RunConfig:
     fmt: str = "csv"
     output: str | None = None
     workers: int = 1
-    seed: int = 0
 
 
 def _build_parser():
@@ -59,8 +58,6 @@ def _build_parser():
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for randomized subroutines; kept for reproducibility")
 
     p_count = sub.add_parser("count", help="per-degree count table with densities")
     p_count.add_argument("--max-degree", type=int, required=True)
@@ -86,7 +83,6 @@ def _config_from_args(args):
     cfg.fmt = args.fmt
     cfg.output = args.output
     cfg.workers = args.workers
-    cfg.seed = args.seed
     if cfg.workers < 1:
         raise UsageError("--workers must be at least 1")
 

@@ -12,37 +12,41 @@ from functools import cache
 from math import comb
 
 from . import sgalg
-from .ffpoly import Polynomial, _is_prime
+from .ffpoly import FieldSpec, Polynomial, _is_prime
+
+
+def _factorize(n):
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def mobius(n):
     """Moebius function: 0 on squarefull n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError("the Moebius function is defined on positive integers")
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            count += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        count += 1
-    return -1 if count & 1 else 1
+    factors = _factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) & 1 else 1
 
 
 def _divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in _factorize(n):
+        divs = [d * p ** i for i in range(e + 1) for d in divs]
+    return sorted(divs)
 
 
 def _require_prime(q):
@@ -115,12 +119,7 @@ def b_counts(n):
 def algebra_count(q, semigroup, n):
     """Number of degree-n elements of F_q[S], counting all leading units."""
     _require_prime(q)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not semigroup.contains(n):
-        return 0
-    free = sum(1 for i in range(n) if semigroup.contains(i))
-    return (q - 1) * q ** free
+    return (q - 1) * sgalg.member_count(sgalg.AlgebraContext(FieldSpec(q), semigroup), n)
 
 
 def density(q, semigroup, n, irreducible_count):
@@ -175,19 +174,6 @@ def partition_sum(n, k):
     return _psum(n, k, n)
 
 
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def mult_order(a, p):
     """Least e >= 1 with a^e = 1 mod p, for an odd prime p and gcd(a, p) = 1."""
     if p == 2 or not _is_prime(p):
@@ -196,7 +182,7 @@ def mult_order(a, p):
     if a == 0:
         raise ValueError("argument must be coprime to the modulus")
     order = p - 1
-    for f in _prime_factors(p - 1):
+    for f, _ in _factorize(p - 1):
         while order % f == 0 and pow(a, order // f, p) == 1:
             order //= f
     return order

@@ -156,13 +156,6 @@ class Polynomial:
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def evaluate(self, a):
-        p = self.field.p
-        y = 0
-        for c in reversed(self.coeffs):
-            y = (y * a + c) % p
-        return y
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -502,12 +495,6 @@ class FqFactorization:
         for poly, mult in self.factors:
             out = out * poly ** mult
         return out
-
-    def multiplicity_of_x(self):
-        for poly, mult in self.factors:
-            if poly.coeffs == (0, 1):
-                return mult
-        return 0
 
     def format(self):
         parts = []

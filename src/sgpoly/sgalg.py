@@ -7,19 +7,23 @@ factorization; that scan is exhaustive because membership survives exact
 division (if g and g*h are members and g(0) != 0, then h is a member
 too), so any algebra split is visible among those divisors.
 
-Two code paths coexist: the per-polynomial API works on `Polynomial`
-values through `factor_fq`, while bulk degree scans for p = 2 run on raw
-bitmasks against a cached smallest-factor table, since enumerating 2^(n-1)
-coefficient masks dominates every verification campaign.
+Every gap of S lies below w = F(S)+1, so whether a divisor is a member
+depends only on its residue mod x^w.  One kernel, `_member_splits`,
+decides every verdict on those residues: the per-polynomial API, the
+counting scan and the listing all call it, and only the witness split is
+ever multiplied out in full.  Scans for p = 2 factor members by lookup in
+a cached smallest-factor table, since enumerating 2^(n-1) coefficient
+masks dominates every verification campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import prod
 
 from . import _gf2
-from .ffpoly import FieldSpec, FqFactorization, Polynomial, canonical_key, factor_fq
+from .ffpoly import FieldSpec, FqFactorization, Polynomial, _mul_t, canonical_key, factor_fq
 from .numsgp import NumericalSemigroup, from_generators
 
 
@@ -115,21 +119,17 @@ def is_member(ctx, f):
     return all(contains(i) for i in f.support)
 
 
-def enumerate_degree(ctx, n):
+def enumerate_degree(ctx, n, lo=0, hi=None):
     """Yield the monic members of degree n in increasing bitmask order.
 
     Coefficients run over the free positions S & [0, n-1], lowest position
     least significant, which is plain bitmask order for p = 2; the stream
-    is empty when n is a gap of S.
+    is empty when n is a gap of S.  Only the members with index in
+    [lo, hi) are yielded, as for count_classes.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not ctx.semigroup.contains(n):
-        return
-    contains = ctx.semigroup.contains
-    free = [i for i in range(n) if contains(i)]
+    free, lo, hi = _index_range(ctx, n, lo, hi)
     p = ctx.field.p
-    for idx in range(p ** len(free)):
+    for idx in range(lo, hi):
         coeffs = [0] * (n + 1)
         coeffs[n] = 1
         t = idx
@@ -138,24 +138,65 @@ def enumerate_degree(ctx, n):
         yield Polynomial(ctx.field, tuple(coeffs))
 
 
-def _divisor_lattice(fac):
-    # All monic divisors in mixed-radix order over the exponent vectors;
-    # entries i and len-1-i are complementary.
-    divs = [Polynomial.one(fac.field)]
-    for poly, mult in fac.factors:
-        powers = [Polynomial.one(fac.field)]
-        for _ in range(mult):
-            powers.append(powers[-1] * poly)
-        divs = [d * w for w in powers for d in divs]
-    return divs
+def _residue_ring(ctx):
+    """(one, reduce, mul, member) for residues mod x^w, w = F(S)+1.
+
+    Every gap lies below w, so a polynomial is a member exactly when its
+    residue is.  For p = 2 a residue is a mask cut to w bits and reduce
+    takes a mask; otherwise it is a coefficient tuple cut to w entries
+    and reduce takes a Polynomial.
+    """
+    width = ctx.semigroup.frobenius + 1
+    p = ctx.field.p
+    if p == 2:
+        cut = (1 << width) - 1
+        gap = ctx.gap_mask
+        mul = _gf2.mul
+        return (
+            1 & cut,
+            lambda a: a & cut,
+            lambda a, b: mul(a, b) & cut,
+            lambda r: not r & gap,
+        )
+    gaps = ctx.semigroup.gaps
+    return (
+        (1,)[:width],
+        lambda g: g.coeffs[:width],
+        lambda a, b: _mul_t(a, b, p)[:width],
+        lambda r: not any(r[i] for i in gaps if i < len(r)),
+    )
+
+
+def _member_splits(factors, ring):
+    """Yield each index i of a member split, for i up to half the lattice.
+
+    factors holds (monic irreducible, multiplicity) pairs in the form the
+    ring's reduce takes.  The divisor lattice lists the residues of every
+    monic divisor in mixed-radix order over the exponent vectors, so
+    entries i and len-1-i are complements; a split is a member split when
+    both are members.
+    """
+    one, reduce, mul, member = ring
+    divs = [one]
+    for g, e in factors:
+        r = reduce(g)
+        level = divs
+        for _ in range(e):
+            level = [mul(d, r) for d in level]
+            divs = divs + level
+    last = len(divs) - 1
+    for i in range(1, last // 2 + 1):
+        if member(divs[i]) and member(divs[last - i]):
+            yield i
 
 
 def is_irreducible_in_algebra(ctx, f):
     """Full verdict for f relative to F_p[S], with a witness when reducible.
 
-    Divisors are enumerated from the exponent vectors of factor_fq(f); the
-    witness split, when one exists, is the one whose smaller part has the
-    least canonical key (bitmask order for p = 2).
+    Splits are decided on residues by the kernel the scans use; the
+    witness split, when one exists, is the one whose smaller part g has the
+    least canonical key (bitmask order for p = 2), paired with f // g, which
+    carries the leading unit.
     """
     if f.field != ctx.field:
         raise ValueError("polynomial field does not match the context")
@@ -166,33 +207,50 @@ def is_irreducible_in_algebra(ctx, f):
     if f.degree == 0:
         return AlgebraVerdict("unit")
     fac = factor_fq(f)
-    divs = _divisor_lattice(fac)
-    total = len(divs)
-    candidates = sorted(range(1, total - 1), key=lambda i: canonical_key(divs[i]))
-    unit = Polynomial.constant(ctx.field, fac.unit)
-    for i in candidates:
-        g = divs[i]
-        h = divs[total - 1 - i]
-        if is_member(ctx, g) and is_member(ctx, h):
-            return AlgebraVerdict("reducible", witness=(g, h * unit))
-    classification = _friendly_class_of(fac) if ctx.is_friendly else None
+    ring = _residue_ring(ctx)
+    factors = fac.factors
+    if ctx.field.p == 2:
+        factors = [(g.mask, e) for g, e in factors]
+    splits = list(_member_splits(factors, ring))
+    if splits:
+        g = _least_half(fac.factors, splits)
+        return AlgebraVerdict("reducible", witness=(g, f // g))
+    classification = None
+    if ctx.is_friendly:
+        classification = _friendly_class_of(*_shape_of(fac.factors, Polynomial.x(f.field)))
     return AlgebraVerdict("irreducible", classification=classification)
 
 
-def _shape_of(fac):
-    m = 0
-    k = 0
-    for poly, mult in fac.factors:
-        if poly.coeffs == (0, 1):
-            m = mult
-        else:
-            k += mult
-    return m, k
+def _least_half(factors, splits):
+    # Among both halves of every member split, the divisor with the least
+    # canonical key.  That key orders by degree first, so each half's degree
+    # comes from its exponent vector and only the least-degree ones are built.
+    last = prod(e + 1 for _, e in factors) - 1
+    halves = []
+    for j in [*splits, *(last - i for i in splits)]:
+        exps = []
+        for _, e in factors:
+            j, a = divmod(j, e + 1)
+            exps.append(a)
+        halves.append((sum(a * g.degree for a, (g, _) in zip(exps, factors)), exps))
+    low = min(degree for degree, _ in halves)
+    one = Polynomial.one(factors[0][0].field)
+    built = [
+        prod((g ** a for a, (g, _) in zip(exps, factors)), start=one)
+        for degree, exps in halves
+        if degree == low
+    ]
+    return min(built, key=canonical_key)
 
 
-def _friendly_class_of(fac):
-    # classification of an already-verified irreducible of F_2[x^2,x^3]
-    m, k = _shape_of(fac)
+def _shape_of(factors, x):
+    # (m, k): multiplicity of the factor x and total multiplicity of the rest
+    m = sum(e for g, e in factors if g == x)
+    return m, sum(e for _, e in factors) - m
+
+
+def _friendly_class_of(m, k):
+    # classification of an irreducible of F_2[x^2,x^3] with shape (m, k)
     if m == 0 and k == 1:
         return CLASSIC
     if m in (2, 3) and k <= 1:
@@ -225,7 +283,7 @@ def factorization_shape(ctx, f):
         raise ValueError("the zero polynomial has no factorization shape")
     if not is_member(ctx, f):
         raise ValueError("polynomial is not a member of the algebra")
-    m, k = _shape_of(factor_fq(f))
+    m, k = _shape_of(factor_fq(f).factors, Polynomial.x(ctx.field))
     return FactorShape(m, k)
 
 
@@ -322,8 +380,12 @@ def factor_mask(a):
     if a <= 0:
         raise ValueError("mask must encode a nonzero polynomial")
     prepare_gf2_cache(a.bit_length() - 1)
+    return _table_factor(_SPF_TABLE, a)
+
+
+def _table_factor(table, a):
+    # (factor, multiplicity) pairs of mask a by repeated smallest-factor lookup
     divrem = _gf2.divrem
-    table = _SPF_TABLE
     out = []
     while a != 1:
         f = table[a]
@@ -382,127 +444,49 @@ def member_count(ctx, n):
     return ctx.field.p ** len(_free_positions(ctx, n))
 
 
-def count_classes(ctx, n, lo=0, hi=None):
-    """Scan members of degree n (index range [lo, hi)) and bucket irreducibles.
-
-    The index range refers to the canonical enumeration order of
-    enumerate_degree, so disjoint ranges can run on separate workers and
-    their ClassCounts absorb into the full-degree answer.
-    """
-    counts = ClassCounts()
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0 or not ctx.semigroup.contains(n):
-        return counts
-    free = _free_positions(ctx, n)
-    total = ctx.field.p ** len(free)
+def _index_range(ctx, n, lo, hi):
+    # free positions of degree n and the member index range [lo, hi), checked
+    total = member_count(ctx, n)
     if hi is None:
         hi = total
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"invalid scan range [{lo}, {hi}) for {total} members")
-    if ctx.field.p == 2:
-        _scan_gf2(ctx, n, free, lo, hi, counts, None)
-    else:
-        _scan_generic(ctx, n, free, lo, hi, counts, None)
-    return counts
+    return _free_positions(ctx, n), lo, hi
 
 
-def iter_irreducible(ctx, n):
-    """Yield (polynomial, factorization, class) per irreducible member of degree n.
+def _scan(ctx, n, lo, hi):
+    """Yield (member, factors, m, k) per irreducible member of degree n.
 
-    Stream order matches enumerate_degree; class is None outside F_2[x^2,x^3].
+    Covers the members with index in [lo, hi) of enumerate_degree's order
+    and factors each exactly once: by table lookup for p = 2, where members
+    and factors are masks, and by factor_fq otherwise.  (m, k) is the
+    factorization shape.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0 or not ctx.semigroup.contains(n):
+    free, lo, hi = _index_range(ctx, n, lo, hi)
+    if n == 0:
         return
-    free = _free_positions(ctx, n)
-    total = ctx.field.p ** len(free)
-    out = []
-    counts = ClassCounts()
+    ring = _residue_ring(ctx)
     if ctx.field.p == 2:
-        _scan_gf2(ctx, n, free, 0, total, counts, out)
+        prepare_gf2_cache(n)
+        table = _SPF_TABLE
+        # split the free positions into two lookup halves for fast mask assembly
+        half = len(free) // 2
+        lo_tab = _bit_table(free[:half])
+        hi_tab = _bit_table(free[half:])
+        low = (1 << half) - 1
+        base = 1 << n
+        members = (base | lo_tab[i & low] | hi_tab[i >> half] for i in range(lo, hi))
+        factor = partial(_table_factor, table)
+        x = 2
     else:
-        _scan_generic(ctx, n, free, 0, total, counts, out)
-    yield from out
-
-
-def _bucket(counts, collect, m, k, record):
-    counts.total += 1
-    counts.max_m = max(counts.max_m, m)
-    counts.max_k = max(counts.max_k, k)
-    if m == 0 and k == 1:
-        counts.classic += 1
-        cls = CLASSIC
-    elif m > 0:
-        counts.tame += 1
-        cls = tame(m) if m in (2, 3) else None
-    else:
-        counts.wild += 1
-        cls = WILD
-    if collect is not None:
-        collect.append((record, cls))
-
-
-def _scan_gf2(ctx, n, free, lo, hi, counts, collect):
-    prepare_gf2_cache(n)
-    table = _SPF_TABLE
-    divrem = _gf2.divrem
-    mul = _gf2.mul
-    gap = ctx.gap_mask
-    friendly = ctx.is_friendly
-
-    # split the free positions into two lookup halves for fast mask assembly
-    half = len(free) // 2
-    lo_tab = _bit_table(free[:half])
-    hi_tab = _bit_table(free[half:])
-    lo_mask = (1 << half) - 1
-    base = 1 << n
-
-    items = []
-    for idx in range(lo, hi):
-        a = base | lo_tab[idx & lo_mask] | hi_tab[idx >> half]
-        mask = a
-        fac = []
-        while a != 1:
-            f = table[a]
-            e = 0
-            while True:
-                q, r = divrem(a, f)
-                if r:
-                    break
-                a = q
-                e += 1
-            fac.append((f, e))
-
-        divs = [1]
-        for f, e in fac:
-            powers = [1]
-            for _ in range(e):
-                powers.append(mul(powers[-1], f))
-            divs = [mul(d, w) for w in powers for d in divs]
-        total = len(divs)
-        reducible = False
-        for i in range(1, (total - 1) // 2 + 1):
-            if not divs[i] & gap and not divs[total - 1 - i] & gap:
-                reducible = True
-                break
-        if reducible:
-            continue
-        if fac and fac[0][0] == 2:
-            m = fac[0][1]
-            k = sum(e for _, e in fac[1:])
-        else:
-            m = 0
-            k = sum(e for _, e in fac)
-        _bucket(counts, items if collect is not None else None, m, k, (mask, fac))
-
-    if collect is not None:
-        field = ctx.field
-        for (mask, fac), cls in items:
-            poly = Polynomial.from_mask(field, mask)
-            factors = tuple((Polynomial.from_mask(field, f), e) for f, e in fac)
-            collect.append((poly, FqFactorization(field, 1, factors), cls if friendly else None))
+        members = enumerate_degree(ctx, n, lo, hi)
+        factor = lambda f: factor_fq(f).factors
+        x = Polynomial.x(ctx.field)
+    for f in members:
+        factors = factor(f)
+        if next(_member_splits(factors, ring), None) is None:
+            m, k = _shape_of(factors, x)
+            yield f, factors, m, k
 
 
 def _bit_table(positions):
@@ -516,23 +500,37 @@ def _bit_table(positions):
     return table
 
 
-def _scan_generic(ctx, n, free, lo, hi, counts, collect):
-    p = ctx.field.p
+def count_classes(ctx, n, lo=0, hi=None):
+    """Scan members of degree n (index range [lo, hi)) and bucket irreducibles.
+
+    The index range refers to the canonical enumeration order of
+    enumerate_degree, so disjoint ranges can run on separate workers and
+    their ClassCounts absorb into the full-degree answer.
+    """
+    counts = ClassCounts()
+    for _, _, m, k in _scan(ctx, n, lo, hi):
+        counts.total += 1
+        counts.max_m = max(counts.max_m, m)
+        counts.max_k = max(counts.max_k, k)
+        if m == 0 and k == 1:
+            counts.classic += 1
+        elif m > 0:
+            counts.tame += 1
+        else:
+            counts.wild += 1
+    return counts
+
+
+def iter_irreducible(ctx, n):
+    """Yield (polynomial, factorization, class) per irreducible member of degree n.
+
+    Stream order matches enumerate_degree; class is None outside F_2[x^2,x^3].
+    """
+    field = ctx.field
     friendly = ctx.is_friendly
-    for idx in range(lo, hi):
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        t = idx
-        for pos in free:
-            t, coeffs[pos] = t // p, t % p
-        f = Polynomial(ctx.field, tuple(coeffs))
-        verdict = is_irreducible_in_algebra(ctx, f)
-        if not verdict.is_irreducible:
-            continue
-        fac = factor_fq(f)
-        m, k = _shape_of(fac)
-        items = [] if collect is not None else None
-        _bucket(counts, items, m, k, None)
-        if collect is not None:
-            cls = items[0][1] if friendly else None
-            collect.append((f, fac, cls))
+    for f, factors, m, k in _scan(ctx, n, 0, None):
+        if field.p == 2:
+            f = Polynomial.from_mask(field, f)
+            factors = tuple((Polynomial.from_mask(field, g), e) for g, e in factors)
+        cls = _friendly_class_of(m, k) if friendly else None
+        yield f, FqFactorization(field, 1, factors), cls

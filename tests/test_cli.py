@@ -190,7 +190,7 @@ def test_count_determinism_across_workers(tmp_path):
         path = tmp_path / f"count-w{workers}.csv"
         run_cli(
             "count", "--max-degree", "10", "--workers", workers,
-            "--seed", "7", "--output", str(path),
+            "--output", str(path),
         )
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
