@@ -21,7 +21,7 @@ from . import counting, sgalg
 from .ffpoly import FieldSpec, format_poly
 from .numsgp import from_generators
 
-MAX_SCAN = 1 << 24  # enumeration guard: at most 2^24 coefficient combinations
+MAX_SCAN = sgalg.MAX_SCAN  # at most 2^24 members per degree and entries per table
 MAX_VERIFY_DEGREE = 20
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
@@ -173,8 +173,7 @@ def _scan_counts(cfg, ctx, n):
     total = sgalg.member_count(ctx, n)
     if cfg.workers <= 1 or total < 4096:
         return sgalg.count_classes(ctx, n)
-    if ctx.field.p == 2:
-        sgalg.prepare_gf2_cache(n)  # built pre-fork so workers inherit it
+    sgalg.prepare_factor_table(ctx.field.p, n)  # built pre-fork so workers inherit it
     chunk = -(-total // cfg.workers)
     tasks = [
         (cfg.q, cfg.sgp, n, lo, min(lo + chunk, total))
@@ -187,6 +186,20 @@ def _scan_counts(cfg, ctx, n):
     return merged
 
 
+def _prepare_table(ctx, degrees):
+    # Build the factor table once for the highest member degree, before any
+    # scan or fork; False, after an error line, when it would exceed the cap.
+    top = max((n for n in degrees if n and ctx.semigroup.contains(n)), default=None)
+    if top is None:
+        return True
+    try:
+        sgalg.prepare_factor_table(ctx.field.p, top)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -196,8 +209,21 @@ _COUNT_HEADER = "n,a,s,b_c,b_t,b_w,b,algebra_size,density,density_float"
 def cmd_count(cfg):
     ctx = _context(cfg)
     friendly = ctx.is_friendly
+    degrees = range(2, cfg.max_degree + 1)
+    if not friendly:
+        for n in degrees:
+            size = sgalg.member_count(ctx, n)
+            if size > MAX_SCAN:
+                print(
+                    f"error: degree {n} needs {size} member scans "
+                    f"(guard is {MAX_SCAN})",
+                    file=sys.stderr,
+                )
+                return 2
+        if not _prepare_table(ctx, degrees):
+            return 2
     rows = []
-    for n in range(2, cfg.max_degree + 1):
+    for n in degrees:
         if friendly:
             rows.append(counting.friendly_count_row(n))
             continue
@@ -207,13 +233,6 @@ def cmd_count(cfg):
             rows.append(counting.CountRow(n, a, s, 0, 0, 0, 0, 0, None))
             continue
         size = sgalg.member_count(ctx, n)
-        if size > MAX_SCAN:
-            print(
-                f"error: degree {n} needs {size} member scans "
-                f"(guard is {MAX_SCAN})",
-                file=sys.stderr,
-            )
-            return 2
         counts = _scan_counts(cfg, ctx, n)
         rows.append(counting.CountRow(
             n, a, s, counts.classic, counts.tame, counts.wild, counts.total,
@@ -261,6 +280,8 @@ def cmd_enumerate(cfg):
             f"error: degree {n} needs more than {MAX_SCAN} member scans",
             file=sys.stderr,
         )
+        return 2
+    if not _prepare_table(ctx, (n,)):
         return 2
     csv_rows = []
     json_rows = []
@@ -316,8 +337,13 @@ def _verify_friendly(cfg, ctx):
 
 
 def _verify_shapes(cfg, ctx):
-    if ctx.field.p == 2:
-        sgalg.prepare_gf2_cache(cfg.max_degree)
+    degrees = range(2, cfg.max_degree + 1)
+    for n in degrees:
+        if sgalg.member_count(ctx, n) > MAX_SCAN:
+            print(f"error: degree {n} exceeds the scan guard", file=sys.stderr)
+            return 2
+    if not _prepare_table(ctx, degrees):
+        return 2
     frob = ctx.semigroup.frobenius
     m_bound = 2 * (frob + 1)
     k_bound = cfg.q ** frob
@@ -325,10 +351,7 @@ def _verify_shapes(cfg, ctx):
     csv_rows = []
     json_rows = []
     failures = []
-    for n in range(2, cfg.max_degree + 1):
-        if sgalg.member_count(ctx, n) > MAX_SCAN:
-            print(f"error: degree {n} exceeds the scan guard", file=sys.stderr)
-            return 2
+    for n in degrees:
         counts = _scan_counts(cfg, ctx, n)
         within = counts.total == 0 or (
             counts.max_m < m_bound and counts.max_k <= k_bound

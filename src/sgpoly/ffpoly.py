@@ -107,6 +107,19 @@ class Polynomial:
             raise ValueError("bitmask must be nonnegative")
         return cls(field, tuple(mask >> i & 1 for i in range(mask.bit_length())))
 
+    @classmethod
+    def from_encoding(cls, field, code):
+        """Decode the canonical integer encoding; the inverse of `encoding`."""
+        if field.p == 2:
+            return cls.from_mask(field, code)
+        if code < 0:
+            raise ValueError("encoding must be nonnegative")
+        coeffs = []
+        while code:
+            code, c = divmod(code, field.p)
+            coeffs.append(c)
+        return cls(field, tuple(coeffs))
+
     # -- queries ---------------------------------------------------------
 
     @property

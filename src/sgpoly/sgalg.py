@@ -11,15 +11,20 @@ Every gap of S lies below w = F(S)+1, so whether a divisor is a member
 depends only on its residue mod x^w.  One kernel, `_member_splits`,
 decides every verdict on those residues: the per-polynomial API, the
 counting scan and the listing all call it, and only the witness split is
-ever multiplied out in full.  Scans for p = 2 factor members by lookup in
-a cached smallest-factor table, since enumerating 2^(n-1) coefficient
-masks dominates every verification campaign.
+ever multiplied out in full.  Scans handle members and factors as
+integer codes (`Polynomial.encoding`, which is the bitmask for p = 2) and
+factor every member by lookup in a cached smallest-factor table, for every
+p, since enumerating all coefficient combinations of a degree dominates
+every verification campaign.  For p > 2 a cofactor table beside it makes
+factoring pure lookups.  No table may exceed MAX_SCAN entries.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from math import prod
 
 from . import _gf2
@@ -142,9 +147,9 @@ def _residue_ring(ctx):
     """(one, reduce, mul, member) for residues mod x^w, w = F(S)+1.
 
     Every gap lies below w, so a polynomial is a member exactly when its
-    residue is.  For p = 2 a residue is a mask cut to w bits and reduce
-    takes a mask; otherwise it is a coefficient tuple cut to w entries
-    and reduce takes a Polynomial.
+    residue is.  reduce takes a polynomial's code (`Polynomial.encoding`).
+    For p = 2 a residue is a mask cut to w bits; otherwise it is a
+    coefficient tuple of the code's low w digits.
     """
     width = ctx.semigroup.frobenius + 1
     p = ctx.field.p
@@ -159,9 +164,19 @@ def _residue_ring(ctx):
             lambda r: not r & gap,
         )
     gaps = ctx.semigroup.gaps
+    modulus = p ** width
+
+    def reduce(code):
+        code %= modulus
+        digits = []
+        while code:
+            code, c = divmod(code, p)
+            digits.append(c)
+        return tuple(digits)
+
     return (
         (1,)[:width],
-        lambda g: g.coeffs[:width],
+        reduce,
         lambda a, b: _mul_t(a, b, p)[:width],
         lambda r: not any(r[i] for i in gaps if i < len(r)),
     )
@@ -170,8 +185,8 @@ def _residue_ring(ctx):
 def _member_splits(factors, ring):
     """Yield each index i of a member split, for i up to half the lattice.
 
-    factors holds (monic irreducible, multiplicity) pairs in the form the
-    ring's reduce takes.  The divisor lattice lists the residues of every
+    factors holds (monic irreducible, multiplicity) pairs, each irreducible
+    as its code.  The divisor lattice lists the residues of every
     monic divisor in mixed-radix order over the exponent vectors, so
     entries i and len-1-i are complements; a split is a member split when
     both are members.
@@ -207,11 +222,8 @@ def is_irreducible_in_algebra(ctx, f):
     if f.degree == 0:
         return AlgebraVerdict("unit")
     fac = factor_fq(f)
-    ring = _residue_ring(ctx)
-    factors = fac.factors
-    if ctx.field.p == 2:
-        factors = [(g.mask, e) for g, e in factors]
-    splits = list(_member_splits(factors, ring))
+    codes = [(g.encoding, e) for g, e in fac.factors]
+    splits = list(_member_splits(codes, _residue_ring(ctx)))
     if splits:
         g = _least_half(fac.factors, splits)
         return AlgebraVerdict("reducible", witness=(g, f // g))
@@ -344,8 +356,33 @@ def find_subproduct(polys, clear_below):
 # -- bulk scanning for whole-degree verification -----------------------------
 
 
-_SPF_TABLE: list[int] = []
-_SPF_DEGREE = -1
+MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
+
+# p -> (degree, table); the table is the smallest-factor list for p = 2 and
+# the (spf, cof) pair of arrays otherwise
+_TABLES: dict = {}
+
+
+def table_entries(p, degree):
+    """Entries of the factor table over F_p up to degree: 2*p^degree.
+
+    Every monic polynomial of degree at most `degree` has a code below that.
+    """
+    return 2 * p ** degree
+
+
+def _cached(p, max_degree, build):
+    # the cached table for p, first (re)built by build(max_degree) when
+    # missing or too small; the cap is checked before any cache or build
+    entries = table_entries(p, max_degree)
+    if entries > MAX_SCAN:
+        raise ValueError(
+            f"a degree-{max_degree} factor table over F_{p} needs {entries} entries "
+            f"(cap is {MAX_SCAN})"
+        )
+    if _TABLES.get(p, (-1,))[0] < max_degree:
+        _TABLES[p] = (max_degree, build(max_degree))
+    return _TABLES[p][1]
 
 
 def prepare_gf2_cache(max_degree):
@@ -355,11 +392,13 @@ def prepare_gf2_cache(max_degree):
     monic cofactor, in increasing mask order, so entry a holds the least
     irreducible factor of a.  Degree scans factor members by repeated
     table lookup, which is several times faster than per-polynomial
-    distinct-degree splitting at enumeration scale.
+    distinct-degree splitting at enumeration scale.  Raises ValueError
+    when the table would exceed MAX_SCAN entries.
     """
-    global _SPF_TABLE, _SPF_DEGREE
-    if max_degree <= _SPF_DEGREE:
-        return
+    _cached(2, max_degree, _gf2_table)
+
+
+def _gf2_table(max_degree):
     limit = 1 << (max_degree + 1)
     spf = [0] * limit
     mul = _gf2.mul
@@ -371,16 +410,79 @@ def prepare_gf2_cache(max_degree):
                 prod = mul(a, h)
                 if not spf[prod]:
                     spf[prod] = a
-    _SPF_TABLE = spf
-    _SPF_DEGREE = max_degree
+    return spf
+
+
+def prepare_factor_table(p, max_degree):
+    """The factor table for scans over F_p up to max_degree, built on demand.
+
+    For p = 2 it is prepare_gf2_cache's smallest-factor list.  Otherwise
+    it is a pair (spf, cof) of arrays over codes: for a monic a, spf[a] is
+    its least irreducible factor and cof[a] = a / spf[a], except that an
+    irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
+    canonical_key order.  Raises ValueError when the table would exceed
+    MAX_SCAN entries.
+    """
+    if p == 2:
+        prepare_gf2_cache(max_degree)
+        return _TABLES[2][1]
+    return _cached(p, max_degree, partial(_basep_tables, p))
+
+
+def _basep_tables(p, degree):
+    # Each irreducible a with 2*deg(a) <= degree, met in increasing code
+    # order, marks a*h for every monic h with deg(a) <= deg(h) <= degree -
+    # deg(a) that no smaller irreducible marked.  The cofactors h of one
+    # degree e are visited by a modular p-ary Gray walk from x^e: step k
+    # raises digit v of h by one mod p, v being the p-adic valuation of k,
+    # so the product gains a*x^v.  That changes only digits v..v+deg(a) of
+    # its code, which one lookup in a's digit-wise addition table does.
+    size = table_entries(p, degree)
+    spf = array("I", [0]) * size
+    cof = array("I", [1]) * size
+    pw = [p ** i for i in range(degree + 1)]
+    walk = pw[max(degree - 1, 0)]
+    steps = array("I", [1]) * walk  # p^v for step k
+    for q in pw[1:degree]:
+        steps[q::q] = array("I", [q]) * len(range(q, walk, q))
+    gray = array("I", [0]) * walk  # code of h - x^e after step k
+    g = 0
+    for k in range(1, walk):
+        q = steps[k]
+        g += q if g // q % p != p - 1 else (1 - p) * q
+        gray[k] = g
+    for d in range(1, degree // 2 + 1):
+        window = pw[d + 1]
+        for a in range(pw[d], 2 * pw[d]):
+            if spf[a]:
+                continue
+            add = [0]  # add[w]: the d+1 digits w plus those of a, mod p
+            for i in range(d + 1):
+                digit = a // pw[i] % p
+                add = [w + (v + digit) % p * pw[i] for v in range(p) for w in add]
+            for e in range(d, degree - d + 1):
+                h = pw[e]
+                c = a * h
+                if not spf[c]:
+                    spf[c], cof[c] = a, h
+                for q, g in islice(zip(steps, gray), 1, h):
+                    w = c // q % window
+                    c += (add[w] - w) * q
+                    if not spf[c]:
+                        spf[c], cof[c] = a, h + g
+    return spf, cof
 
 
 def factor_mask(a):
-    """Factor a GF(2) mask via the cached table, ascending by factor mask."""
+    """Factor a GF(2) mask via the cached table, ascending by factor mask.
+
+    Raises ValueError when the table for a's degree would exceed MAX_SCAN
+    entries.
+    """
     if a <= 0:
         raise ValueError("mask must encode a nonzero polynomial")
     prepare_gf2_cache(a.bit_length() - 1)
-    return _table_factor(_SPF_TABLE, a)
+    return _table_factor(_TABLES[2][1], a)
 
 
 def _table_factor(table, a):
@@ -458,46 +560,48 @@ def _scan(ctx, n, lo, hi):
     """Yield (member, factors, m, k) per irreducible member of degree n.
 
     Covers the members with index in [lo, hi) of enumerate_degree's order
-    and factors each exactly once: by table lookup for p = 2, where members
-    and factors are masks, and by factor_fq otherwise.  (m, k) is the
-    factorization shape.
+    and factors each exactly once, by lookup in the factor table.  Members
+    and factors are codes (`Polynomial.encoding`, the bitmask for p = 2).
+    (m, k) is the factorization shape.
     """
     free, lo, hi = _index_range(ctx, n, lo, hi)
     if n == 0:
         return
+    p = ctx.field.p
+    table = prepare_factor_table(p, n)
+    factor = partial(_table_factor, table) if p == 2 else partial(_lookup_factor, *table)
+    # split the free positions into two lookup halves for fast code assembly
+    half = len(free) // 2
+    lo_tab = _digit_table(free[:half], p)
+    hi_tab = _digit_table(free[half:], p)
+    size = len(lo_tab)
+    base = p ** n
     ring = _residue_ring(ctx)
-    if ctx.field.p == 2:
-        prepare_gf2_cache(n)
-        table = _SPF_TABLE
-        # split the free positions into two lookup halves for fast mask assembly
-        half = len(free) // 2
-        lo_tab = _bit_table(free[:half])
-        hi_tab = _bit_table(free[half:])
-        low = (1 << half) - 1
-        base = 1 << n
-        members = (base | lo_tab[i & low] | hi_tab[i >> half] for i in range(lo, hi))
-        factor = partial(_table_factor, table)
-        x = 2
-    else:
-        members = enumerate_degree(ctx, n, lo, hi)
-        factor = lambda f: factor_fq(f).factors
-        x = Polynomial.x(ctx.field)
-    for f in members:
+    for i in range(lo, hi):
+        f = base + lo_tab[i % size] + hi_tab[i // size]
         factors = factor(f)
         if next(_member_splits(factors, ring), None) is None:
-            m, k = _shape_of(factors, x)
+            m, k = _shape_of(factors, p)  # p is the code of x
             yield f, factors, m, k
 
 
-def _bit_table(positions):
-    table = []
-    for i in range(1 << len(positions)):
-        m = 0
-        for j, pos in enumerate(positions):
-            if i >> j & 1:
-                m |= 1 << pos
-        table.append(m)
+def _digit_table(positions, p):
+    # entry i: the code with the base-p digits of i, lowest first, at positions
+    table = [0]
+    for pos in positions:
+        step = p ** pos
+        table = [t + c * step for c in range(p) for t in table]
     return table
+
+
+def _lookup_factor(spf, cof, a):
+    # (factor, multiplicity) pairs of code a, ascending, by lookups alone
+    out = {}
+    while a != 1:
+        f = spf[a] or a
+        out[f] = out.get(f, 0) + 1
+        a = cof[a]
+    return list(out.items())
 
 
 def count_classes(ctx, n, lo=0, hi=None):
@@ -528,9 +632,8 @@ def iter_irreducible(ctx, n):
     """
     field = ctx.field
     friendly = ctx.is_friendly
+    decode = partial(Polynomial.from_encoding, field)
     for f, factors, m, k in _scan(ctx, n, 0, None):
-        if field.p == 2:
-            f = Polynomial.from_mask(field, f)
-            factors = tuple((Polynomial.from_mask(field, g), e) for g, e in factors)
+        factors = tuple((decode(g), e) for g, e in factors)
         cls = _friendly_class_of(m, k) if friendly else None
-        yield f, FqFactorization(field, 1, factors), cls
+        yield decode(f), FqFactorization(field, 1, factors), cls

@@ -152,6 +152,45 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys):
     assert "4,2,2,2,5,1,2,2,5,false" in captured.out
 
 
+def test_table_cap_exits_before_any_work(monkeypatch, capsys):
+    # 4,194,304 members pass the member guard at degree 30, but their table
+    # would hold 2^31 entries; no table over the cap may ever be built
+    from sgpoly import cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("a factor table over the cap was built")
+
+    monkeypatch.setattr(sgalg, "_gf2_table", refuse)
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    wide = "9,10,11,12,13,14,15,16,17"
+    for argv in (
+        ["count", "--sgp", wide, "--max-degree", "30"],
+        ["count", "--sgp", wide, "--max-degree", "30", "--workers", "2"],
+        ["enumerate", "--sgp", wide, "--degree", "30"],
+        ["count", "--q", "3", "--max-degree", "15"],
+        ["verify", "--q", "3", "--max-degree", "15"],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "cap is 16777216" in captured.err
+
+
+def test_count_builds_the_table_once(monkeypatch, capsys):
+    # one table for the top degree, not one per degree as the scan grows
+    from sgpoly import cli, sgalg
+
+    builds = []
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    for name in ("_gf2_table", "_basep_tables"):
+        real = getattr(sgalg, name)
+        monkeypatch.setattr(sgalg, name, lambda *a, real=real: builds.append(a) or real(*a))
+    assert cli.main(["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "8"]) == 0
+    assert cli.main(["count", "--sgp", "3,4,5", "--max-degree", "12"]) == 0
+    capsys.readouterr()
+    assert builds == [(3, 8), (12,)]
+
+
 def test_count_natural_semigroup_reduces_to_field_counts():
     # S = N: algebra irreducibility coincides with F_2[x] irreducibility
     out = run_cli("count", "--sgp", "1", "--max-degree", "8").stdout.splitlines()

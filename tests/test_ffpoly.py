@@ -101,6 +101,18 @@ def test_format_round_trip(f2, f3):
     assert format_poly(parse_poly("1+x^5+x^3", f2)) == "x^5+x^3+1"
 
 
+def test_encoding_round_trip(f2, f3):
+    rng = random.Random(31)
+    for field in (f2, f3, FieldSpec(5)):
+        for _ in range(200):
+            f = rand_poly(rng, field, 9)
+            assert Polynomial.from_encoding(field, f.encoding) == f
+    assert Polynomial.from_encoding(f3, 3 ** 2 + 2) == parse_poly("x^2+2", f3)
+    assert Polynomial.from_encoding(f2, 0b1011) == Polynomial.from_mask(f2, 0b1011)
+    with pytest.raises(ValueError):
+        Polynomial.from_encoding(f3, -1)
+
+
 # -- ring laws and division --------------------------------------------------
 
 

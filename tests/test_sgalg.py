@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgpoly import (
     CLASSIC,
     WILD,
     AlgebraContext,
+    ClassCounts,
     FieldSpec,
+    FqFactorization,
     Polynomial,
     classify_friendly,
     count_classes,
@@ -25,6 +29,7 @@ from sgpoly import (
     parse_poly,
     tame,
 )
+from sgpoly import sgalg
 from sgpoly.sgalg import factor_mask
 from oracles import all_monic, divisor_scan_verdict
 
@@ -339,6 +344,66 @@ def test_factor_mask_matches_ddf_at_scan_degrees(f2):
         assert factor_mask(mask) == via_ddf
 
 
+@pytest.mark.parametrize("p, top", [(3, 7), (5, 4)])
+def test_basep_table_factors_every_monic_code(p, top):
+    # built at exactly this degree, so irreducibles with 2*deg = top and the
+    # Gray walk's start cofactor x^e are on the edge; a missed start once made
+    # x^2 look irreducible
+    field = FieldSpec(p)
+    spf, cof = sgalg._basep_tables(p, top)
+    for d in range(top + 1):
+        for code in range(p ** d, 2 * p ** d):
+            f = Polynomial.from_encoding(field, code)
+            expected = [(g.encoding, e) for g, e in factor_fq(f).factors]
+            assert sgalg._lookup_factor(spf, cof, code) == expected
+    x = Polynomial.x(field)
+    x1 = x + Polynomial.one(field)
+    g = parse_poly("x^2+x+2", field)  # irreducible over F_3 and F_5
+    for f, expected in ((x ** 2, [(x, 2)]), (x1 ** 3, [(x1, 3)]),
+                        (x ** (top - 2) * g, [(x, top - 2), (g, 1)])):
+        got = sgalg._lookup_factor(spf, cof, f.encoding)
+        assert got == [(h.encoding, e) for h, e in expected]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_table_factorization_property(data):
+    # random F_3 (degree <= 11) and F_5 (degree <= 8; a degree-11 table
+    # would exceed the cap) polynomials: the table's factorization multiplies
+    # back to f and equals factor_fq's
+    p, top = data.draw(st.sampled_from([(3, 11), (5, 8)]))
+    field = FieldSpec(p)
+    low = data.draw(st.lists(st.integers(0, p - 1), max_size=top))
+    f = Polynomial(field, (*low, data.draw(st.integers(1, p - 1))))
+    spf, cof = sgalg.prepare_factor_table(p, top)
+    pairs = sgalg._lookup_factor(spf, cof, f.monic().encoding)
+    factors = tuple((Polynomial.from_encoding(field, g), e) for g, e in pairs)
+    fac = FqFactorization(field, f.leading_coeff, factors)
+    assert fac.expand() == f
+    assert fac == factor_fq(f)
+
+
+def test_factor_tables_are_capped(monkeypatch, f2, f3):
+    # over MAX_SCAN entries every entry point refuses before building a table
+    def refuse(*args):
+        raise AssertionError("a factor table over the cap was built")
+
+    monkeypatch.setattr(sgalg, "_gf2_table", refuse)
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    wide = AlgebraContext(f2, from_generators(range(9, 18)))
+    assert member_count(wide, 30) == 4_194_304 <= sgalg.MAX_SCAN
+    assert sgalg.table_entries(2, 30) == 2 ** 31
+    ctx33 = AlgebraContext(f3, from_generators((2, 3)))
+    assert member_count(ctx33, 15) <= sgalg.MAX_SCAN < sgalg.table_entries(3, 15)
+    for ctx, n in ((wide, 30), (ctx33, 15)):
+        with pytest.raises(ValueError, match="cap is 16777216"):
+            count_classes(ctx, n, 0, 1)
+        with pytest.raises(ValueError, match="cap is 16777216"):
+            next(iter_irreducible(ctx, n))
+    with pytest.raises(ValueError, match="cap is 16777216"):
+        factor_mask(1 << 24)
+
+
 def test_count_classes_chunks_merge(friendly, ctx345, f3):
     ctx33 = AlgebraContext(f3, from_generators((2, 3)))
     for ctx, n in ((friendly, 9), (ctx345, 10), (ctx33, 7)):
@@ -349,6 +414,18 @@ def test_count_classes_chunks_merge(friendly, ctx345, f3):
         part3 = count_classes(ctx, n, (2 * total) // 3, total)
         merged.absorb(part2)
         merged.absorb(part3)
+        assert merged == whole
+    # random [lo, hi) splits over F_5[<2,3>], whose digit tables are 25 wide,
+    # so chunk edges fall inside and between their blocks
+    ctx53 = AlgebraContext(FieldSpec(5), from_generators((2, 3)))
+    whole = count_classes(ctx53, 6)
+    total = member_count(ctx53, 6)
+    rng = random.Random(53)
+    for _ in range(3):
+        cuts = sorted(rng.sample(range(1, total), 5))
+        merged = ClassCounts()
+        for lo, hi in zip([0, *cuts], [*cuts, total]):
+            merged.absorb(count_classes(ctx53, 6, lo, hi))
         assert merged == whole
 
 
