@@ -173,7 +173,6 @@ def _scan_counts(cfg, ctx, n):
     total = sgalg.member_count(ctx, n)
     if cfg.workers <= 1 or total < 4096:
         return sgalg.count_classes(ctx, n)
-    sgalg.prepare_factor_table(ctx.field.p, n)  # built pre-fork so workers inherit it
     chunk = -(-total // cfg.workers)
     tasks = [
         (cfg.q, cfg.sgp, n, lo, min(lo + chunk, total))
@@ -186,11 +185,22 @@ def _scan_counts(cfg, ctx, n):
     return merged
 
 
-def _prepare_table(ctx, degrees):
-    # Build the factor table once for the highest member degree, before any
-    # scan or fork; False, after an error line, when it would exceed the cap.
-    top = max((n for n in degrees if n and ctx.semigroup.contains(n)), default=None)
-    if top is None:
+def _prepare_scans(ctx, degrees, too_many):
+    # Check the member guard at every degree, then build the factor table
+    # once for the highest member degree whose scan uses one, before any scan
+    # or fork so that workers inherit it.  False, after an error line, when a
+    # degree has too many members (too_many formats that line) or its table
+    # would exceed the cap.
+    for n in degrees:
+        size = sgalg.member_count(ctx, n)
+        if size > MAX_SCAN:
+            print("error: " + too_many.format(n=n, size=size), file=sys.stderr)
+            return False
+    top = max(
+        (n for n in degrees if sgalg.member_count(ctx, n) and sgalg.table_pays(ctx, n)),
+        default=0,
+    )
+    if top == 0:
         return True
     try:
         sgalg.prepare_factor_table(ctx.field.p, top)
@@ -210,18 +220,9 @@ def cmd_count(cfg):
     ctx = _context(cfg)
     friendly = ctx.is_friendly
     degrees = range(2, cfg.max_degree + 1)
-    if not friendly:
-        for n in degrees:
-            size = sgalg.member_count(ctx, n)
-            if size > MAX_SCAN:
-                print(
-                    f"error: degree {n} needs {size} member scans "
-                    f"(guard is {MAX_SCAN})",
-                    file=sys.stderr,
-                )
-                return 2
-        if not _prepare_table(ctx, degrees):
-            return 2
+    too_many = f"degree {{n}} needs {{size}} member scans (guard is {MAX_SCAN})"
+    if not friendly and not _prepare_scans(ctx, degrees, too_many):
+        return 2
     rows = []
     for n in degrees:
         if friendly:
@@ -275,13 +276,8 @@ def cmd_enumerate(cfg):
         )
         _emit(cfg, header, [], [])
         return 0
-    if sgalg.member_count(ctx, n) > MAX_SCAN:
-        print(
-            f"error: degree {n} needs more than {MAX_SCAN} member scans",
-            file=sys.stderr,
-        )
-        return 2
-    if not _prepare_table(ctx, (n,)):
+    too_many = f"degree {{n}} needs more than {MAX_SCAN} member scans"
+    if not _prepare_scans(ctx, (n,), too_many):
         return 2
     csv_rows = []
     json_rows = []
@@ -338,11 +334,7 @@ def _verify_friendly(cfg, ctx):
 
 def _verify_shapes(cfg, ctx):
     degrees = range(2, cfg.max_degree + 1)
-    for n in degrees:
-        if sgalg.member_count(ctx, n) > MAX_SCAN:
-            print(f"error: degree {n} exceeds the scan guard", file=sys.stderr)
-            return 2
-    if not _prepare_table(ctx, degrees):
+    if not _prepare_scans(ctx, degrees, "degree {n} exceeds the scan guard"):
         return 2
     frob = ctx.semigroup.frobenius
     m_bound = 2 * (frob + 1)

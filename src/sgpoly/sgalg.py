@@ -13,10 +13,12 @@ decides every verdict on those residues: the per-polynomial API, the
 counting scan and the listing all call it, and only the witness split is
 ever multiplied out in full.  Scans handle members and factors as
 integer codes (`Polynomial.encoding`, which is the bitmask for p = 2) and
-factor every member by lookup in a cached smallest-factor table, for every
-p, since enumerating all coefficient combinations of a degree dominates
-every verification campaign.  For p > 2 a cofactor table beside it makes
-factoring pure lookups.  No table may exceed MAX_SCAN entries.
+factor members by lookup in a cached smallest-factor table, since
+enumerating all coefficient combinations of a degree dominates every
+verification campaign.  For p > 2 a cofactor table beside it makes
+factoring pure lookups; such a table covers every monic code, not only the
+members, so a p > 2 scan builds it only when it pays (see table_pays) and
+otherwise calls factor_fq per member.  No table may exceed MAX_SCAN entries.
 """
 
 from __future__ import annotations
@@ -357,6 +359,7 @@ def find_subproduct(polys, clear_below):
 
 
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
+TABLE_RATIO = 512  # a p > 2 table pays with at least one member per this many entries
 
 # p -> (degree, table); the table is the smallest-factor list for p = 2 and
 # the (spf, cof) pair of arrays otherwise
@@ -369,6 +372,24 @@ def table_entries(p, degree):
     Every monic polynomial of degree at most `degree` has a code below that.
     """
     return 2 * p ** degree
+
+
+def table_pays(ctx, n):
+    """True when degree-n scans over ctx should build a factor table.
+
+    Always for p = 2, whose scans have no other route (the table may then
+    exceed MAX_SCAN, and the scan raises).  For p > 2 the table has
+    table_entries(p, n) entries at about 0.3-0.5 us each to build, while
+    factor_fq costs 150-350 us per member, so it is built only when it fits
+    under MAX_SCAN and there is at least one member per TABLE_RATIO
+    entries.  That share is 1 / (2 p^g) for g gaps below n, so many gaps
+    or a large p leave the scan on factor_fq.
+    """
+    p = ctx.field.p
+    if p == 2:
+        return True
+    entries = table_entries(p, n)
+    return entries <= MAX_SCAN and member_count(ctx, n) * TABLE_RATIO >= entries
 
 
 def _cached(p, max_degree, build):
@@ -560,16 +581,15 @@ def _scan(ctx, n, lo, hi):
     """Yield (member, factors, m, k) per irreducible member of degree n.
 
     Covers the members with index in [lo, hi) of enumerate_degree's order
-    and factors each exactly once, by lookup in the factor table.  Members
-    and factors are codes (`Polynomial.encoding`, the bitmask for p = 2).
-    (m, k) is the factorization shape.
+    and factors each exactly once, by _member_factor.  Members and factors
+    are codes (`Polynomial.encoding`, the bitmask for p = 2).  (m, k) is the
+    factorization shape.
     """
     free, lo, hi = _index_range(ctx, n, lo, hi)
-    if n == 0:
+    if n == 0 or lo == hi:
         return
     p = ctx.field.p
-    table = prepare_factor_table(p, n)
-    factor = partial(_table_factor, table) if p == 2 else partial(_lookup_factor, *table)
+    factor = _member_factor(ctx, n)
     # split the free positions into two lookup halves for fast code assembly
     half = len(free) // 2
     lo_tab = _digit_table(free[:half], p)
@@ -583,6 +603,18 @@ def _scan(ctx, n, lo, hi):
         if next(_member_splits(factors, ring), None) is None:
             m, k = _shape_of(factors, p)  # p is the code of x
             yield f, factors, m, k
+
+
+def _member_factor(ctx, n):
+    # code -> ascending (factor code, multiplicity) pairs for degree-n members:
+    # by table lookup when a cached table covers n or building one pays,
+    # otherwise by factor_fq
+    p = ctx.field.p
+    if _TABLES.get(p, (-1,))[0] >= n or table_pays(ctx, n):
+        table = prepare_factor_table(p, n)
+        return partial(_table_factor, table) if p == 2 else partial(_lookup_factor, *table)
+    decode = partial(Polynomial.from_encoding, ctx.field)
+    return lambda a: [(g.encoding, e) for g, e in factor_fq(decode(a)).factors]
 
 
 def _digit_table(positions, p):

@@ -167,13 +167,38 @@ def test_table_cap_exits_before_any_work(monkeypatch, capsys):
         ["count", "--sgp", wide, "--max-degree", "30"],
         ["count", "--sgp", wide, "--max-degree", "30", "--workers", "2"],
         ["enumerate", "--sgp", wide, "--degree", "30"],
-        ["count", "--q", "3", "--max-degree", "15"],
-        ["verify", "--q", "3", "--max-degree", "15"],
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "cap is 16777216" in captured.err
+
+
+def test_p_odd_scans_without_a_table_when_it_does_not_pay(monkeypatch, capsys):
+    # a p > 2 table covers every monic code, members or not; with many gaps
+    # or a large field it costs more than it saves, or passes the cap, and
+    # the scan factors each member with factor_fq instead of refusing
+    from sgpoly import cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("a factor table that does not pay was built")
+
+    wide = ["count", "--q", "3", "--sgp", "9,10,11,12,13,14,15,16,17", "--max-degree", "11"]
+    with monkeypatch.context() as m:
+        m.setattr(sgalg, "_TABLES", {})
+        m.setattr(sgalg, "_gf2_table", refuse)
+        m.setattr(sgalg, "_basep_tables", refuse)
+        # 4,099 members at degree 2 and a table of 2*4099^2 entries, over the cap
+        assert cli.main(["count", "--q", "4099", "--max-degree", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("2,") and out[1].split(",")[7] == "4099"
+        # 27 members at degree 11 against a table of 354,294 entries
+        assert cli.main(wide) == 0
+        by_fq = capsys.readouterr()
+    assert sgalg.table_entries(3, 11) < 10 ** 6
+    sgalg.prepare_factor_table(3, 11)  # a cached table is used whenever it covers n
+    assert cli.main(wide) == 0
+    assert capsys.readouterr() == by_fq
 
 
 def test_count_builds_the_table_once(monkeypatch, capsys):

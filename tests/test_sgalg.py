@@ -384,24 +384,61 @@ def test_table_factorization_property(data):
 
 
 def test_factor_tables_are_capped(monkeypatch, f2, f3):
-    # over MAX_SCAN entries every entry point refuses before building a table
+    # over MAX_SCAN entries no table is built: p = 2 entry points refuse,
+    # and p > 2 scans factor with factor_fq instead
     def refuse(*args):
         raise AssertionError("a factor table over the cap was built")
 
+    monkeypatch.setattr(sgalg, "_TABLES", {})
     monkeypatch.setattr(sgalg, "_gf2_table", refuse)
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
     wide = AlgebraContext(f2, from_generators(range(9, 18)))
     assert member_count(wide, 30) == 4_194_304 <= sgalg.MAX_SCAN
     assert sgalg.table_entries(2, 30) == 2 ** 31
-    ctx33 = AlgebraContext(f3, from_generators((2, 3)))
-    assert member_count(ctx33, 15) <= sgalg.MAX_SCAN < sgalg.table_entries(3, 15)
-    for ctx, n in ((wide, 30), (ctx33, 15)):
-        with pytest.raises(ValueError, match="cap is 16777216"):
-            count_classes(ctx, n, 0, 1)
-        with pytest.raises(ValueError, match="cap is 16777216"):
-            next(iter_irreducible(ctx, n))
+    with pytest.raises(ValueError, match="cap is 16777216"):
+        count_classes(wide, 30, 0, 1)
+    with pytest.raises(ValueError, match="cap is 16777216"):
+        next(iter_irreducible(wide, 30))
     with pytest.raises(ValueError, match="cap is 16777216"):
         factor_mask(1 << 24)
+    with pytest.raises(ValueError, match="cap is 16777216"):
+        sgalg.prepare_factor_table(3, 15)
+    # an empty range or a gap degree needs no table
+    assert count_classes(wide, 30, 5, 5) == ClassCounts()
+    assert count_classes(wide, 5) == ClassCounts()
+    ctx33 = AlgebraContext(f3, from_generators((2, 3)))
+    assert member_count(ctx33, 15) <= sgalg.MAX_SCAN < sgalg.table_entries(3, 15)
+    assert not sgalg.table_pays(ctx33, 15)
+    f, fac, _ = next(iter_irreducible(ctx33, 15))
+    assert fac == factor_fq(f)
+    assert count_classes(ctx33, 15, 0, 40).total > 0
+
+
+def test_table_pays_only_with_enough_members(monkeypatch, f3, ctx345):
+    # a p > 2 table covers every monic code of degree <= n; many gaps below n
+    # make members a small share of those codes, and factor_fq is cheaper
+    ctx3_345 = AlgebraContext(f3, from_generators((3, 4, 5)))
+    sparse = AlgebraContext(f3, from_generators(range(7, 14)))  # gaps 1..6
+    assert sgalg.table_pays(ctx345, 20)  # p = 2 always uses its table
+    assert sgalg.table_pays(ctx3_345, 9)
+    assert not sgalg.table_pays(sparse, 9)
+    assert not sgalg.table_pays(AlgebraContext(FieldSpec(4099), from_generators((2, 3))), 2)
+
+    def refuse(*args):
+        raise AssertionError("a factor table that does not pay was built")
+
+    # the factor_fq route and the table route give the same stream
+    with monkeypatch.context() as m:
+        m.setattr(sgalg, "_TABLES", {})
+        m.setattr(sgalg, "_basep_tables", refuse)
+        by_fq = [(n, list(iter_irreducible(sparse, n)), count_classes(sparse, n))
+                 for n in range(7, 12)]
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    sgalg.prepare_factor_table(3, 11)
+    by_table = [(n, list(iter_irreducible(sparse, n)), count_classes(sparse, n))
+                for n in range(7, 12)]
+    assert by_table == by_fq
+    assert sum(c.total for _, _, c in by_fq) > 0
 
 
 def test_count_classes_chunks_merge(friendly, ctx345, f3):
