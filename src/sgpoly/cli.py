@@ -14,7 +14,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import counting, sgalg
@@ -31,66 +30,32 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    q: int = 2
-    sgp: tuple[int, ...] = (2, 3)
-    max_degree: int | None = None
-    degree: int | None = None
-    max_prime: int | None = None
-    fmt: str = "csv"
-    output: str | None = None
-    workers: int = 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sgpoly",
         description="Irreducible polynomials in numerical semigroup algebras F_q[S]",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, text, option) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument(option, type=int, required=True)
         p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
         p.add_argument("--sgp", default="2,3",
                        help="comma-separated semigroup generators (default 2,3)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--workers", type=int, default=1)
-
-    p_count = sub.add_parser("count", help="per-degree count table with densities")
-    p_count.add_argument("--max-degree", type=int, required=True)
-    common(p_count)
-
-    p_enum = sub.add_parser("enumerate", help="list the irreducibles of one degree")
-    p_enum.add_argument("--degree", type=int, required=True)
-    common(p_enum)
-
-    p_verify = sub.add_parser("verify", help="closed-form counts against enumeration")
-    p_verify.add_argument("--max-degree", type=int, required=True)
-    common(p_verify)
-
-    p_cyc = sub.add_parser("cyclotomic", help="x^p+1 verdicts for odd primes")
-    p_cyc.add_argument("--max-prime", type=int, required=True)
-    common(p_cyc)
-
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    cfg.fmt = args.fmt
-    cfg.output = args.output
-    cfg.workers = args.workers
-    if cfg.workers < 1:
+def _check_args(args):
+    # raise UsageError for a bad option; args.sgp becomes the generator tuple
+    if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-
     try:
         FieldSpec(args.q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cfg.q = args.q
 
     try:
         gens = tuple(int(part) for part in args.sgp.split(","))
@@ -102,31 +67,26 @@ def _config_from_args(args):
         from_generators(gens)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    cfg.sgp = gens
+    args.sgp = gens
 
-    if cfg.command in ("count", "verify"):
-        cfg.max_degree = args.max_degree
-        if cfg.max_degree < 2:
+    if args.command in ("count", "verify"):
+        if args.max_degree < 2:
             raise UsageError("--max-degree must be at least 2")
-        if cfg.command == "verify" and cfg.max_degree > MAX_VERIFY_DEGREE:
+        if args.command == "verify" and args.max_degree > MAX_VERIFY_DEGREE:
             raise UsageError(
                 f"verification is capped at degree {MAX_VERIFY_DEGREE}"
             )
-    if cfg.command == "enumerate":
-        cfg.degree = args.degree
-        if cfg.degree < 0:
-            raise UsageError("--degree must be nonnegative")
-    if cfg.command == "cyclotomic":
-        cfg.max_prime = args.max_prime
-        if cfg.max_prime < 3:
+    if args.command == "enumerate" and args.degree < 0:
+        raise UsageError("--degree must be nonnegative")
+    if args.command == "cyclotomic":
+        if args.max_prime < 3:
             raise UsageError("--max-prime must be at least 3")
-        if cfg.max_prime > MAX_PRIME_LIMIT:
+        if args.max_prime > MAX_PRIME_LIMIT:
             raise UsageError(f"primes above {MAX_PRIME_LIMIT} are not supported")
-    return cfg
 
 
-def _context(cfg):
-    return sgalg.AlgebraContext(FieldSpec(cfg.q), from_generators(cfg.sgp))
+def _context(args):
+    return sgalg.AlgebraContext(FieldSpec(args.q), from_generators(args.sgp))
 
 
 @contextmanager
@@ -141,22 +101,27 @@ def _open_output(path):
             fh.close()
 
 
-def _emit(cfg, header, csv_rows, json_rows):
-    with _open_output(cfg.output) as out:
-        if cfg.fmt == "csv":
-            out.write(header + "\n")
-            for row in csv_rows:
-                out.write(row + "\n")
+def _cell(v):
+    # the CSV text of one row value; JSON writes the value itself
+    if v is None:
+        return ""
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if type(v) is float:
+        return f"{v:.6f}"
+    return str(v)
+
+
+def _emit(args, fields, rows):
+    with _open_output(args.output) as out:
+        if args.fmt == "csv":
+            out.write(",".join(fields) + "\n")
+            for row in rows:
+                out.write(",".join(map(_cell, row)) + "\n")
         else:
-            out.write(json.dumps(json_rows, indent=2) + "\n")
-
-
-def _frac(fr):
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def _bool(b):
-    return "true" if b else "false"
+            out.write(json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n")
 
 
 # -- worker-pool scanning ----------------------------------------------------
@@ -165,23 +130,22 @@ def _bool(b):
 def _count_chunk(task):
     q, gens, n, lo, hi = task
     ctx = sgalg.AlgebraContext(FieldSpec(q), from_generators(gens))
-    c = sgalg.count_classes(ctx, n, lo, hi)
-    return (c.classic, c.tame, c.wild, c.total, c.max_m, c.max_k)
+    return sgalg.count_classes(ctx, n, lo, hi)
 
 
-def _scan_counts(cfg, ctx, n):
+def _scan_counts(args, ctx, n):
     total = sgalg.member_count(ctx, n)
-    if cfg.workers <= 1 or total < 4096:
+    if args.workers <= 1 or total < 4096:
         return sgalg.count_classes(ctx, n)
-    chunk = -(-total // cfg.workers)
+    chunk = -(-total // args.workers)
     tasks = [
-        (cfg.q, cfg.sgp, n, lo, min(lo + chunk, total))
+        (args.q, args.sgp, n, lo, min(lo + chunk, total))
         for lo in range(0, total, chunk)
     ]
     merged = sgalg.ClassCounts()
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        for tup in pool.map(_count_chunk, tasks):
-            merged.absorb(sgalg.ClassCounts(*tup))
+    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        for counts in pool.map(_count_chunk, tasks):
+            merged.absorb(counts)
     return merged
 
 
@@ -211,158 +175,108 @@ def _prepare_scans(ctx, degrees, too_many):
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# Each command builds one tuple per row, in the order of its fields, and
+# _emit renders the rows as CSV or JSON.
 
 
-_COUNT_HEADER = "n,a,s,b_c,b_t,b_w,b,algebra_size,density,density_float"
-
-
-def cmd_count(cfg):
-    ctx = _context(cfg)
+def cmd_count(args):
+    ctx = _context(args)
     friendly = ctx.is_friendly
-    degrees = range(2, cfg.max_degree + 1)
+    degrees = range(2, args.max_degree + 1)
     too_many = f"degree {{n}} needs {{size}} member scans (guard is {MAX_SCAN})"
     if not friendly and not _prepare_scans(ctx, degrees, too_many):
         return 2
     rows = []
     for n in degrees:
         if friendly:
-            rows.append(counting.friendly_count_row(n))
-            continue
-        a = counting.count_aq(n, cfg.q)
-        s = counting.count_s(n) if cfg.q == 2 else None
-        if not ctx.semigroup.contains(n):
-            rows.append(counting.CountRow(n, a, s, 0, 0, 0, 0, 0, None))
-            continue
-        size = sgalg.member_count(ctx, n)
-        counts = _scan_counts(cfg, ctx, n)
-        rows.append(counting.CountRow(
-            n, a, s, counts.classic, counts.tame, counts.wild, counts.total,
-            size, Fraction(counts.total, size),
-        ))
-
-    csv_rows = []
-    json_rows = []
-    for r in rows:
-        s_cell = "" if r.s is None else str(r.s)
-        if r.density is None:
-            d_cell, f_cell, d_json, f_json = "", "", None, None
+            r = counting.friendly_count_row(n)
         else:
-            d_cell = _frac(r.density)
-            f_cell = f"{float(r.density):.6f}"
-            d_json = d_cell
-            f_json = float(f_cell)
-        csv_rows.append(
-            f"{r.n},{r.a},{s_cell},{r.b_c},{r.b_t},{r.b_w},{r.b},"
-            f"{r.algebra_size},{d_cell},{f_cell}"
-        )
-        json_rows.append({
-            "n": r.n, "a": r.a, "s": r.s, "b_c": r.b_c, "b_t": r.b_t,
-            "b_w": r.b_w, "b": r.b, "algebra_size": r.algebra_size,
-            "density": d_json, "density_float": f_json,
-        })
-    _emit(cfg, _COUNT_HEADER, csv_rows, json_rows)
+            size = sgalg.member_count(ctx, n)
+            c = _scan_counts(args, ctx, n) if size else sgalg.ClassCounts()
+            r = counting.CountRow(
+                n, counting.count_aq(n, args.q),
+                counting.count_s(n) if args.q == 2 else None,
+                c.classic, c.tame, c.wild, c.total, size,
+                Fraction(c.total, size) if size else None,
+            )
+        d = r.density
+        rows.append((
+            n, r.a, r.s, r.b_c, r.b_t, r.b_w, r.b, r.algebra_size,
+            None if d is None else f"{d.numerator}/{d.denominator}",
+            None if d is None else round(float(d), 6),
+        ))
+    fields = ("n", "a", "s", "b_c", "b_t", "b_w", "b", "algebra_size",
+              "density", "density_float")
+    _emit(args, fields, rows)
     return 0
 
 
-def cmd_enumerate(cfg):
-    ctx = _context(cfg)
-    n = cfg.degree
-    header = "polynomial,bitmask,class,factorization"
+def cmd_enumerate(args):
+    ctx = _context(args)
+    n = args.degree
+    fields = ("polynomial", "bitmask", "class", "factorization")
     if n > 0 and not ctx.semigroup.contains(n):
         print(
-            f"note: degree {n} is a gap of <{','.join(map(str, cfg.sgp))}>; "
+            f"note: degree {n} is a gap of <{','.join(map(str, args.sgp))}>; "
             "the algebra has no elements there",
             file=sys.stderr,
         )
-        _emit(cfg, header, [], [])
+        _emit(args, fields, [])
         return 0
     too_many = f"degree {{n}} needs more than {MAX_SCAN} member scans"
     if not _prepare_scans(ctx, (n,), too_many):
         return 2
-    csv_rows = []
-    json_rows = []
-    for poly, fac, cls in sgalg.iter_irreducible(ctx, n):
-        text = format_poly(poly)
-        code = hex(poly.mask) if cfg.q == 2 else str(poly.encoding)
-        cls_text = str(cls) if cls is not None else ""
-        fac_text = fac.format()
-        csv_rows.append(f"{text},{code},{cls_text},{fac_text}")
-        json_rows.append({
-            "polynomial": text, "bitmask": code,
-            "class": cls_text or None, "factorization": fac_text,
-        })
-    _emit(cfg, header, csv_rows, json_rows)
+    rows = [
+        (format_poly(poly), hex(poly.mask) if args.q == 2 else str(poly.encoding),
+         None if cls is None else str(cls), fac.format())
+        for poly, fac, cls in sgalg.iter_irreducible(ctx, n)
+    ]
+    _emit(args, fields, rows)
     return 0
 
 
-def cmd_verify(cfg):
-    ctx = _context(cfg)
-    if ctx.is_friendly:
-        return _verify_friendly(cfg, ctx)
-    return _verify_shapes(cfg, ctx)
-
-
-def _verify_friendly(cfg, ctx):
-    sgalg.prepare_gf2_cache(cfg.max_degree)
-    header = ("n,closed_c,closed_t,closed_w,closed_b,"
-              "brute_c,brute_t,brute_w,brute_b,match")
-    csv_rows = []
-    json_rows = []
-    failures = []
-    for n in range(2, cfg.max_degree + 1):
-        closed = counting.b_counts(n)
-        brute = _scan_counts(cfg, ctx, n).as_tuple()
-        match = closed == brute
-        if not match:
-            failures.append(n)
-        csv_rows.append(
-            ",".join(map(str, (n, *closed, *brute))) + f",{_bool(match)}"
-        )
-        json_rows.append({
-            "n": n,
-            "closed_c": closed[0], "closed_t": closed[1],
-            "closed_w": closed[2], "closed_b": closed[3],
-            "brute_c": brute[0], "brute_t": brute[1],
-            "brute_w": brute[2], "brute_b": brute[3],
-            "match": match,
-        })
-    _emit(cfg, header, csv_rows, json_rows)
-    for n in failures:
-        print(f"mismatch at degree {n}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _verify_shapes(cfg, ctx):
-    degrees = range(2, cfg.max_degree + 1)
+def cmd_verify(args):
+    ctx = _context(args)
+    degrees = range(2, args.max_degree + 1)
     if not _prepare_scans(ctx, degrees, "degree {n} exceeds the scan guard"):
         return 2
+    check, failed = (
+        (_verify_friendly, "mismatch at degree") if ctx.is_friendly
+        else (_verify_shapes, "shape bound violated at degree")
+    )
+    fields, rows = check(args, ctx, degrees)
+    _emit(args, fields, rows)
+    failures = [row[0] for row in rows if not row[-1]]  # the last field is the verdict
+    for n in failures:
+        print(f"{failed} {n}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _verify_friendly(args, ctx, degrees):
+    # closed-form class counts against brute force, per degree
+    fields = ("n", "closed_c", "closed_t", "closed_w", "closed_b",
+              "brute_c", "brute_t", "brute_w", "brute_b", "match")
+    rows = []
+    for n in degrees:
+        closed = counting.b_counts(n)
+        brute = _scan_counts(args, ctx, n).as_tuple()
+        rows.append((n, *closed, *brute, closed == brute))
+    return fields, rows
+
+
+def _verify_shapes(args, ctx, degrees):
+    # extreme factorization shapes against m < 2(F+1) and k <= q^F, per degree
     frob = ctx.semigroup.frobenius
     m_bound = 2 * (frob + 1)
-    k_bound = cfg.q ** frob
-    header = "n,irreducible,max_m,max_k,m_bound,k_bound,within"
-    csv_rows = []
-    json_rows = []
-    failures = []
+    k_bound = args.q ** frob
+    fields = ("n", "irreducible", "max_m", "max_k", "m_bound", "k_bound", "within")
+    rows = []
     for n in degrees:
-        counts = _scan_counts(cfg, ctx, n)
-        within = counts.total == 0 or (
-            counts.max_m < m_bound and counts.max_k <= k_bound
-        )
-        if not within:
-            failures.append(n)
-        csv_rows.append(
-            f"{n},{counts.total},{counts.max_m},{counts.max_k},"
-            f"{m_bound},{k_bound},{_bool(within)}"
-        )
-        json_rows.append({
-            "n": n, "irreducible": counts.total, "max_m": counts.max_m,
-            "max_k": counts.max_k, "m_bound": m_bound, "k_bound": k_bound,
-            "within": within,
-        })
-    _emit(cfg, header, csv_rows, json_rows)
-    for n in failures:
-        print(f"shape bound violated at degree {n}", file=sys.stderr)
-    return 1 if failures else 0
+        c = _scan_counts(args, ctx, n)
+        within = c.total == 0 or (c.max_m < m_bound and c.max_k <= k_bound)
+        rows.append((n, c.total, c.max_m, c.max_k, m_bound, k_bound, within))
+    return fields, rows
 
 
 def _primes_to(n):
@@ -374,42 +288,30 @@ def _primes_to(n):
     return [i for i in range(3, n + 1) if sieve[i]]
 
 
-def cmd_cyclotomic(cfg):
-    header = "p,p_mod_8,ord_2,primitive_root,irreducible"
-    csv_rows = []
-    json_rows = []
-    irreducible_count = 0
-    pattern_ok = True
-    primes = _primes_to(cfg.max_prime)
-    for p in primes:
+def cmd_cyclotomic(args):
+    fields = ("p", "p_mod_8", "ord_2", "primitive_root", "irreducible")
+    rows = []
+    for p in _primes_to(args.max_prime):
         rec = counting.cyclotomic_experiment(p)
-        if rec.irreducible_in_algebra:
-            irreducible_count += 1
-            if rec.p_mod_8 not in (3, 5):
-                pattern_ok = False
-        csv_rows.append(
-            f"{rec.p},{rec.p_mod_8},{rec.ord_2},"
-            f"{_bool(rec.primitive_root)},{_bool(rec.irreducible_in_algebra)}"
-        )
-        json_rows.append({
-            "p": rec.p, "p_mod_8": rec.p_mod_8, "ord_2": rec.ord_2,
-            "primitive_root": rec.primitive_root,
-            "irreducible": rec.irreducible_in_algebra,
-        })
-    _emit(cfg, header, csv_rows, json_rows)
+        rows.append((rec.p, rec.p_mod_8, rec.ord_2, rec.primitive_root,
+                     rec.irreducible_in_algebra))
+    _emit(args, fields, rows)
+    hits = [row[1] for row in rows if row[4]]  # p mod 8 where x^p+1 is irreducible
+    pattern_ok = all(r in (3, 5) for r in hits)
     print(
-        f"summary: {irreducible_count} of {len(primes)} primes give an "
-        f"irreducible polynomial; mod-8 pattern {{3,5}} holds: {_bool(pattern_ok)}",
+        f"summary: {len(hits)} of {len(rows)} primes give an "
+        f"irreducible polynomial; mod-8 pattern {{3,5}} holds: {_cell(pattern_ok)}",
         file=sys.stderr,
     )
     return 0 if pattern_ok else 1
 
 
-_HANDLERS = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "cyclotomic": cmd_cyclotomic,
+# command -> (handler, help text, the option that sizes the run)
+_COMMANDS = {
+    "count": (cmd_count, "per-degree count table with densities", "--max-degree"),
+    "enumerate": (cmd_enumerate, "list the irreducibles of one degree", "--degree"),
+    "verify": (cmd_verify, "closed-form counts against enumeration", "--max-degree"),
+    "cyclotomic": (cmd_cyclotomic, "x^p+1 verdicts for odd primes", "--max-prime"),
 }
 
 
@@ -420,11 +322,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _HANDLERS[cfg.command](cfg)
+    return _COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -578,16 +578,17 @@ def _index_range(ctx, n, lo, hi):
 
 
 def _scan(ctx, n, lo, hi):
-    """Yield (member, factors, m, k) per irreducible member of degree n.
+    """Iterator of (member, factors, m, k) per irreducible member of degree n.
 
     Covers the members with index in [lo, hi) of enumerate_degree's order
     and factors each exactly once, by _member_factor.  Members and factors
     are codes (`Polynomial.encoding`, the bitmask for p = 2).  (m, k) is the
-    factorization shape.
+    factorization shape.  A bad degree or range, or a factor table over the
+    cap, raises ValueError here rather than at the first item.
     """
     free, lo, hi = _index_range(ctx, n, lo, hi)
     if n == 0 or lo == hi:
-        return
+        return iter(())
     p = ctx.field.p
     factor = _member_factor(ctx, n)
     # split the free positions into two lookup halves for fast code assembly
@@ -597,12 +598,16 @@ def _scan(ctx, n, lo, hi):
     size = len(lo_tab)
     base = p ** n
     ring = _residue_ring(ctx)
-    for i in range(lo, hi):
-        f = base + lo_tab[i % size] + hi_tab[i // size]
-        factors = factor(f)
-        if next(_member_splits(factors, ring), None) is None:
-            m, k = _shape_of(factors, p)  # p is the code of x
-            yield f, factors, m, k
+
+    def members():
+        for i in range(lo, hi):
+            f = base + lo_tab[i % size] + hi_tab[i // size]
+            factors = factor(f)
+            if next(_member_splits(factors, ring), None) is None:
+                m, k = _shape_of(factors, p)  # p is the code of x
+                yield f, factors, m, k
+
+    return members()
 
 
 def _member_factor(ctx, n):
@@ -658,14 +663,20 @@ def count_classes(ctx, n, lo=0, hi=None):
 
 
 def iter_irreducible(ctx, n):
-    """Yield (polynomial, factorization, class) per irreducible member of degree n.
+    """Iterator of (polynomial, factorization, class) per irreducible member of degree n.
 
     Stream order matches enumerate_degree; class is None outside F_2[x^2,x^3].
+    Like count_classes, it raises ValueError at the call, before any item.
     """
+    scan = _scan(ctx, n, 0, None)
     field = ctx.field
     friendly = ctx.is_friendly
     decode = partial(Polynomial.from_encoding, field)
-    for f, factors, m, k in _scan(ctx, n, 0, None):
-        factors = tuple((decode(g), e) for g, e in factors)
-        cls = _friendly_class_of(m, k) if friendly else None
-        yield decode(f), FqFactorization(field, 1, factors), cls
+    return (
+        (
+            decode(f),
+            FqFactorization(field, 1, tuple((decode(g), e) for g, e in factors)),
+            _friendly_class_of(m, k) if friendly else None,
+        )
+        for f, factors, m, k in scan
+    )

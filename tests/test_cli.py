@@ -212,8 +212,9 @@ def test_count_builds_the_table_once(monkeypatch, capsys):
         monkeypatch.setattr(sgalg, name, lambda *a, real=real: builds.append(a) or real(*a))
     assert cli.main(["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "8"]) == 0
     assert cli.main(["count", "--sgp", "3,4,5", "--max-degree", "12"]) == 0
+    assert cli.main(["verify", "--max-degree", "13"]) == 0
     capsys.readouterr()
-    assert builds == [(3, 8), (12,)]
+    assert builds == [(3, 8), (12,), (13,)]
 
 
 def test_count_natural_semigroup_reduces_to_field_counts():
@@ -271,3 +272,58 @@ def test_scan_determinism_across_workers(tmp_path):
         )
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
+    # spawned workers import sgpoly afresh and inherit no factor table
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from sgpoly import cli
+
+    argv = ["count", "--sgp", "3,4,5", "--max-degree", "14"]
+    assert cli.main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr()
+    pools = []
+
+    def spawn_pool(**kwargs):
+        pools.append(kwargs)
+        return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    assert cli.main(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr() == serial
+    assert pools == [{"max_workers": 2}]  # degree 14 has 4096 members: one pool
+
+
+def test_csv_and_json_carry_the_same_rows(capsys):
+    # one row model: the JSON keys are the CSV header, and each CSV line is
+    # the JSON row with every value rendered by the documented cell rule
+    from sgpoly import cli
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return f"{v:.6f}"
+        return str(v)
+
+    for argv in (
+        ["count", "--max-degree", "8"],
+        ["count", "--sgp", "3,4,5", "--max-degree", "8"],
+        ["enumerate", "--degree", "6"],
+        ["enumerate", "--sgp", "3,4,5", "--degree", "6"],
+        ["verify", "--max-degree", "8"],
+        ["verify", "--sgp", "3,4,5", "--max-degree", "8"],
+        ["cyclotomic", "--max-prime", "200"],
+    ):
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert cli.main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(lines) - 1 > 0, argv
+        for row, line in zip(rows, lines[1:]):
+            assert ",".join(row) == lines[0], argv
+            assert ",".join(map(cell, row.values())) == line, argv

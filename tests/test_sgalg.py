@@ -398,7 +398,9 @@ def test_factor_tables_are_capped(monkeypatch, f2, f3):
     with pytest.raises(ValueError, match="cap is 16777216"):
         count_classes(wide, 30, 0, 1)
     with pytest.raises(ValueError, match="cap is 16777216"):
-        next(iter_irreducible(wide, 30))
+        iter_irreducible(wide, 30)  # at the call, not at the first next()
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        iter_irreducible(wide, -1)
     with pytest.raises(ValueError, match="cap is 16777216"):
         factor_mask(1 << 24)
     with pytest.raises(ValueError, match="cap is 16777216"):
