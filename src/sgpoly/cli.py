@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -91,14 +93,28 @@ def _context(args):
 
 @contextmanager
 def _open_output(path):
+    # stdout, or a regular file written through a temporary file beside it
+    # that replaces it only once everything is written, so a failed run
+    # leaves the path as it was; a device or pipe is written in place
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        fh = open(path, "w", encoding="utf-8", newline="")
-        try:
+        return
+    path = os.path.realpath(path)  # through a symlink to its target
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        finally:
-            fh.close()
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _cell(v):

@@ -11,7 +11,10 @@ Every gap of S lies below w = F(S)+1, so whether a divisor is a member
 depends only on its residue mod x^w.  One kernel, `_member_splits`,
 decides every verdict on those residues: the per-polynomial API, the
 counting scan and the listing all call it, and only the witness split is
-ever multiplied out in full.  Scans handle members and factors as
+ever multiplied out in full.  For every p a residue is an integer code
+mod p^w, and each context owns one residue ring (AlgebraContext.ring)
+that memoizes products and memberships, so scans over several degrees
+and repeated verdicts share them.  Scans handle members and factors as
 integer codes (`Polynomial.encoding`, which is the bitmask for p = 2) and
 factor members by lookup in a cached smallest-factor table, since
 enumerating all coefficient combinations of a degree dominates every
@@ -25,12 +28,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from math import prod
 
 from . import _gf2
-from .ffpoly import FieldSpec, FqFactorization, Polynomial, _mul_t, canonical_key, factor_fq
+from .ffpoly import FieldSpec, FqFactorization, Polynomial, canonical_key, factor_fq
 from .numsgp import NumericalSemigroup, from_generators
 
 
@@ -46,12 +49,21 @@ class AlgebraContext:
         """True for F_2[x^2,x^3], where the three-way classification applies."""
         return self.field.p == 2 and self.semigroup.min_generators == (2, 3)
 
-    @property
-    def gap_mask(self):
-        mask = 0
-        for g in self.semigroup.gaps:
-            mask |= 1 << g
-        return mask
+    @cached_property
+    def ring(self):
+        """The residue ring mod x^(F(S)+1) (see _residue_ring), built on first use.
+
+        Its memo lives as long as the context, so scans over several degrees
+        and repeated verdicts share it.  Equality, hashing and pickling see
+        only the field and the semigroup.
+        """
+        return _residue_ring(self)
+
+    def __getstate__(self):
+        # the ring holds closures; an unpickled context builds its own
+        state = dict(self.__dict__)
+        state.pop("ring", None)
+        return state
 
 
 @lru_cache(maxsize=None)
@@ -145,42 +157,51 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
         yield Polynomial(ctx.field, tuple(coeffs))
 
 
+class _Memo(dict):
+    # a dict that fills a missing key with compute(key) on its first lookup
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 def _residue_ring(ctx):
     """(one, reduce, mul, member) for residues mod x^w, w = F(S)+1.
 
     Every gap lies below w, so a polynomial is a member exactly when its
-    residue is.  reduce takes a polynomial's code (`Polynomial.encoding`).
-    For p = 2 a residue is a mask cut to w bits; otherwise it is a
-    coefficient tuple of the code's low w digits.
+    residue is.  A residue is an integer code for every p: the code
+    (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
+    polynomial's code mod p^w (for p = 2, the mask cut to w bits).  mul and
+    member look each result up in memo dicts the ring owns, filled on first
+    use: a product by `_gf2.mul` for p = 2 and by Polynomial arithmetic
+    otherwise, a membership by is_member.  At most p^(2w) products and p^w
+    memberships are ever stored.  AlgebraContext.ring builds one per context.
     """
-    width = ctx.semigroup.frobenius + 1
-    p = ctx.field.p
-    if p == 2:
-        cut = (1 << width) - 1
-        gap = ctx.gap_mask
+    field = ctx.field
+    modulus = field.p ** (ctx.semigroup.frobenius + 1)
+    decode = partial(Polynomial.from_encoding, field)
+    if field.p == 2:
         mul = _gf2.mul
-        return (
-            1 & cut,
-            lambda a: a & cut,
-            lambda a, b: mul(a, b) & cut,
-            lambda r: not r & gap,
-        )
-    gaps = ctx.semigroup.gaps
-    modulus = p ** width
 
-    def reduce(code):
-        code %= modulus
-        digits = []
-        while code:
-            code, c = divmod(code, p)
-            digits.append(c)
-        return tuple(digits)
+        def product(key):
+            return mul(*divmod(key, modulus)) % modulus
+    else:
+        def product(key):
+            a, b = divmod(key, modulus)
+            return (decode(a) * decode(b)).encoding % modulus
 
+    products = _Memo(product)
+    members = _Memo(lambda r: is_member(ctx, decode(r)))
     return (
-        (1,)[:width],
-        reduce,
-        lambda a, b: _mul_t(a, b, p)[:width],
-        lambda r: not any(r[i] for i in gaps if i < len(r)),
+        1 % modulus,
+        lambda code: code % modulus,
+        lambda a, b: products[a * modulus + b],
+        members.__getitem__,
     )
 
 
@@ -225,7 +246,7 @@ def is_irreducible_in_algebra(ctx, f):
         return AlgebraVerdict("unit")
     fac = factor_fq(f)
     codes = [(g.encoding, e) for g, e in fac.factors]
-    splits = list(_member_splits(codes, _residue_ring(ctx)))
+    splits = list(_member_splits(codes, ctx.ring))
     if splits:
         g = _least_half(fac.factors, splits)
         return AlgebraVerdict("reducible", witness=(g, f // g))
@@ -597,7 +618,7 @@ def _scan(ctx, n, lo, hi):
     hi_tab = _digit_table(free[half:], p)
     size = len(lo_tab)
     base = p ** n
-    ring = _residue_ring(ctx)
+    ring = ctx.ring
 
     def members():
         for i in range(lo, hi):

@@ -23,6 +23,22 @@ def all_monic(field, n):
         yield Polynomial(field, tuple(coeffs))
 
 
+def monic_members(ctx, n):
+    """The monic degree-n members: all_monic(ctx.field, n) without the ones
+    that have a term at a gap, built directly (none when n is a gap)."""
+    contains = ctx.semigroup.contains
+    if not contains(n):
+        return
+    free = [i for i in range(n) if contains(i)]
+    p = ctx.field.p
+    for idx in range(p ** len(free)):
+        coeffs = [0] * n + [1]
+        t = idx
+        for pos in free:
+            t, coeffs[pos] = t // p, t % p
+        yield Polynomial(ctx.field, tuple(coeffs))
+
+
 def sieve_irreducibles(field, max_degree):
     """degree -> list of monic irreducibles, found by marking all products.
 
@@ -85,9 +101,7 @@ def divisor_scan_verdict(ctx, f):
     if f.degree == 0:
         return "unit"
     for d in range(1, f.degree):
-        for g in all_monic(ctx.field, d):
-            if not is_member(ctx, g):
-                continue
+        for g in monic_members(ctx, d):
             q, r = poly_divrem(f, g)
             if r.is_zero and is_member(ctx, q):
                 return "reducible"

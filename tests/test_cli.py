@@ -1,8 +1,13 @@
 """Command-line behaviour: formats, golden rows, guards, exit codes."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+
+import pytest
 
 SGPOLY = [sys.executable, "-m", "sgpoly"]
 
@@ -134,7 +139,7 @@ def test_verify_json():
     assert all(r["match"] for r in rows)
 
 
-def test_verify_mismatch_exits_one(monkeypatch, capsys):
+def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     # force a wrong closed form for one degree and watch the contract fire
     from sgpoly import cli, counting
 
@@ -150,6 +155,12 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys):
     assert code == 1
     assert "mismatch at degree 4" in captured.err
     assert "4,2,2,2,5,1,2,2,5,false" in captured.out
+    # the rows of a failed verification still replace an --output file
+    path = tmp_path / "verify.csv"
+    path.write_text("earlier output\n")
+    assert cli.main(["verify", "--max-degree", "5", "--output", str(path)]) == 1
+    assert path.read_text() == captured.out
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_table_cap_exits_before_any_work(monkeypatch, capsys):
@@ -247,6 +258,53 @@ def test_output_file_uses_lf(tmp_path):
     assert b"\r" not in data
     assert data.endswith(b"\n")
     assert data.decode().splitlines()[3] == "4,3,2,1,2,2,5,8,5/8,0.625000"
+
+
+def test_failed_run_leaves_no_half_written_output(monkeypatch, tmp_path):
+    # _emit fails after the first row: no file appears, and a file that was
+    # already there keeps its bytes
+    from sgpoly import cli
+
+    real = cli._emit
+
+    def fail_after_first_row(args, fields, rows):
+        def rows_then_fail():
+            yield rows[0]
+            raise RuntimeError("write failed")
+
+        real(args, fields, rows_then_fail())
+
+    monkeypatch.setattr(cli, "_emit", fail_after_first_row)
+    path = tmp_path / "table.csv"
+    for fmt in ("csv", "json"):
+        argv = ["count", "--max-degree", "5", "--format", fmt, "--output", str(path)]
+        with pytest.raises(RuntimeError, match="write failed"):
+            cli.main(argv)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b"earlier output\n")
+        with pytest.raises(RuntimeError, match="write failed"):
+            cli.main(argv)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"earlier output\n"
+        path.unlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_pipe_is_written_in_place(tmp_path):
+    # a pipe or device cannot be replaced by a file; it is written directly
+    from sgpoly import cli
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["count", "--max-degree", "5", "--output", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got[0].decode().splitlines()[3] == "4,3,2,1,2,2,5,8,5/8,0.625000"
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert list(tmp_path.iterdir()) == [pipe]
 
 
 def test_count_determinism_across_workers(tmp_path):

@@ -1,5 +1,6 @@
 """Algebra membership, enumeration, verdicts, classification, subproducts."""
 
+import pickle
 import random
 
 import pytest
@@ -470,9 +471,13 @@ def test_count_classes_chunks_merge(friendly, ctx345, f3):
 
 def test_count_classes_generic_path_matches(f3, ctx345):
     # scan, listing and verdict share one kernel, so check the scan against
-    # the oracle's independent divisor scan, for p > 2 and p = 2
+    # the oracle's independent divisor scan, for p > 2 and p = 2, including
+    # residue rings mod 5^3, 7^2 and 3^6 (F_3[<6,...,11>] has 729 residues)
     ctx33 = AlgebraContext(f3, from_generators((2, 3)))
-    for ctx, top in ((ctx33, 6), (ctx345, 9)):
+    ctx5_345 = AlgebraContext(FieldSpec(5), from_generators((3, 4, 5)))
+    ctx73 = AlgebraContext(FieldSpec(7), from_generators((2, 3)))
+    ctx3_6 = AlgebraContext(f3, from_generators(range(6, 12)))
+    for ctx, top in ((ctx33, 6), (ctx345, 9), (ctx5_345, 6), (ctx73, 4), (ctx3_6, 9)):
         for n in range(2, top + 1):
             direct = [
                 f for f in enumerate_degree(ctx, n)
@@ -491,3 +496,50 @@ def test_monic_count_identity(friendly, ctx345, f3):
         for n in range(ctx.semigroup.frobenius + 1, 11):
             assert member_count(ctx, n) == q ** (n - genus)
             assert len(list(enumerate_degree(ctx, n))) == member_count(ctx, n)
+
+
+# -- the residue ring --------------------------------------------------------
+
+
+RING_SEMIGROUPS = ((2, 3), (3, 4, 5), (2, 5), tuple(range(6, 12)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_residue_ring_matches_polynomial_arithmetic(data):
+    # codes mod p^w multiply and test membership like the polynomials they
+    # cut, when the memo is filled (a fresh ring) and when it is read back
+    q = data.draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
+    coeffs = st.lists(st.integers(0, q - 1), max_size=12)
+    a, b, f = (Polynomial(ctx.field, (*data.draw(coeffs), 1)) for _ in range(3))
+    _, reduce, mul, member = sgalg._residue_ring(ctx)
+    product = reduce((a * b).encoding)
+    for _ in range(2):  # a memo miss, then a hit
+        assert mul(reduce(a.encoding), reduce(b.encoding)) == product
+        assert member(reduce(f.encoding)) == is_member(ctx, f)
+
+
+def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
+    built = []
+    real = sgalg._residue_ring
+
+    def counted(ctx):
+        built.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(sgalg, "_residue_ring", counted)
+    gens = (3, 4, 5)
+    ctx = AlgebraContext(f3, from_generators(gens))
+    for n in (3, 5, 6, 8):
+        count_classes(ctx, n)
+    f = parse_poly("x^8+x^5+2*x^4+1", f3)
+    verdicts = [is_irreducible_in_algebra(ctx, f) for _ in range(3)]
+    assert len(built) == 1 and built[0] is ctx  # one ring, however it is used
+    fresh = AlgebraContext(f3, from_generators(gens))
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert "ring" not in vars(copy)  # the memo stays behind
+    assert copy == fresh and hash(copy) == hash(fresh)
+    assert is_irreducible_in_algebra(copy, f) == verdicts[0]
+    assert count_classes(copy, 8) == count_classes(fresh, 8)
