@@ -95,22 +95,30 @@ def _context(args):
 def _open_output(path):
     # stdout, or a regular file written through a temporary file beside it
     # that replaces it only once everything is written, so a failed run
-    # leaves the path as it was; a device or pipe is written in place
+    # leaves the path as it was; the new file keeps the old one's mode bits,
+    # not its owner or hard links.  A device or pipe, or a path whose
+    # directory takes no new file, is written in place.
     if path is None or path == "-":
         yield sys.stdout
         return
-    path = os.path.realpath(path)  # through a symlink to its target
-    if os.path.exists(path) and not os.path.isfile(path):
+    target = os.path.realpath(path)  # through a symlink to its target
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = None
+    if os.path.isfile(target) or not os.path.exists(target):
+        try:
+            fh = open(tmp, "w", encoding="utf-8", newline="")
+        except OSError:
+            pass
+    if fh is None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
-        if os.path.exists(path):
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -13,19 +13,21 @@ decides every verdict on those residues: the per-polynomial API, the
 counting scan and the listing all call it, and only the witness split is
 ever multiplied out in full.  For every p a residue is an integer code
 mod p^w, and each context owns one residue ring (AlgebraContext.ring)
-that memoizes products and memberships, so scans over several degrees
-and repeated verdicts share them.  Scans handle members and factors as
-integer codes (`Polynomial.encoding`, which is the bitmask for p = 2) and
-factor members by lookup in a cached smallest-factor table, since
-enumerating all coefficient combinations of a degree dominates every
-verification campaign.  For p > 2 a cofactor table beside it makes
-factoring pure lookups; such a table covers every monic code, not only the
-members, so a p > 2 scan builds it only when it pays (see table_pays) and
-otherwise calls factor_fq per member.  No table may exceed MAX_SCAN entries.
+that memoizes products and memberships in bounded memos, so scans over
+several degrees and repeated verdicts share them.  Scans handle members
+and factors as integer codes (`Polynomial.encoding`, which is the bitmask
+for p = 2) and factor members by lookup in a cached smallest-factor
+table, since enumerating all coefficient combinations of a degree
+dominates every verification campaign.  For p > 2 a cofactor table
+beside it makes factoring pure lookups; such a table covers every monic
+code, not only the members, so a p > 2 scan builds it only when it pays
+(see table_pays) and otherwise calls factor_fq per member.  No table may
+exceed MAX_SCAN entries.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -53,9 +55,10 @@ class AlgebraContext:
     def ring(self):
         """The residue ring mod x^(F(S)+1) (see _residue_ring), built on first use.
 
-        Its memo lives as long as the context, so scans over several degrees
-        and repeated verdicts share it.  Equality, hashing and pickling see
-        only the field and the semigroup.
+        Its memos (at most MEMO_SIZE entries each) live as long as the
+        context, so scans over several degrees and repeated verdicts share
+        them.  Equality, hashing and pickling see only the field and the
+        semigroup.
         """
         return _residue_ring(self)
 
@@ -157,17 +160,9 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
         yield Polynomial(ctx.field, tuple(coeffs))
 
 
-class _Memo(dict):
-    # a dict that fills a missing key with compute(key) on its first lookup
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
+# entries each memo of a residue ring keeps: room for the products that recur
+# in small-q scans, and about 1 MB for both memos when products rarely repeat
+MEMO_SIZE = 1 << 11
 
 
 def _residue_ring(ctx):
@@ -177,31 +172,41 @@ def _residue_ring(ctx):
     residue is.  A residue is an integer code for every p: the code
     (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
     polynomial's code mod p^w (for p = 2, the mask cut to w bits).  mul and
-    member look each result up in memo dicts the ring owns, filled on first
-    use: a product by `_gf2.mul` for p = 2 and by Polynomial arithmetic
-    otherwise, a membership by is_member.  At most p^(2w) products and p^w
-    memberships are ever stored.  AlgebraContext.ring builds one per context.
+    member are memoized; a miss computes the product by `_gf2.mul` for p = 2
+    and by a convolution of the low w digits otherwise, and the membership
+    by is_member.  Each memo keeps its MEMO_SIZE most recently used entries,
+    so a context's memory stays bounded however long it lives and however
+    rarely its products repeat.  AlgebraContext.ring builds one per context.
     """
-    field = ctx.field
-    modulus = field.p ** (ctx.semigroup.frobenius + 1)
-    decode = partial(Polynomial.from_encoding, field)
-    if field.p == 2:
-        mul = _gf2.mul
+    p = ctx.field.p
+    w = ctx.semigroup.frobenius + 1
+    modulus = p ** w
+    memo = lru_cache(maxsize=MEMO_SIZE)
 
-        def product(key):
-            return mul(*divmod(key, modulus)) % modulus
+    def digits(code):
+        out = []
+        for _ in range(w):
+            code, c = divmod(code, p)
+            out.append(c)
+        return out
+
+    if p == 2:
+        def product(a, b):
+            return _gf2.mul(a, b) % modulus
     else:
-        def product(key):
-            a, b = divmod(key, modulus)
-            return (decode(a) * decode(b)).encoding % modulus
+        def product(a, b):
+            da, db = digits(a), digits(b)
+            code = 0
+            for k in range(w - 1, -1, -1):  # coefficient k of the product
+                code = code * p + sum(map(operator.mul, da[: k + 1], db[k::-1])) % p
+            return code
 
-    products = _Memo(product)
-    members = _Memo(lambda r: is_member(ctx, decode(r)))
+    decode = partial(Polynomial.from_encoding, ctx.field)
     return (
         1 % modulus,
         lambda code: code % modulus,
-        lambda a, b: products[a * modulus + b],
-        members.__getitem__,
+        memo(product),
+        memo(lambda r: is_member(ctx, decode(r))),
     )
 
 

@@ -307,6 +307,35 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert list(tmp_path.iterdir()) == [pipe]
 
 
+def test_output_beside_no_new_file_is_written_in_place(monkeypatch, tmp_path):
+    # a directory that takes no new file (read-only, say) gets no temporary
+    # file: PATH is rewritten in place, so a hard link still sees the rows
+    from sgpoly import cli
+
+    path = tmp_path / "table.csv"
+    path.write_text("earlier output\n")
+    link = tmp_path / "link.csv"
+    os.link(path, link)
+    real_open = open
+
+    def no_new_files(name, *args, **kwargs):
+        if str(name).endswith(".tmp"):
+            raise PermissionError(13, "Permission denied", str(name))
+        return real_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+    inode = os.stat(path).st_ino
+    assert cli.main(["count", "--max-degree", "5", "--output", str(path)]) == 0
+    assert os.stat(path).st_ino == inode
+    assert link.read_text().splitlines()[3] == "4,3,2,1,2,2,5,8,5/8,0.625000"
+    assert sorted(tmp_path.iterdir()) == [link, path]
+    # a missing directory fails on PATH itself, as a plain open would
+    missing = tmp_path / "absent" / "table.csv"
+    with pytest.raises(FileNotFoundError) as err:
+        cli.main(["count", "--max-degree", "5", "--output", str(missing)])
+    assert err.value.filename == str(missing)
+
+
 def test_count_determinism_across_workers(tmp_path):
     paths = []
     for workers in ("1", "4"):

@@ -543,3 +543,17 @@ def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
     assert copy == fresh and hash(copy) == hash(fresh)
     assert is_irreducible_in_algebra(copy, f) == verdicts[0]
     assert count_classes(copy, 8) == count_classes(fresh, 8)
+
+
+def test_residue_memo_keeps_at_most_memo_size_entries(monkeypatch):
+    # a ring whose products rarely repeat holds MEMO_SIZE entries at most;
+    # an evicted entry is computed again, so no count depends on the bound
+    field, gens, degrees = FieldSpec(7), (2, 3), range(1, 5)
+    monkeypatch.setattr(sgalg, "MEMO_SIZE", 16)
+    ctx = AlgebraContext(field, from_generators(gens))
+    bounded = [count_classes(ctx, n) for n in degrees]
+    assert [f.cache_info().currsize for f in ctx.ring[2:]] == [16, 16]
+    monkeypatch.setattr(sgalg, "MEMO_SIZE", None)
+    fresh = AlgebraContext(field, from_generators(gens))
+    assert [count_classes(fresh, n) for n in degrees] == bounded
+    assert fresh.ring[2].cache_info().currsize > 16
