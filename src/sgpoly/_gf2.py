@@ -113,18 +113,6 @@ def gcd(a, b):
     return a
 
 
-def powmod(a, e, m):
-    """a raised to e modulo m, for nonzero m and e >= 0."""
-    r = 1
-    a = mod(a, m)
-    while e:
-        if e & 1:
-            r = mod(mul(r, a), m)
-        a = mod(square(a), m)
-        e >>= 1
-    return r
-
-
 def _mask55(nbits):
     global _M55
     while _M55.bit_length() < nbits:

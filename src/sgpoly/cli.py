@@ -24,6 +24,7 @@ from .numsgp import from_generators
 
 MAX_SCAN = sgalg.MAX_SCAN  # at most 2^24 members per degree and entries per table
 MAX_VERIFY_DEGREE = 20
+MAX_COUNT_DEGREE = 1000  # closed-form rows: time grows about as N^2.2, row values as 2^n
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
 
@@ -159,15 +160,18 @@ def _count_chunk(task):
 
 def _scan_counts(args, ctx, n):
     total = sgalg.member_count(ctx, n)
-    if args.workers <= 1 or total < 4096:
+    # the output is the same for any worker count, and every pool worker
+    # starts at the first submit, so workers beyond the CPUs only add processes
+    workers = min(args.workers, os.cpu_count() or 1)
+    if workers <= 1 or total < 4096:
         return sgalg.count_classes(ctx, n)
-    chunk = -(-total // args.workers)
+    chunk = -(-total // workers)
     tasks = [
         (args.q, args.sgp, n, lo, min(lo + chunk, total))
         for lo in range(0, total, chunk)
     ]
     merged = sgalg.ClassCounts()
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for counts in pool.map(_count_chunk, tasks):
             merged.absorb(counts)
     return merged
@@ -177,12 +181,11 @@ def _prepare_scans(ctx, degrees, too_many):
     # Check the member guard at every degree, then build the factor table
     # once for the highest member degree whose scan uses one, before any scan
     # or fork so that workers inherit it.  False, after an error line, when a
-    # degree has too many members (too_many formats that line) or its table
+    # degree has too many members (too_many(n) is that line) or its table
     # would exceed the cap.
     for n in degrees:
-        size = sgalg.member_count(ctx, n)
-        if size > MAX_SCAN:
-            print("error: " + too_many.format(n=n, size=size), file=sys.stderr)
+        if sgalg.over_scan_guard(ctx, n):
+            print(f"error: {too_many(n)}", file=sys.stderr)
             return False
     top = max(
         (n for n in degrees if sgalg.member_count(ctx, n) and sgalg.table_pays(ctx, n)),
@@ -208,7 +211,16 @@ def cmd_count(args):
     ctx = _context(args)
     friendly = ctx.is_friendly
     degrees = range(2, args.max_degree + 1)
-    too_many = f"degree {{n}} needs {{size}} member scans (guard is {MAX_SCAN})"
+    if friendly and args.max_degree > MAX_COUNT_DEGREE:
+        print(f"error: closed-form counts are capped at degree {MAX_COUNT_DEGREE}",
+              file=sys.stderr)
+        return 2
+
+    def too_many(n):
+        # degrees rise from 2 and the first one over the guard has few free
+        # positions, so its member count is cheap to form
+        return f"degree {n} needs {sgalg.member_count(ctx, n)} member scans (guard is {MAX_SCAN})"
+
     if not friendly and not _prepare_scans(ctx, degrees, too_many):
         return 2
     rows = []
@@ -248,8 +260,8 @@ def cmd_enumerate(args):
         )
         _emit(args, fields, [])
         return 0
-    too_many = f"degree {{n}} needs more than {MAX_SCAN} member scans"
-    if not _prepare_scans(ctx, (n,), too_many):
+    too_many = f"degree {n} needs more than {MAX_SCAN} member scans"
+    if not _prepare_scans(ctx, (n,), lambda n: too_many):
         return 2
     rows = [
         (format_poly(poly), hex(poly.mask) if args.q == 2 else str(poly.encoding),
@@ -263,7 +275,7 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
-    if not _prepare_scans(ctx, degrees, "degree {n} exceeds the scan guard"):
+    if not _prepare_scans(ctx, degrees, lambda n: f"degree {n} exceeds the scan guard"):
         return 2
     check, failed = (
         (_verify_friendly, "mismatch at degree") if ctx.is_friendly

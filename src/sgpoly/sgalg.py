@@ -16,10 +16,12 @@ mod p^w, and each context owns one residue ring (AlgebraContext.ring)
 that memoizes products and memberships in bounded memos, so scans over
 several degrees and repeated verdicts share them.  Scans handle members
 and factors as integer codes (`Polynomial.encoding`, which is the bitmask
-for p = 2) and factor members by lookup in a cached smallest-factor
-table, since enumerating all coefficient combinations of a degree
-dominates every verification campaign.  For p > 2 a cofactor table
-beside it makes factoring pure lookups; such a table covers every monic
+for p = 2) and factor members by lookup in a cached factor table, since
+enumerating all coefficient combinations of a degree dominates every
+verification campaign.  Every p has one table format, built by one
+builder: a smallest-factor and a cofactor array over codes.  For p > 2
+factoring is pure lookups; p = 2 scans look up the smallest factor and
+still find its multiplicity by division.  A table covers every monic
 code, not only the members, so a p > 2 scan builds it only when it pays
 (see table_pays) and otherwise calls factor_fq per member.  No table may
 exceed MAX_SCAN entries.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import islice
@@ -387,8 +390,7 @@ def find_subproduct(polys, clear_below):
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
 TABLE_RATIO = 512  # a p > 2 table pays with at least one member per this many entries
 
-# p -> (degree, table); the table is the smallest-factor list for p = 2 and
-# the (spf, cof) pair of arrays otherwise
+# p -> (degree, (spf, cof)), see prepare_factor_table
 _TABLES: dict = {}
 
 
@@ -418,9 +420,18 @@ def table_pays(ctx, n):
     return entries <= MAX_SCAN and member_count(ctx, n) * TABLE_RATIO >= entries
 
 
-def _cached(p, max_degree, build):
-    # the cached table for p, first (re)built by build(max_degree) when
-    # missing or too small; the cap is checked before any cache or build
+def prepare_factor_table(p, max_degree):
+    """The factor table for scans over F_p up to max_degree, built on demand.
+
+    It is a pair (spf, cof) of arrays over codes (`Polynomial.encoding`,
+    the bitmask for p = 2), the same for every p: for a monic a, spf[a] is
+    its least irreducible factor and cof[a] = a / spf[a], except that an
+    irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
+    canonical_key order.  p > 2 scans factor by these lookups alone; p = 2
+    scans read only spf and divide for each multiplicity.  The table is
+    cached per p and rebuilt only for a higher degree.  Raises ValueError, before any build, when the table
+    would exceed MAX_SCAN entries.
+    """
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
         raise ValueError(
@@ -428,52 +439,13 @@ def _cached(p, max_degree, build):
             f"(cap is {MAX_SCAN})"
         )
     if _TABLES.get(p, (-1,))[0] < max_degree:
-        _TABLES[p] = (max_degree, build(max_degree))
+        _TABLES[p] = (max_degree, _basep_tables(p, max_degree))
     return _TABLES[p][1]
 
 
 def prepare_gf2_cache(max_degree):
-    """Build (or extend) the smallest-factor table for GF(2) bulk scans.
-
-    The table is filled by marking products of each irreducible with every
-    monic cofactor, in increasing mask order, so entry a holds the least
-    irreducible factor of a.  Degree scans factor members by repeated
-    table lookup, which is several times faster than per-polynomial
-    distinct-degree splitting at enumeration scale.  Raises ValueError
-    when the table would exceed MAX_SCAN entries.
-    """
-    _cached(2, max_degree, _gf2_table)
-
-
-def _gf2_table(max_degree):
-    limit = 1 << (max_degree + 1)
-    spf = [0] * limit
-    mul = _gf2.mul
-    for a in range(2, limit):
-        if not spf[a]:
-            spf[a] = a
-            top = 1 << (max_degree - a.bit_length() + 2)
-            for h in range(2, top):
-                prod = mul(a, h)
-                if not spf[prod]:
-                    spf[prod] = a
-    return spf
-
-
-def prepare_factor_table(p, max_degree):
-    """The factor table for scans over F_p up to max_degree, built on demand.
-
-    For p = 2 it is prepare_gf2_cache's smallest-factor list.  Otherwise
-    it is a pair (spf, cof) of arrays over codes: for a monic a, spf[a] is
-    its least irreducible factor and cof[a] = a / spf[a], except that an
-    irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
-    canonical_key order.  Raises ValueError when the table would exceed
-    MAX_SCAN entries.
-    """
-    if p == 2:
-        prepare_gf2_cache(max_degree)
-        return _TABLES[2][1]
-    return _cached(p, max_degree, partial(_basep_tables, p))
+    """Build (or extend) the GF(2) factor table: prepare_factor_table(2, max_degree)."""
+    prepare_factor_table(2, max_degree)
 
 
 def _basep_tables(p, degree):
@@ -520,24 +492,13 @@ def _basep_tables(p, degree):
     return spf, cof
 
 
-def factor_mask(a):
-    """Factor a GF(2) mask via the cached table, ascending by factor mask.
-
-    Raises ValueError when the table for a's degree would exceed MAX_SCAN
-    entries.
-    """
-    if a <= 0:
-        raise ValueError("mask must encode a nonzero polynomial")
-    prepare_gf2_cache(a.bit_length() - 1)
-    return _table_factor(_TABLES[2][1], a)
-
-
-def _table_factor(table, a):
-    # (factor, multiplicity) pairs of mask a by repeated smallest-factor lookup
+def _table_factor(spf, a):
+    # (factor, multiplicity) pairs of mask a, ascending: the smallest factor by
+    # lookup, its multiplicity by division
     divrem = _gf2.divrem
     out = []
     while a != 1:
-        f = table[a]
+        f = spf[a] or a
         e = 0
         while True:
             q, r = divrem(a, f)
@@ -584,13 +545,31 @@ def _free_positions(ctx, n):
     return [i for i in range(n) if contains(i)]
 
 
+def _free_count(ctx, n):
+    # len(_free_positions(ctx, n)) without the list: n minus the gaps below n
+    return n - bisect_left(ctx.semigroup.gaps, n)
+
+
 def member_count(ctx, n):
     """Number of monic degree-n members (0 when n is a gap)."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if not ctx.semigroup.contains(n):
         return 0
-    return ctx.field.p ** len(_free_positions(ctx, n))
+    return ctx.field.p ** _free_count(ctx, n)
+
+
+def over_scan_guard(ctx, n):
+    """True when degree n has more than MAX_SCAN monic members.
+
+    Decided from the number k of free positions below n, and without
+    forming p^k when k alone puts it over (p^k >= 2^k), so the guard costs
+    the same for any n.
+    """
+    if not ctx.semigroup.contains(n):
+        return False
+    k = _free_count(ctx, n)
+    return k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN
 
 
 def _index_range(ctx, n, lo, hi):
@@ -639,11 +618,13 @@ def _scan(ctx, n, lo, hi):
 def _member_factor(ctx, n):
     # code -> ascending (factor code, multiplicity) pairs for degree-n members:
     # by table lookup when a cached table covers n or building one pays,
-    # otherwise by factor_fq
+    # otherwise by factor_fq.  p = 2 still divides for each multiplicity:
+    # lookups alone are faster, but the switch waits until the benchmark's
+    # peak RSS stops growing with its repetition count (ROADMAP item 6)
     p = ctx.field.p
     if _TABLES.get(p, (-1,))[0] >= n or table_pays(ctx, n):
-        table = prepare_factor_table(p, n)
-        return partial(_table_factor, table) if p == 2 else partial(_lookup_factor, *table)
+        spf, cof = prepare_factor_table(p, n)
+        return partial(_table_factor, spf) if p == 2 else partial(_lookup_factor, spf, cof)
     decode = partial(Polynomial.from_encoding, ctx.field)
     return lambda a: [(g.encoding, e) for g, e in factor_fq(decode(a)).factors]
 

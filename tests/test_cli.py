@@ -61,6 +61,10 @@ def test_count_usage_errors():
     run_cli("count", "--max-degree", "6", "--q", "4", expect=2)
     run_cli("count", "--max-degree", "6", "--sgp", "4,6", expect=2)
     run_cli("count", "--max-degree", "6", "--workers", "0", expect=2)
+    # closed-form rows are capped; a scanned context has the member guard instead
+    proc = run_cli("count", "--max-degree", "1001", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: closed-form counts are capped at degree 1000\n"
     run_cli("count", expect=2)  # missing --max-degree
 
 
@@ -171,7 +175,6 @@ def test_table_cap_exits_before_any_work(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a factor table over the cap was built")
 
-    monkeypatch.setattr(sgalg, "_gf2_table", refuse)
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
     wide = "9,10,11,12,13,14,15,16,17"
     for argv in (
@@ -183,6 +186,50 @@ def test_table_cap_exits_before_any_work(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "cap is 16777216" in captured.err
+
+
+def test_member_guard_does_not_list_free_positions(monkeypatch, capsys):
+    # the guard counts free positions from the gaps, so a huge degree is
+    # refused at once instead of after building a list of its positions
+    from sgpoly import cli, sgalg
+
+    real = sgalg._free_positions
+
+    def bounded(ctx, n):
+        if n > 10 ** 4:
+            raise AssertionError("the guard listed the free positions")
+        return real(ctx, n)
+
+    monkeypatch.setattr(sgalg, "_free_positions", bounded)
+    assert cli.main(["enumerate", "--degree", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree 1000000000 needs more than 16777216 member scans\n"
+
+
+def test_workers_are_clamped_to_the_cpus(monkeypatch, capsys):
+    # every pool worker starts at the first submit, so --workers beyond the
+    # CPUs would only start processes; the output is the same either way
+    from concurrent.futures import ProcessPoolExecutor
+
+    from sgpoly import cli
+
+    argv = ["count", "--sgp", "3,4,5", "--max-degree", "14"]
+    assert cli.main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr()
+    pools = []
+
+    def small_pool(max_workers):
+        if max_workers > 2:
+            raise AssertionError(f"a pool of {max_workers} workers was opened")
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", small_pool)
+    assert cli.main(argv + ["--workers", "64"]) == 0
+    assert capsys.readouterr() == serial
+    assert pools == [2]  # degree 14 has 4096 members: one pool
 
 
 def test_p_odd_scans_without_a_table_when_it_does_not_pay(monkeypatch, capsys):
@@ -197,7 +244,6 @@ def test_p_odd_scans_without_a_table_when_it_does_not_pay(monkeypatch, capsys):
     wide = ["count", "--q", "3", "--sgp", "9,10,11,12,13,14,15,16,17", "--max-degree", "11"]
     with monkeypatch.context() as m:
         m.setattr(sgalg, "_TABLES", {})
-        m.setattr(sgalg, "_gf2_table", refuse)
         m.setattr(sgalg, "_basep_tables", refuse)
         # 4,099 members at degree 2 and a table of 2*4099^2 entries, over the cap
         assert cli.main(["count", "--q", "4099", "--max-degree", "2"]) == 0
@@ -218,14 +264,13 @@ def test_count_builds_the_table_once(monkeypatch, capsys):
 
     builds = []
     monkeypatch.setattr(sgalg, "_TABLES", {})
-    for name in ("_gf2_table", "_basep_tables"):
-        real = getattr(sgalg, name)
-        monkeypatch.setattr(sgalg, name, lambda *a, real=real: builds.append(a) or real(*a))
+    real = sgalg._basep_tables
+    monkeypatch.setattr(sgalg, "_basep_tables", lambda *a: builds.append(a) or real(*a))
     assert cli.main(["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "8"]) == 0
     assert cli.main(["count", "--sgp", "3,4,5", "--max-degree", "12"]) == 0
     assert cli.main(["verify", "--max-degree", "13"]) == 0
     capsys.readouterr()
-    assert builds == [(3, 8), (12,), (13,)]
+    assert builds == [(3, 8), (2, 12), (2, 13)]
 
 
 def test_count_natural_semigroup_reduces_to_field_counts():
@@ -378,6 +423,7 @@ def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
         return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
     assert cli.main(argv + ["--workers", "2"]) == 0
     assert capsys.readouterr() == serial
     assert pools == [{"max_workers": 2}]  # degree 14 has 4096 members: one pool

@@ -31,7 +31,6 @@ from sgpoly import (
     tame,
 )
 from sgpoly import sgalg
-from sgpoly.sgalg import factor_mask
 from oracles import all_monic, divisor_scan_verdict
 
 
@@ -331,21 +330,23 @@ def test_subproduct_contract_seeded(f2, f3):
 # -- bulk scanning guts --------------------------------------------------------
 
 
-def test_factor_mask_agrees_with_factor_fq(f2):
+def test_gf2_table_factor_agrees_with_factor_fq(f2):
+    spf = sgalg.prepare_factor_table(2, 10)[0]
     for mask in range(1, 1 << 11):
         expected = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert factor_mask(mask) == expected
+        assert sgalg._table_factor(spf, mask) == expected
 
 
-def test_factor_mask_matches_ddf_at_scan_degrees(f2):
+def test_gf2_table_factor_matches_ddf_at_scan_degrees(f2):
     rng = random.Random(64)
+    spf = sgalg.prepare_factor_table(2, 16)[0]
     for _ in range(400):
         mask = rng.randrange(2, 1 << 17)
         via_ddf = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert factor_mask(mask) == via_ddf
+        assert sgalg._table_factor(spf, mask) == via_ddf
 
 
-@pytest.mark.parametrize("p, top", [(3, 7), (5, 4)])
+@pytest.mark.parametrize("p, top", [(2, 12), (3, 7), (5, 4)])
 def test_basep_table_factors_every_monic_code(p, top):
     # built at exactly this degree, so irreducibles with 2*deg = top and the
     # Gray walk's start cofactor x^e are on the edge; a missed start once made
@@ -359,7 +360,7 @@ def test_basep_table_factors_every_monic_code(p, top):
             assert sgalg._lookup_factor(spf, cof, code) == expected
     x = Polynomial.x(field)
     x1 = x + Polynomial.one(field)
-    g = parse_poly("x^2+x+2", field)  # irreducible over F_3 and F_5
+    g = parse_poly("x^2+x+1" if p == 2 else "x^2+x+2", field)  # irreducible over F_p
     for f, expected in ((x ** 2, [(x, 2)]), (x1 ** 3, [(x1, 3)]),
                         (x ** (top - 2) * g, [(x, top - 2), (g, 1)])):
         got = sgalg._lookup_factor(spf, cof, f.encoding)
@@ -391,7 +392,6 @@ def test_factor_tables_are_capped(monkeypatch, f2, f3):
         raise AssertionError("a factor table over the cap was built")
 
     monkeypatch.setattr(sgalg, "_TABLES", {})
-    monkeypatch.setattr(sgalg, "_gf2_table", refuse)
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
     wide = AlgebraContext(f2, from_generators(range(9, 18)))
     assert member_count(wide, 30) == 4_194_304 <= sgalg.MAX_SCAN
@@ -403,7 +403,7 @@ def test_factor_tables_are_capped(monkeypatch, f2, f3):
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         iter_irreducible(wide, -1)
     with pytest.raises(ValueError, match="cap is 16777216"):
-        factor_mask(1 << 24)
+        sgalg.prepare_factor_table(2, 24)
     with pytest.raises(ValueError, match="cap is 16777216"):
         sgalg.prepare_factor_table(3, 15)
     # an empty range or a gap degree needs no table
@@ -488,14 +488,19 @@ def test_count_classes_generic_path_matches(f3, ctx345):
 
 
 def test_monic_count_identity(friendly, ctx345, f3):
-    # above the Frobenius number the monic member count is q^(n - genus)
+    # above the Frobenius number the monic member count is q^(n - genus);
+    # below it, gaps have none and enumeration agrees
     contexts = [friendly, ctx345, AlgebraContext(f3, from_generators((3, 4, 5)))]
     for ctx in contexts:
         q = ctx.field.p
         genus = ctx.semigroup.genus
-        for n in range(ctx.semigroup.frobenius + 1, 11):
-            assert member_count(ctx, n) == q ** (n - genus)
+        for n in range(11):
+            if n > ctx.semigroup.frobenius:
+                assert member_count(ctx, n) == q ** (n - genus)
             assert len(list(enumerate_degree(ctx, n))) == member_count(ctx, n)
+        # the scan guard refuses exactly the degrees over MAX_SCAN members
+        for n in range(40):
+            assert sgalg.over_scan_guard(ctx, n) == (member_count(ctx, n) > sgalg.MAX_SCAN)
 
 
 # -- the residue ring --------------------------------------------------------
