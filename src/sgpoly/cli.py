@@ -67,7 +67,7 @@ def _check_args(args):
     if any(g > MAX_GENERATOR for g in gens):
         raise UsageError(f"generators above {MAX_GENERATOR} are not supported")
     try:
-        from_generators(gens)
+        args.semigroup = from_generators(gens)  # built once; _context reuses it
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     args.sgp = gens
@@ -89,7 +89,7 @@ def _check_args(args):
 
 
 def _context(args):
-    return sgalg.AlgebraContext(FieldSpec(args.q), from_generators(args.sgp))
+    return sgalg.AlgebraContext(FieldSpec(args.q), args.semigroup)
 
 
 @contextmanager
@@ -152,29 +152,56 @@ def _emit(args, fields, rows):
 # -- worker-pool scanning ----------------------------------------------------
 
 
+POOL_MIN = 4096  # members of the smallest degree worth a worker pool
+CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
+
+_worker_ctx = None  # a pool worker's context, set by _start_worker
+
+
+def _start_worker(ctx, table):
+    # pool initializer: the worker keeps the run's context for its life and
+    # caches the parent's factor table, so under any start method no task
+    # rebuilds either
+    global _worker_ctx
+    _worker_ctx = ctx
+    if table is not None:
+        sgalg.install_factor_table(ctx.field.p, table)
+
+
 def _count_chunk(task):
-    q, gens, n, lo, hi = task
-    ctx = sgalg.AlgebraContext(FieldSpec(q), from_generators(gens))
-    return sgalg.count_classes(ctx, n, lo, hi)
+    n, lo, hi = task
+    return sgalg.count_classes(_worker_ctx, n, lo, hi)
 
 
-def _scan_counts(args, ctx, n):
-    total = sgalg.member_count(ctx, n)
-    # the output is the same for any worker count, and every pool worker
-    # starts at the first submit, so workers beyond the CPUs only add processes
+def _scan_counts(args, ctx, degrees):
+    # One ClassCounts per degree.  When some degree has POOL_MIN members and
+    # there is more than one worker, one pool scans every degree: all chunks
+    # are submitted at once, highest degree first, so the small degrees
+    # (one chunk each) fill the tail.  Counts merge additively, so the
+    # result is the same for any worker count.
+    sizes = [sgalg.member_count(ctx, n) for n in degrees]
+    # every pool worker starts at the first submit, so workers beyond the
+    # CPUs would only add processes
     workers = min(args.workers, os.cpu_count() or 1)
-    if workers <= 1 or total < 4096:
-        return sgalg.count_classes(ctx, n)
-    chunk = -(-total // workers)
-    tasks = [
-        (args.q, args.sgp, n, lo, min(lo + chunk, total))
-        for lo in range(0, total, chunk)
-    ]
-    merged = sgalg.ClassCounts()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for counts in pool.map(_count_chunk, tasks):
-            merged.absorb(counts)
-    return merged
+    if workers <= 1 or max(sizes, default=0) < POOL_MIN:
+        return [sgalg.count_classes(ctx, n) if size else sgalg.ClassCounts()
+                for n, size in zip(degrees, sizes)]
+    tasks = []
+    for n, size in sorted(zip(degrees, sizes), reverse=True):
+        if size:
+            step = -(-size // (workers * CHUNKS_PER_WORKER)) if size >= POOL_MIN else size
+            tasks += [(n, lo, min(lo + step, size)) for lo in range(0, size, step)]
+    counts = {n: sgalg.ClassCounts() for n in degrees}
+    table = sgalg.cached_factor_table(ctx.field.p)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                               initargs=(ctx, table))
+    try:
+        futures = [(task[0], pool.submit(_count_chunk, task)) for task in tasks]
+        for n, future in futures:
+            counts[n].absorb(future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed chunk drops the queued ones
+    return [counts[n] for n in degrees]
 
 
 def _prepare_scans(ctx, degrees, too_many):
@@ -223,13 +250,14 @@ def cmd_count(args):
 
     if not friendly and not _prepare_scans(ctx, degrees, too_many):
         return 2
+    scans = {} if friendly else dict(zip(degrees, _scan_counts(args, ctx, degrees)))
     rows = []
     for n in degrees:
         if friendly:
             r = counting.friendly_count_row(n)
         else:
             size = sgalg.member_count(ctx, n)
-            c = _scan_counts(args, ctx, n) if size else sgalg.ClassCounts()
+            c = scans[n]
             r = counting.CountRow(
                 n, counting.count_aq(n, args.q),
                 counting.count_s(n) if args.q == 2 else None,
@@ -277,42 +305,49 @@ def cmd_verify(args):
     degrees = range(2, args.max_degree + 1)
     if not _prepare_scans(ctx, degrees, lambda n: f"degree {n} exceeds the scan guard"):
         return 2
-    check, failed = (
-        (_verify_friendly, "mismatch at degree") if ctx.is_friendly
-        else (_verify_shapes, "shape bound violated at degree")
-    )
-    fields, rows = check(args, ctx, degrees)
+    check = _verify_friendly if ctx.is_friendly else _verify_shapes
+    fields, rows, failures = check(args, ctx, degrees)
     _emit(args, fields, rows)
-    failures = [row[0] for row in rows if not row[-1]]  # the last field is the verdict
-    for n in failures:
-        print(f"{failed} {n}", file=sys.stderr)
+    for line in failures:
+        print(line, file=sys.stderr)
     return 1 if failures else 0
 
 
 def _verify_friendly(args, ctx, degrees):
-    # closed-form class counts against brute force, per degree
+    # closed-form class counts against brute force, per degree; a mismatch
+    # names its first differing bucket
     fields = ("n", "closed_c", "closed_t", "closed_w", "closed_b",
               "brute_c", "brute_t", "brute_w", "brute_b", "match")
-    rows = []
-    for n in degrees:
+    rows, failures = [], []
+    for n, c in zip(degrees, _scan_counts(args, ctx, degrees)):
         closed = counting.b_counts(n)
-        brute = _scan_counts(args, ctx, n).as_tuple()
+        brute = c.as_tuple()
         rows.append((n, *closed, *brute, closed == brute))
-    return fields, rows
+        for bucket, want, got in zip(("b_c", "b_t", "b_w", "b"), closed, brute):
+            if want != got:
+                failures.append(f"mismatch at degree {n}: {bucket} closed {want}, brute {got}")
+                break
+    return fields, rows, failures
 
 
 def _verify_shapes(args, ctx, degrees):
-    # extreme factorization shapes against m < 2(F+1) and k <= q^F, per degree
+    # extreme factorization shapes against m < 2(F+1) and k <= q^F, per
+    # degree; a violation names the bound it breaks
     frob = ctx.semigroup.frobenius
     m_bound = 2 * (frob + 1)
     k_bound = args.q ** frob
     fields = ("n", "irreducible", "max_m", "max_k", "m_bound", "k_bound", "within")
-    rows = []
-    for n in degrees:
-        c = _scan_counts(args, ctx, n)
-        within = c.total == 0 or (c.max_m < m_bound and c.max_k <= k_bound)
-        rows.append((n, c.total, c.max_m, c.max_k, m_bound, k_bound, within))
-    return fields, rows
+    rows, failures = [], []
+    for n, c in zip(degrees, _scan_counts(args, ctx, degrees)):
+        broken = []
+        if c.total and c.max_m >= m_bound:
+            broken.append(f"max_m {c.max_m} >= m_bound {m_bound}")
+        if c.total and c.max_k > k_bound:
+            broken.append(f"max_k {c.max_k} > k_bound {k_bound}")
+        rows.append((n, c.total, c.max_m, c.max_k, m_bound, k_bound, not broken))
+        if broken:
+            failures.append(f"shape bound violated at degree {n}: {', '.join(broken)}")
+    return fields, rows, failures
 
 
 def _primes_to(n):

@@ -443,6 +443,20 @@ def prepare_factor_table(p, max_degree):
     return _TABLES[p][1]
 
 
+def cached_factor_table(p):
+    """The cached table entry (degree, (spf, cof)) for F_p, or None.
+
+    Scans in a process that installs it (install_factor_table) factor
+    exactly as scans here do, and build no table up to that degree.
+    """
+    return _TABLES.get(p)
+
+
+def install_factor_table(p, entry):
+    """Cache an entry taken from cached_factor_table in another process."""
+    _TABLES[p] = entry
+
+
 def prepare_gf2_cache(max_degree):
     """Build (or extend) the GF(2) factor table: prepare_factor_table(2, max_degree)."""
     prepare_factor_table(2, max_degree)

@@ -157,7 +157,8 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     code = cli.main(["verify", "--max-degree", "5"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "mismatch at degree 4" in captured.err
+    # the first differing bucket, with both values
+    assert captured.err == "mismatch at degree 4: b_c closed 2, brute 1\n"
     assert "4,2,2,2,5,1,2,2,5,false" in captured.out
     # the rows of a failed verification still replace an --output file
     path = tmp_path / "verify.csv"
@@ -165,6 +166,41 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     assert cli.main(["verify", "--max-degree", "5", "--output", str(path)]) == 1
     assert path.read_text() == captured.out
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_shape_violation_names_the_bound(monkeypatch, capsys):
+    # the scans never break a bound, so feed the check counts that do
+    from sgpoly import cli, sgalg
+
+    def skewed(args, ctx, degrees):
+        return [sgalg.ClassCounts(total=1, max_m=6 if n == 3 else 1, max_k=5) for n in degrees]
+
+    monkeypatch.setattr(cli, "_scan_counts", skewed)
+    assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["2,1,1,5,6,4,false", "3,1,6,5,6,4,false"]
+    assert captured.err == (
+        "shape bound violated at degree 2: max_k 5 > k_bound 4\n"
+        "shape bound violated at degree 3: max_m 6 >= m_bound 6, max_k 5 > k_bound 4\n"
+    )
+
+
+def test_each_command_builds_the_semigroup_once(monkeypatch, capsys):
+    # the semigroup _check_args validates is the one the command uses
+    from sgpoly import cli
+
+    real = cli.from_generators
+    calls = []
+    monkeypatch.setattr(cli, "from_generators", lambda gens: calls.append(gens) or real(gens))
+    for argv in (
+        ["count", "--sgp", "3,4,5", "--max-degree", "6"],
+        ["enumerate", "--sgp", "3,4,5", "--degree", "6"],
+        ["verify", "--max-degree", "6"],
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def test_table_cap_exits_before_any_work(monkeypatch, capsys):
@@ -214,22 +250,22 @@ def test_workers_are_clamped_to_the_cpus(monkeypatch, capsys):
 
     from sgpoly import cli
 
-    argv = ["count", "--sgp", "3,4,5", "--max-degree", "14"]
+    argv = ["count", "--sgp", "3,4,5", "--max-degree", "15"]
     assert cli.main(argv + ["--workers", "1"]) == 0
     serial = capsys.readouterr()
     pools = []
 
-    def small_pool(max_workers):
+    def small_pool(max_workers, **kwargs):
         if max_workers > 2:
             raise AssertionError(f"a pool of {max_workers} workers was opened")
         pools.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", small_pool)
     assert cli.main(argv + ["--workers", "64"]) == 0
     assert capsys.readouterr() == serial
-    assert pools == [2]  # degree 14 has 4096 members: one pool
+    assert pools == [2]  # degrees 14 and 15 have 4096 and 8192 members: one pool
 
 
 def test_p_odd_scans_without_a_table_when_it_does_not_pay(monkeypatch, capsys):
@@ -407,26 +443,62 @@ def test_scan_determinism_across_workers(tmp_path):
 
 
 def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
-    # spawned workers import sgpoly afresh and inherit no factor table
+    # spawned workers import sgpoly afresh and inherit nothing: they get the
+    # context and the factor table from the pool's initializer
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     from sgpoly import cli
 
-    argv = ["count", "--sgp", "3,4,5", "--max-degree", "14"]
-    assert cli.main(argv + ["--workers", "1"]) == 0
-    serial = capsys.readouterr()
     pools = []
 
     def spawn_pool(**kwargs):
-        pools.append(kwargs)
+        pools.append(kwargs["max_workers"])
         return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
-    assert cli.main(argv + ["--workers", "2"]) == 0
-    assert capsys.readouterr() == serial
-    assert pools == [{"max_workers": 2}]  # degree 14 has 4096 members: one pool
+    for argv in (
+        ["count", "--sgp", "3,4,5", "--max-degree", "15"],  # degrees 14 and 15 pooled
+        ["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "11"],  # 10 and 11
+    ):
+        with monkeypatch.context() as m:
+            assert cli.main(argv + ["--workers", "1"]) == 0
+            serial = capsys.readouterr()
+            m.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+            pools.clear()
+            assert cli.main(argv + ["--workers", "2"]) == 0
+            assert capsys.readouterr() == serial
+            assert pools == [2], argv  # one pool for the whole command
+
+
+def test_pool_worker_scans_with_the_parent_table(monkeypatch):
+    # a worker started with the parent's context and table entry, as a
+    # spawned one receives them, counts every chunk without building a table
+    import pickle
+
+    from sgpoly import cli, sgalg
+    from sgpoly.ffpoly import FieldSpec
+    from sgpoly.numsgp import from_generators
+
+    def refuse(*args):
+        raise AssertionError("a pool worker built a factor table")
+
+    for q, gens, degrees in ((2, (2, 3), (11, 12)), (3, (3, 4, 5), (7, 8))):
+        ctx = sgalg.AlgebraContext(FieldSpec(q), from_generators(gens))
+        sgalg.prepare_factor_table(q, max(degrees))
+        serial = [sgalg.count_classes(ctx, n) for n in degrees]
+        handed = pickle.loads(pickle.dumps((ctx, sgalg.cached_factor_table(q))))
+        with monkeypatch.context() as m:
+            m.setattr(sgalg, "_TABLES", {})
+            m.setattr(sgalg, "_basep_tables", refuse)
+            m.setattr(cli, "_worker_ctx", None)
+            cli._start_worker(*handed)
+            for n, want in zip(degrees, serial):
+                size = sgalg.member_count(ctx, n)
+                merged = sgalg.ClassCounts()
+                for lo in range(0, size, 700):
+                    merged.absorb(cli._count_chunk((n, lo, min(lo + 700, size))))
+                assert merged == want, (q, n)
 
 
 def test_csv_and_json_carry_the_same_rows(capsys):
