@@ -24,8 +24,6 @@ def _build_spread():
 _SPREAD = _build_spread()
 _UNSPREAD = {s: b for b, s in enumerate(_SPREAD)}
 
-_M55 = 0x5555555555555555  # grown on demand by _mask55
-
 
 def degree(a):
     """Degree of a; -1 for the zero polynomial."""
@@ -113,17 +111,10 @@ def gcd(a, b):
     return a
 
 
-def _mask55(nbits):
-    global _M55
-    while _M55.bit_length() < nbits:
-        _M55 = (_M55 << 64) | 0x5555555555555555
-    return _M55
-
-
 def derivative(a):
     """Formal derivative: odd-exponent terms shift down, the rest vanish."""
-    a >>= 1
-    return a & _mask55(a.bit_length() + 1)
+    # (1 << 2k) // 3 is 0b0101...01, the even bits below 2k
+    return (a >> 1) & ((1 << 2 * a.bit_length()) // 3)
 
 
 def is_irreducible(a):

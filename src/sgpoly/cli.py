@@ -22,11 +22,10 @@ from . import counting, sgalg
 from .ffpoly import FieldSpec, format_poly
 from .numsgp import from_generators
 
-MAX_SCAN = sgalg.MAX_SCAN  # at most 2^24 members per degree and entries per table
 MAX_VERIFY_DEGREE = 20
 MAX_COUNT_DEGREE = 1000  # closed-form rows: time grows about as N^2.2, row values as 2^n
 MAX_PRIME_LIMIT = 10 ** 6
-MAX_GENERATOR = 10 ** 4
+MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
 
 
 class UsageError(Exception):
@@ -86,6 +85,12 @@ def _check_args(args):
             raise UsageError("--max-prime must be at least 3")
         if args.max_prime > MAX_PRIME_LIMIT:
             raise UsageError(f"primes above {MAX_PRIME_LIMIT} are not supported")
+
+
+def _fail(message):
+    # a usage error or a refused scan: one stderr line, exit status 2
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _context(args):
@@ -204,30 +209,6 @@ def _scan_counts(args, ctx, degrees):
     return [counts[n] for n in degrees]
 
 
-def _prepare_scans(ctx, degrees, too_many):
-    # Check the member guard at every degree, then build the factor table
-    # once for the highest member degree whose scan uses one, before any scan
-    # or fork so that workers inherit it.  False, after an error line, when a
-    # degree has too many members (too_many(n) is that line) or its table
-    # would exceed the cap.
-    for n in degrees:
-        if sgalg.over_scan_guard(ctx, n):
-            print(f"error: {too_many(n)}", file=sys.stderr)
-            return False
-    top = max(
-        (n for n in degrees if sgalg.member_count(ctx, n) and sgalg.table_pays(ctx, n)),
-        default=0,
-    )
-    if top == 0:
-        return True
-    try:
-        sgalg.prepare_factor_table(ctx.field.p, top)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 # -- subcommands -------------------------------------------------------------
 #
 # Each command builds one tuple per row, in the order of its fields, and
@@ -238,19 +219,16 @@ def cmd_count(args):
     ctx = _context(args)
     friendly = ctx.is_friendly
     degrees = range(2, args.max_degree + 1)
-    if friendly and args.max_degree > MAX_COUNT_DEGREE:
-        print(f"error: closed-form counts are capped at degree {MAX_COUNT_DEGREE}",
-              file=sys.stderr)
-        return 2
-
-    def too_many(n):
-        # degrees rise from 2 and the first one over the guard has few free
-        # positions, so its member count is cheap to form
-        return f"degree {n} needs {sgalg.member_count(ctx, n)} member scans (guard is {MAX_SCAN})"
-
-    if not friendly and not _prepare_scans(ctx, degrees, too_many):
-        return 2
-    scans = {} if friendly else dict(zip(degrees, _scan_counts(args, ctx, degrees)))
+    if friendly:
+        if args.max_degree > MAX_COUNT_DEGREE:
+            return _fail(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
+        scans = {}
+    else:
+        try:
+            sgalg.prepare_scans(ctx, degrees)
+        except ValueError as exc:
+            return _fail(exc)
+        scans = dict(zip(degrees, _scan_counts(args, ctx, degrees)))
     rows = []
     for n in degrees:
         if friendly:
@@ -288,9 +266,10 @@ def cmd_enumerate(args):
         )
         _emit(args, fields, [])
         return 0
-    too_many = f"degree {n} needs more than {MAX_SCAN} member scans"
-    if not _prepare_scans(ctx, (n,), lambda n: too_many):
-        return 2
+    try:
+        sgalg.prepare_scans(ctx, (n,))
+    except ValueError as exc:
+        return _fail(exc)
     rows = [
         (format_poly(poly), hex(poly.mask) if args.q == 2 else str(poly.encoding),
          None if cls is None else str(cls), fac.format())
@@ -303,8 +282,10 @@ def cmd_enumerate(args):
 def cmd_verify(args):
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
-    if not _prepare_scans(ctx, degrees, lambda n: f"degree {n} exceeds the scan guard"):
-        return 2
+    try:
+        sgalg.prepare_scans(ctx, degrees)
+    except ValueError as exc:
+        return _fail(exc)
     check = _verify_friendly if ctx.is_friendly else _verify_shapes
     fields, rows, failures = check(args, ctx, degrees)
     _emit(args, fields, rows)
@@ -332,8 +313,9 @@ def _verify_friendly(args, ctx, degrees):
 
 def _verify_shapes(args, ctx, degrees):
     # extreme factorization shapes against m < 2(F+1) and k <= q^F, per
-    # degree; a violation names the bound it breaks
-    frob = ctx.semigroup.frobenius
+    # degree; a violation names the bound it breaks.  F(N) = -1 counts as 0,
+    # whose bounds (m < 2, k <= 1) every irreducible of F_q[x] meets
+    frob = max(ctx.semigroup.frobenius, 0)
     m_bound = 2 * (frob + 1)
     k_bound = args.q ** frob
     fields = ("n", "irreducible", "max_m", "max_k", "m_bound", "k_bound", "within")
@@ -395,8 +377,7 @@ def main(argv=None):
     try:
         _check_args(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     return _COMMANDS[args.command][0](args)
 
 

@@ -18,13 +18,14 @@ several degrees and repeated verdicts share them.  Scans handle members
 and factors as integer codes (`Polynomial.encoding`, which is the bitmask
 for p = 2) and factor members by lookup in a cached factor table, since
 enumerating all coefficient combinations of a degree dominates every
-verification campaign.  Every p has one table format, built by one
-builder: a smallest-factor and a cofactor array over codes.  For p > 2
-factoring is pure lookups; p = 2 scans look up the smallest factor and
-still find its multiplicity by division.  A table covers every monic
-code, not only the members, so a p > 2 scan builds it only when it pays
-(see table_pays) and otherwise calls factor_fq per member.  No table may
-exceed MAX_SCAN entries.
+verification campaign.  Every p has one table format: a smallest-factor
+and a cofactor array over codes.  For p > 2 factoring is pure lookups;
+p = 2 scans look up the smallest factor and still find its multiplicity
+by division.  A table covers every monic code, not only the members, so a
+p > 2 scan uses one only when it pays (see table_pays) and otherwise
+calls factor_fq per member.  prepare_scans admits every scan: it refuses
+a degree over MAX_SCAN members and is the one builder of tables (at most
+MAX_SCAN entries); the scan itself only reads the cache.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def table_pays(ctx, n):
     """True when degree-n scans over ctx should build a factor table.
 
     Always for p = 2, whose scans have no other route (the table may then
-    exceed MAX_SCAN, and the scan raises).  For p > 2 the table has
+    exceed MAX_SCAN, and prepare_scans raises).  For p > 2 the table has
     table_entries(p, n) entries at about 0.3-0.5 us each to build, while
     factor_fq costs 150-350 us per member, so it is built only when it fits
     under MAX_SCAN and there is at least one member per TABLE_RATIO
@@ -429,8 +430,9 @@ def prepare_factor_table(p, max_degree):
     irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
     canonical_key order.  p > 2 scans factor by these lookups alone; p = 2
     scans read only spf and divide for each multiplicity.  The table is
-    cached per p and rebuilt only for a higher degree.  Raises ValueError, before any build, when the table
-    would exceed MAX_SCAN entries.
+    cached per p and rebuilt only for a higher degree.  Raises ValueError,
+    before any build, when the table would exceed MAX_SCAN entries.  Scans
+    get their table only through prepare_scans, the one builder.
     """
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
@@ -573,17 +575,30 @@ def member_count(ctx, n):
     return ctx.field.p ** _free_count(ctx, n)
 
 
-def over_scan_guard(ctx, n):
-    """True when degree n has more than MAX_SCAN monic members.
-
-    Decided from the number k of free positions below n, and without
-    forming p^k when k alone puts it over (p^k >= 2^k), so the guard costs
-    the same for any n.
-    """
-    if not ctx.semigroup.contains(n):
+def _over_scan_guard(ctx, n):
+    # True when degree n has more than MAX_SCAN monic members: decided from
+    # the number k of free positions below n, without forming p^k when k
+    # alone puts it over (p^k >= 2^k); a negative n is member_count's error
+    if n < 0 or not ctx.semigroup.contains(n):
         return False
     k = _free_count(ctx, n)
     return k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN
+
+
+def prepare_scans(ctx, degrees):
+    """Admit scans of ctx at degrees: refuse the oversized, build the table.
+
+    Raises ValueError for the first degree with more than MAX_SCAN monic
+    members, before any work.  Then builds the factor table once, for the
+    highest member degree whose scan uses one (see table_pays), or raises
+    prepare_factor_table's ValueError when it would pass the cap.
+    """
+    for n in degrees:
+        if _over_scan_guard(ctx, n):
+            raise ValueError(f"degree {n} needs more than {MAX_SCAN} member scans")
+    top = max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
+    if top:
+        prepare_factor_table(ctx.field.p, top)
 
 
 def _index_range(ctx, n, lo, hi):
@@ -602,12 +617,16 @@ def _scan(ctx, n, lo, hi):
     Covers the members with index in [lo, hi) of enumerate_degree's order
     and factors each exactly once, by _member_factor.  Members and factors
     are codes (`Polynomial.encoding`, the bitmask for p = 2).  (m, k) is the
-    factorization shape.  A bad degree or range, or a factor table over the
-    cap, raises ValueError here rather than at the first item.
+    factorization shape.  A degree over the guard, a bad degree or range,
+    or a factor table over the cap raises ValueError here rather than at
+    the first item.  An empty range or a gap degree builds no table.
     """
+    if _over_scan_guard(ctx, n):  # before _index_range lists the positions
+        prepare_scans(ctx, (n,))  # raises the guard's refusal
     free, lo, hi = _index_range(ctx, n, lo, hi)
     if n == 0 or lo == hi:
         return iter(())
+    prepare_scans(ctx, (n,))
     p = ctx.field.p
     factor = _member_factor(ctx, n)
     # split the free positions into two lookup halves for fast code assembly
@@ -631,13 +650,14 @@ def _scan(ctx, n, lo, hi):
 
 def _member_factor(ctx, n):
     # code -> ascending (factor code, multiplicity) pairs for degree-n members:
-    # by table lookup when a cached table covers n or building one pays,
-    # otherwise by factor_fq.  p = 2 still divides for each multiplicity:
-    # lookups alone are faster, but the switch waits until the benchmark's
-    # peak RSS stops growing with its repetition count (ROADMAP item 6)
+    # by lookup when the cached table covers n, otherwise by factor_fq.  p = 2
+    # still divides for each multiplicity: lookups alone are faster, but the
+    # switch waits until the benchmark's peak RSS stops growing with its
+    # repetition count (ROADMAP item 6)
     p = ctx.field.p
-    if _TABLES.get(p, (-1,))[0] >= n or table_pays(ctx, n):
-        spf, cof = prepare_factor_table(p, n)
+    entry = cached_factor_table(p)
+    if entry is not None and entry[0] >= n:
+        spf, cof = entry[1]
         return partial(_table_factor, spf) if p == 2 else partial(_lookup_factor, spf, cof)
     decode = partial(Polynomial.from_encoding, ctx.field)
     return lambda a: [(g.encoding, e) for g, e in factor_fq(decode(a)).factors]

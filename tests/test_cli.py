@@ -131,6 +131,44 @@ def test_verify_guard():
     run_cli("verify", "--max-degree", "25", expect=2)
 
 
+def test_verify_natural_semigroup_holds_its_bounds(capsys):
+    # S = N has F = -1, taken as 0: m < 2 and k <= 1, which every
+    # irreducible of F_2[x] of degree >= 2 meets with m = 0 and k = 1
+    from sgpoly import cli
+
+    assert cli.main(["verify", "--sgp", "1", "--max-degree", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all(line.endswith(",2,1,true") for line in lines[1:])
+
+
+def test_scan_guard_has_one_message(capsys):
+    # F_3[x^2,x^3] has 3^16 > 2^24 members at degree 17: count and verify
+    # refuse with the same line as enumerate, before any row
+    from sgpoly import cli
+
+    for argv in (["count", "--q", "3", "--max-degree", "18"],
+                 ["verify", "--q", "3", "--max-degree", "18"],
+                 ["enumerate", "--q", "3", "--degree", "17"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: degree 17 needs more than 16777216 member scans\n")
+
+
+def test_generator_limit_refuses_before_building(monkeypatch, capsys):
+    # building <g, g+1> costs time and memory as g^2, so generators over
+    # 1000 are refused before any semigroup is built
+    from sgpoly import cli, numsgp
+
+    def refuse(gens):
+        raise AssertionError("a semigroup over the generator limit was built")
+
+    monkeypatch.setattr(cli, "from_generators", refuse)
+    monkeypatch.setattr(numsgp, "from_generators", refuse)
+    assert cli.main(["count", "--sgp", "1001,1002", "--max-degree", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: generators above 1000 are not supported\n")
+
+
 def test_verify_json():
     out = run_cli("verify", "--max-degree", "6", "--format", "json").stdout
     rows = json.loads(out)

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -444,6 +445,47 @@ def test_table_pays_only_with_enough_members(monkeypatch, f3, ctx345):
     assert sum(c.total for _, _, c in by_fq) > 0
 
 
+def test_library_scans_refuse_over_the_guard(capsys):
+    # 3^999999 members at degree 10^6: refused at the call, with the CLI's
+    # message, before any position list or digit table is built
+    from sgpoly import cli
+
+    ctx = AlgebraContext(FieldSpec(3), from_generators((2, 3)))
+    message = f"degree {10 ** 6} needs more than 16777216 member scans"
+    for scan in (lambda: count_classes(ctx, 10 ** 6, 0, 1), lambda: iter_irreducible(ctx, 10 ** 6)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as refused:
+            scan()
+        assert time.perf_counter() - start < 1
+        assert str(refused.value) == message
+    assert cli.main(["enumerate", "--q", "3", "--degree", str(10 ** 6)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_table_and_factor_fq_routes_count_alike(data):
+    # the same degree counted with factors looked up in a table and with
+    # factor_fq per member (no table cached, none built: table_pays says no
+    # even for p = 2), against the oracle's divisor scan of every member
+    q = data.draw(st.sampled_from((2, 3, 5)))
+    ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
+    n = data.draw(st.sampled_from([n for n in range(10) if member_count(ctx, n) <= 250]))
+
+    def refuse(*args):
+        raise AssertionError("the factor_fq route built a table")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sgalg, "_TABLES", {})
+        m.setattr(sgalg, "_basep_tables", refuse)
+        m.setattr(sgalg, "table_pays", lambda ctx, n: False)
+        by_fq = count_classes(ctx, n)
+    sgalg.prepare_factor_table(q, n)
+    assert count_classes(ctx, n) == by_fq
+    oracle = [divisor_scan_verdict(ctx, f) for f in enumerate_degree(ctx, n)]
+    assert by_fq.total == oracle.count("irreducible")
+
+
 def test_count_classes_chunks_merge(friendly, ctx345, f3):
     ctx33 = AlgebraContext(f3, from_generators((2, 3)))
     for ctx, n in ((friendly, 9), (ctx345, 10), (ctx33, 7)):
@@ -500,7 +542,7 @@ def test_monic_count_identity(friendly, ctx345, f3):
             assert len(list(enumerate_degree(ctx, n))) == member_count(ctx, n)
         # the scan guard refuses exactly the degrees over MAX_SCAN members
         for n in range(40):
-            assert sgalg.over_scan_guard(ctx, n) == (member_count(ctx, n) > sgalg.MAX_SCAN)
+            assert sgalg._over_scan_guard(ctx, n) == (member_count(ctx, n) > sgalg.MAX_SCAN)
 
 
 # -- the residue ring --------------------------------------------------------
