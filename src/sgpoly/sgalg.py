@@ -18,19 +18,18 @@ several degrees and repeated verdicts share them.  Scans handle members
 and factors as integer codes (`Polynomial.encoding`, which is the bitmask
 for p = 2) and factor members by lookup in a cached factor table, since
 enumerating all coefficient combinations of a degree dominates every
-verification campaign.  Every p has one table format: a smallest-factor
-and a cofactor array over codes.  For p > 2 factoring is pure lookups;
-p = 2 scans look up the smallest factor and still find its multiplicity
-by division.  A table covers every monic code, not only the members, so a
-p > 2 scan uses one only when it pays (see table_pays) and otherwise
-calls factor_fq per member.  prepare_scans admits every scan: it refuses
+verification campaign.  Every p has one table format, a smallest-factor
+and a cofactor array over codes, and one factoring routine that reads
+them: pure lookups, with no division, for p = 2 as for every other p.  A
+table covers every monic code, not only the members, so a p > 2 scan
+uses one only when it pays (see table_pays) and otherwise calls
+factor_fq per member.  prepare_scans admits every scan: it refuses
 a degree over MAX_SCAN members and is the one builder of tables (at most
 MAX_SCAN entries); the scan itself only reads the cache.
 """
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -177,32 +176,41 @@ def _residue_ring(ctx):
     (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
     polynomial's code mod p^w (for p = 2, the mask cut to w bits).  mul and
     member are memoized; a miss computes the product by `_gf2.mul` for p = 2
-    and by a convolution of the low w digits otherwise, and the membership
-    by is_member.  Each memo keeps its MEMO_SIZE most recently used entries,
-    so a context's memory stays bounded however long it lives and however
-    rarely its products repeat.  AlgebraContext.ring builds one per context.
+    and otherwise by one integer product of the residues' spread digits (a
+    third memo keeps each residue's spread form, so a residue is decoded at
+    most once while it stays there), and the membership by is_member.  Each
+    memo keeps its MEMO_SIZE most recently used entries, so a context's
+    memory stays bounded however long it lives and however rarely its
+    products repeat.  AlgebraContext.ring builds one per context.
     """
     p = ctx.field.p
     w = ctx.semigroup.frobenius + 1
     modulus = p ** w
     memo = lru_cache(maxsize=MEMO_SIZE)
 
-    def digits(code):
-        out = []
-        for _ in range(w):
-            code, c = divmod(code, p)
-            out.append(c)
-        return out
-
     if p == 2:
         def product(a, b):
             return _gf2.mul(a, b) % modulus
     else:
+        # Kronecker substitution: a residue's digits spread into cells wide
+        # enough that one integer product holds every unreduced coefficient
+        bits = (w * (p - 1) ** 2).bit_length()
+        cell = (1 << bits) - 1
+        shifts = range((w - 1) * bits, -1, -bits)
+
+        @memo
+        def spread(code):
+            out = 0
+            for k in range(w):
+                code, c = divmod(code, p)
+                out |= c << k * bits
+            return out
+
         def product(a, b):
-            da, db = digits(a), digits(b)
+            x = spread(a) * spread(b)
             code = 0
-            for k in range(w - 1, -1, -1):  # coefficient k of the product
-                code = code * p + sum(map(operator.mul, da[: k + 1], db[k::-1])) % p
+            for s in shifts:
+                code = code * p + (x >> s & cell) % p
             return code
 
     decode = partial(Polynomial.from_encoding, ctx.field)
@@ -428,11 +436,11 @@ def prepare_factor_table(p, max_degree):
     the bitmask for p = 2), the same for every p: for a monic a, spf[a] is
     its least irreducible factor and cof[a] = a / spf[a], except that an
     irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
-    canonical_key order.  p > 2 scans factor by these lookups alone; p = 2
-    scans read only spf and divide for each multiplicity.  The table is
-    cached per p and rebuilt only for a higher degree.  Raises ValueError,
-    before any build, when the table would exceed MAX_SCAN entries.  Scans
-    get their table only through prepare_scans, the one builder.
+    canonical_key order.  Scans over every p, p = 2 included, factor by
+    these lookups alone.  The table is cached per p and rebuilt only for a
+    higher degree.  Raises ValueError, before any build, when the table
+    would exceed MAX_SCAN entries.  Scans get their table only through
+    prepare_scans, the one builder.
     """
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
@@ -506,24 +514,6 @@ def _basep_tables(p, degree):
                     if not spf[c]:
                         spf[c], cof[c] = a, h + g
     return spf, cof
-
-
-def _table_factor(spf, a):
-    # (factor, multiplicity) pairs of mask a, ascending: the smallest factor by
-    # lookup, its multiplicity by division
-    divrem = _gf2.divrem
-    out = []
-    while a != 1:
-        f = spf[a] or a
-        e = 0
-        while True:
-            q, r = divrem(a, f)
-            if r:
-                break
-            a = q
-            e += 1
-        out.append((f, e))
-    return out
 
 
 @dataclass
@@ -650,15 +640,10 @@ def _scan(ctx, n, lo, hi):
 
 def _member_factor(ctx, n):
     # code -> ascending (factor code, multiplicity) pairs for degree-n members:
-    # by lookup when the cached table covers n, otherwise by factor_fq.  p = 2
-    # still divides for each multiplicity: lookups alone are faster, but the
-    # switch waits until the benchmark's peak RSS stops growing with its
-    # repetition count (ROADMAP item 6)
-    p = ctx.field.p
-    entry = cached_factor_table(p)
+    # by lookups alone when the cached table covers n, otherwise by factor_fq
+    entry = cached_factor_table(ctx.field.p)
     if entry is not None and entry[0] >= n:
-        spf, cof = entry[1]
-        return partial(_table_factor, spf) if p == 2 else partial(_lookup_factor, spf, cof)
+        return partial(_lookup_factor, *entry[1])
     decode = partial(Polynomial.from_encoding, ctx.field)
     return lambda a: [(g.encoding, e) for g, e in factor_fq(decode(a)).factors]
 

@@ -16,6 +16,7 @@ from sgpoly import (
     FieldSpec,
     FqFactorization,
     Polynomial,
+    b_counts,
     classify_friendly,
     count_classes,
     enumerate_degree,
@@ -332,19 +333,35 @@ def test_subproduct_contract_seeded(f2, f3):
 
 
 def test_gf2_table_factor_agrees_with_factor_fq(f2):
-    spf = sgalg.prepare_factor_table(2, 10)[0]
+    spf, cof = sgalg.prepare_factor_table(2, 10)
     for mask in range(1, 1 << 11):
         expected = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert sgalg._table_factor(spf, mask) == expected
+        assert sgalg._lookup_factor(spf, cof, mask) == expected
 
 
 def test_gf2_table_factor_matches_ddf_at_scan_degrees(f2):
     rng = random.Random(64)
-    spf = sgalg.prepare_factor_table(2, 16)[0]
+    spf, cof = sgalg.prepare_factor_table(2, 16)
     for _ in range(400):
         mask = rng.randrange(2, 1 << 17)
         via_ddf = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert sgalg._table_factor(spf, mask) == via_ddf
+        assert sgalg._lookup_factor(spf, cof, mask) == via_ddf
+
+
+def test_gf2_scans_factor_without_division(monkeypatch, f2):
+    # with the table cached, p = 2 scans factor by lookups alone and never
+    # call the GF(2) bit-loop division
+    sgalg.prepare_factor_table(2, 12)
+
+    def refuse(*args):
+        raise AssertionError("a p = 2 scan divided")
+
+    monkeypatch.setattr(sgalg._gf2, "divrem", refuse)
+    ctx = AlgebraContext(f2, from_generators((2, 3)))  # a fresh ring memo
+    assert count_classes(ctx, 12).as_tuple() == b_counts(12)
+    items = list(iter_irreducible(ctx, 12))
+    assert len(items) == b_counts(12)[3]
+    assert all(fac.expand() == f for f, fac, _ in items)
 
 
 @pytest.mark.parametrize("p, top", [(2, 12), (3, 7), (5, 4)])
@@ -555,8 +572,9 @@ RING_SEMIGROUPS = ((2, 3), (3, 4, 5), (2, 5), tuple(range(6, 12)))
 @given(st.data())
 def test_residue_ring_matches_polynomial_arithmetic(data):
     # codes mod p^w multiply and test membership like the polynomials they
-    # cut, when the memo is filled (a fresh ring) and when it is read back
-    q = data.draw(st.sampled_from((2, 3, 5, 7)))
+    # cut, when the memo is filled (a fresh ring) and when it is read back;
+    # q = 257 gives the p > 2 product's spread digits wide cells
+    q = data.draw(st.sampled_from((2, 3, 5, 7, 257)))
     ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
     coeffs = st.lists(st.integers(0, q - 1), max_size=12)
     a, b, f = (Polynomial(ctx.field, (*data.draw(coeffs), 1)) for _ in range(3))
