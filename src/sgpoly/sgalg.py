@@ -30,6 +30,7 @@ MAX_SCAN entries); the scan itself only reads the cache.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -164,7 +165,8 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
 
 
 # entries each memo of a residue ring keeps: room for the products that recur
-# in small-q scans, and about 1 MB for both memos when products rarely repeat
+# in small-q scans, and about 1.2 MB for the three memos (mul, member, digits)
+# of a q = 257 ring over <2,3> when products rarely repeat
 MEMO_SIZE = 1 << 11
 
 
@@ -176,41 +178,35 @@ def _residue_ring(ctx):
     (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
     polynomial's code mod p^w (for p = 2, the mask cut to w bits).  mul and
     member are memoized; a miss computes the product by `_gf2.mul` for p = 2
-    and otherwise by one integer product of the residues' spread digits (a
-    third memo keeps each residue's spread form, so a residue is decoded at
-    most once while it stays there), and the membership by is_member.  Each
-    memo keeps its MEMO_SIZE most recently used entries, so a context's
-    memory stays bounded however long it lives and however rarely its
-    products repeat.  AlgebraContext.ring builds one per context.
+    and by a convolution of the low w digits otherwise (a third memo keeps
+    each residue's digits, so a residue is decoded at most once while it
+    stays there), and the membership by is_member.  Each memo keeps its
+    MEMO_SIZE most recently used entries, so a context's memory stays
+    bounded however long it lives and however rarely its products repeat.
+    AlgebraContext.ring builds one per context.
     """
     p = ctx.field.p
     w = ctx.semigroup.frobenius + 1
     modulus = p ** w
     memo = lru_cache(maxsize=MEMO_SIZE)
 
+    @memo
+    def digits(code):
+        out = []
+        for _ in range(w):
+            code, c = divmod(code, p)
+            out.append(c)
+        return out
+
     if p == 2:
         def product(a, b):
             return _gf2.mul(a, b) % modulus
     else:
-        # Kronecker substitution: a residue's digits spread into cells wide
-        # enough that one integer product holds every unreduced coefficient
-        bits = (w * (p - 1) ** 2).bit_length()
-        cell = (1 << bits) - 1
-        shifts = range((w - 1) * bits, -1, -bits)
-
-        @memo
-        def spread(code):
-            out = 0
-            for k in range(w):
-                code, c = divmod(code, p)
-                out |= c << k * bits
-            return out
-
         def product(a, b):
-            x = spread(a) * spread(b)
+            da, db = digits(a), digits(b)
             code = 0
-            for s in shifts:
-                code = code * p + (x >> s & cell) % p
+            for k in range(w - 1, -1, -1):  # coefficient k of the product
+                code = code * p + sum(map(operator.mul, da[: k + 1], db[k::-1])) % p
             return code
 
     decode = partial(Polynomial.from_encoding, ctx.field)

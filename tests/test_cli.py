@@ -358,6 +358,18 @@ def test_count_natural_semigroup_reduces_to_field_counts():
         assert int(f[7]) == 2 ** n
 
 
+def test_count_q3_natural_semigroup_rows():
+    # S = N leaves residues mod x^0, so every p > 2 ring product is the empty code
+    out = run_cli("count", "--q", "3", "--sgp", "1", "--max-degree", "6").stdout.splitlines()
+    assert out[1:] == [
+        "2,3,,3,0,0,3,9,1/3,0.333333",
+        "3,8,,8,0,0,8,27,8/27,0.296296",
+        "4,18,,18,0,0,18,81,2/9,0.222222",
+        "5,48,,48,0,0,48,243,16/81,0.197531",
+        "6,116,,116,0,0,116,729,116/729,0.159122",
+    ]
+
+
 def test_cyclotomic_rows():
     proc = run_cli("cyclotomic", "--max-prime", "150")
     lines = proc.stdout.splitlines()
