@@ -3,8 +3,10 @@
 A polynomial is encoded as a nonnegative integer whose bit i is the
 coefficient of x^i, so x^5 + x^3 + 1 is 0b101001 = 41.  The zero
 polynomial is 0 and has degree -1.  Multiplication is a shift-xor loop,
-squaring a byte-spread table lookup; this integer form is what keeps
-exhaustive scans over 2^n coefficient masks affordable.
+squaring a byte-spread table lookup.  The package uses two entry points:
+`factor`, which `ffpoly.factor_fq` calls for p = 2 (the coefficient-tuple
+kernel's equal-degree split is for odd p only), and `mul`, the product of
+the p = 2 residue ring in `sgalg`.  The rest serves `factor`.
 """
 
 import random
@@ -115,23 +117,6 @@ def derivative(a):
     """Formal derivative: odd-exponent terms shift down, the rest vanish."""
     # (1 << 2k) // 3 is 0b0101...01, the even bits below 2k
     return (a >> 1) & ((1 << 2 * a.bit_length()) // 3)
-
-
-def is_irreducible(a):
-    """Whether a is irreducible over GF(2); constants are not."""
-    n = degree(a)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if not a & 1:
-        return False  # divisible by x, degree >= 2
-    h = 2  # the polynomial x
-    for _ in range(n // 2):
-        h = mod(square(h), a)
-        if gcd(h ^ 2, a) != 1:
-            return False
-    return True
 
 
 def factor(a):

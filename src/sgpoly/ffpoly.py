@@ -2,8 +2,11 @@
 
 The `Polynomial` value is immutable and canonically trimmed (no trailing
 zero coefficients; the zero polynomial has an empty tuple and degree
-`ZERO_DEGREE`).  For p = 2 all arithmetic is delegated to the bit-packed
-integer kernel in `_gf2`; other primes use coefficient tuples.
+`ZERO_DEGREE`).  Ring arithmetic, division, gcd and the irreducibility
+test run on coefficient tuples for every p.  Only factoring over F_2
+goes to the bit-packed kernel in `_gf2`, since the Cantor-Zassenhaus
+split here is for odd p; for p = 2 the canonical integer encoding is the
+bitmask, so `mask` and `encoding` are one integer.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class Polynomial:
     def from_encoding(cls, field, code):
         """Decode the canonical integer encoding; the inverse of `encoding`."""
         if field.p == 2:
-            return cls.from_mask(field, code)
+            return cls.from_mask(field, code)  # bit shifts beat the divmod loop
         if code < 0:
             raise ValueError("encoding must be nonnegative")
         coeffs = []
@@ -150,13 +153,10 @@ class Polynomial:
 
     @property
     def mask(self):
-        """GF(2) bitmask encoding (p = 2 only)."""
+        """GF(2) bitmask encoding (p = 2 only), which is the encoding."""
         if self.field.p != 2:
             raise ValueError("bitmask form is defined for p = 2 only")
-        m = 0
-        for i, c in enumerate(self.coeffs):
-            m |= c << i
-        return m
+        return self.encoding
 
     @property
     def encoding(self):
@@ -173,14 +173,10 @@ class Polynomial:
 
     def __add__(self, other):
         _check_fields(self, other)
-        if self.field.p == 2:
-            return Polynomial.from_mask(self.field, self.mask ^ other.mask)
         return Polynomial(self.field, _add_t(self.coeffs, other.coeffs, self.field.p))
 
     def __sub__(self, other):
         _check_fields(self, other)
-        if self.field.p == 2:
-            return Polynomial.from_mask(self.field, self.mask ^ other.mask)
         return Polynomial(self.field, _add_t(self.coeffs, _neg_t(other.coeffs, self.field.p), self.field.p))
 
     def __neg__(self):
@@ -190,8 +186,6 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(self.field, other)
         _check_fields(self, other)
-        if self.field.p == 2:
-            return Polynomial.from_mask(self.field, _gf2.mul(self.mask, other.mask))
         return Polynomial(self.field, _mul_t(self.coeffs, other.coeffs, self.field.p))
 
     __rmul__ = __mul__
@@ -235,7 +229,7 @@ def _check_fields(a, b):
         raise ValueError(f"field mismatch: F_{a.field.p} vs F_{b.field.p}")
 
 
-# -- coefficient-tuple kernel for p > 2 -----------------------------------
+# -- coefficient-tuple kernel ----------------------------------------------
 
 
 def _trim(seq):
@@ -463,9 +457,6 @@ def poly_divrem(a, b):
     _check_fields(a, b)
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if a.field.p == 2:
-        q, r = _gf2.divrem(a.mask, b.mask)
-        return Polynomial.from_mask(a.field, q), Polynomial.from_mask(a.field, r)
     q, r = _divrem_t(a.coeffs, b.coeffs, a.field.p)
     return Polynomial(a.field, q), Polynomial(a.field, r)
 
@@ -475,8 +466,6 @@ def poly_gcd(a, b):
     _check_fields(a, b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    if a.field.p == 2:
-        return Polynomial.from_mask(a.field, _gf2.gcd(a.mask, b.mask))
     g = _gcd_t(a.coeffs, b.coeffs, a.field.p)
     return Polynomial(a.field, _monic_t(g, a.field.p))
 
@@ -485,8 +474,6 @@ def is_irreducible_fq(f):
     """Irreducibility over F_p; constants are not irreducible."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no irreducibility status")
-    if f.field.p == 2:
-        return _gf2.is_irreducible(f.mask)
     return _is_irreducible_t(f.coeffs, f.field.p)
 
 

@@ -231,10 +231,12 @@ def _member_splits(factors, ring):
     divs = [one]
     for g, e in factors:
         r = reduce(g)
-        level = divs
-        for _ in range(e):
+        # divs[0] is one, so the first level starts with r and needs no product
+        level = [r, *[mul(d, r) for d in divs[1:]]]
+        divs += level
+        for _ in range(e - 1):
             level = [mul(d, r) for d in level]
-            divs = divs + level
+            divs += level
     last = len(divs) - 1
     for i in range(1, last // 2 + 1):
         if member(divs[i]) and member(divs[last - i]):

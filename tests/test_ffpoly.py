@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sgpoly import _gf2
 from sgpoly import (
     ZERO_DEGREE,
     FieldSpec,
@@ -207,6 +210,29 @@ def test_irreducible_matches_sieve_f3(f3, f3_sieve):
             coeffs = tuple(rng.randrange(3) for _ in range(n)) + (1,)
             f = Polynomial(f3, coeffs)
             assert is_irreducible_fq(f) == (f.encoding in expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, (1 << 33) - 1), st.integers(0, (1 << 17) - 1))
+def test_f2_arithmetic_agrees_with_gf2_masks(a_mask, b_mask):
+    # F_2 polynomials run on the coefficient-tuple kernel; the bit-packed
+    # kernel in _gf2 is an independent reference on their masks
+    f2 = FieldSpec(2)
+    a, b = Polynomial.from_mask(f2, a_mask), Polynomial.from_mask(f2, b_mask)
+    assert a.mask == a.encoding == a_mask
+    assert (a * b).mask == _gf2.mul(a_mask, b_mask)
+    assert (a + b).mask == (a - b).mask == a_mask ^ b_mask
+    if b_mask:
+        q, r = divmod(a, b)
+        assert (q.mask, r.mask) == _gf2.divrem(a_mask, b_mask)
+    if a_mask or b_mask:
+        assert poly_gcd(a, b).mask == _gf2.gcd(a_mask, b_mask)
+    for f in (a, b):
+        if f.is_zero:
+            continue
+        pairs = _gf2.factor(f.mask)
+        assert is_irreducible_fq(f) == (pairs == [(f.mask, 1)])
+        assert all(is_irreducible_fq(Polynomial.from_mask(f2, g)) for g, _ in pairs)
 
 
 # -- factorization -----------------------------------------------------------

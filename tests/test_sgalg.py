@@ -3,6 +3,7 @@
 import pickle
 import random
 import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,36 @@ def test_verdicts_match_divisor_scan_oracle(friendly, ctx345, f3):
                     assert g * h == f
                     assert g.degree >= 1 and h.degree >= 1
                     assert is_member(ctx, g) and is_member(ctx, h)
+
+
+# members the oracle may divide by for one verdict: keeps each example fast
+ORACLE_DIVISORS = 1500
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_verdict_witnesses_property(data):
+    # a random member f of degree <= 10, not necessarily monic, over random
+    # (q, S): the verdict is the oracle's, and a reducible one's witness
+    # halves are members of positive degree that multiply back to f
+    q = data.draw(st.sampled_from((2, 3, 5)))
+    ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
+    contains = ctx.semigroup.contains
+    n = data.draw(st.sampled_from([
+        n for n in range(1, 11)
+        if contains(n) and sum(member_count(ctx, d) for d in range(n)) <= ORACLE_DIVISORS
+    ]))
+    low = [data.draw(st.integers(0, q - 1)) if contains(i) else 0 for i in range(n)]
+    f = Polynomial(ctx.field, (*low, data.draw(st.integers(1, q - 1))))
+    v = is_irreducible_in_algebra(ctx, f)
+    assert v.kind == divisor_scan_verdict(ctx, f)
+    if v.is_reducible:
+        g, h = v.witness
+        assert g * h == f
+        assert g.degree >= 1 and h.degree >= 1
+        assert is_member(ctx, g) and is_member(ctx, h)
+    else:
+        assert v.witness is None
 
 
 def test_degenerate_semigroup_matches_field_irreducibility(f2):
@@ -584,6 +615,35 @@ def test_residue_ring_matches_polynomial_arithmetic(data):
     for _ in range(2):  # a memo miss, then a hit
         assert mul(reduce(a.encoding), reduce(b.encoding)) == product
         assert member(reduce(f.encoding)) == is_member(ctx, f)
+
+
+def test_member_splits_take_first_levels_without_products(friendly, f3):
+    # each factor's first lattice level starts from the factor's own residue,
+    # with no ring product, and the splits stay those of the mixed-radix
+    # divisor lattice (first factor's exponent least significant)
+    for ctx in (friendly, AlgebraContext(f3, from_generators((3, 4, 5)))):
+        one, reduce, mul, member = ctx.ring
+        for f in enumerate_degree(ctx, 8):
+            factors = factor_fq(f).factors
+            calls = []
+
+            def counted(a, b):
+                calls.append(a)
+                return mul(a, b)
+
+            codes = [(g.encoding, e) for g, e in factors]
+            splits = list(sgalg._member_splits(codes, (one, reduce, counted, member)))
+            size = prod(e + 1 for _, e in factors)
+            assert len(calls) == size - 1 - len(factors)
+            expected = []
+            for i in range(1, (size - 1) // 2 + 1):
+                j, d = i, Polynomial.one(ctx.field)
+                for g, e in factors:
+                    j, a = divmod(j, e + 1)
+                    d = d * g ** a
+                if is_member(ctx, d) and is_member(ctx, f // d):
+                    expected.append(i)
+            assert splits == expected
 
 
 def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
