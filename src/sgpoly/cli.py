@@ -1,6 +1,11 @@
 """Command-line front end: count tables, listings, verification campaigns,
 and the prime experiment, emitted as CSV or JSON.
 
+`count` answers F_2[x^2,x^3] from the paper's closed forms, and every other
+(q, S) from the cheaper of two exact routes, chosen before any heavy work
+(see _count_engine): the class-group engine (`classgroup`) or a brute-force
+scan.  `enumerate` and `verify` always scan.
+
 Exit status contract: 0 on success, 1 when a verification detects a
 mismatch, 2 on usage errors.  Identical configuration yields byte-identical
 output regardless of the worker count: scans shard the canonical
@@ -23,7 +28,9 @@ from .ffpoly import FieldSpec, format_poly
 from .numsgp import from_generators
 
 MAX_VERIFY_DEGREE = 20
-MAX_COUNT_DEGREE = 1000  # closed-form rows: time grows about as N^2.2, row values as 2^n
+# closed-form and class-group rows; time grows about as N^2.2 for the closed
+# forms and N^3 for the class group (big-integer series products), row values as q^n
+MAX_COUNT_DEGREE = 1000
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
 
@@ -215,42 +222,75 @@ def _scan_counts(args, ctx, degrees):
 # _emit renders the rows as CSV or JSON.
 
 
+def _count_engine(ctx, degrees):
+    # count's route for a context without closed forms, chosen from numbers
+    # known before any heavy work: the members the scan would visit, and
+    # for the class-group engine max(|Q|^2, C(|Q|-1+K, K)) steps, the
+    # product table and the type bound, K = min(D(Q)-1, N).  Q is built (D(Q)
+    # costs about |Q| residue products) only when |Q|^2 is below the scan's
+    # members.  Returns the ClassGroup when the engine is cheaper, None for
+    # the scan, and raises ValueError when both pass MAX_SCAN.  The engine's
+    # module is imported only here, so no other command pays for loading it.
+    from . import classgroup
+
+    top = degrees[-1]
+    members = sgalg.scan_members(ctx, degrees)
+    genus = ctx.semigroup.genus
+    # |Q| = p^genus >= 2^genus: from genus 25 on, |Q|^2 passes any capped
+    # member count, so that power is never formed
+    if top <= MAX_COUNT_DEGREE and genus < sgalg.MAX_SCAN.bit_length():
+        order = ctx.field.p ** genus
+        if order ** 2 < members:
+            group = classgroup.ClassGroup(ctx)
+            steps = max(order ** 2, classgroup.type_bound(group, top))
+            if steps < members:  # members reads MAX_SCAN + 1 once over the cap
+                return group
+    if members <= sgalg.MAX_SCAN:
+        return None
+    engine = (f"class-group counts stop at degree {MAX_COUNT_DEGREE}" if top > MAX_COUNT_DEGREE
+              else f"more than {sgalg.MAX_SCAN} class-group steps")
+    raise ValueError(
+        f"counting to degree {top} needs more than {sgalg.MAX_SCAN} member scans and {engine}")
+
+
 def cmd_count(args):
     ctx = _context(args)
-    friendly = ctx.is_friendly
     degrees = range(2, args.max_degree + 1)
-    if friendly:
+    if ctx.is_friendly:
         if args.max_degree > MAX_COUNT_DEGREE:
             return _fail(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
-        scans = {}
+        rows = [counting.friendly_count_row(n) for n in degrees]
     else:
         try:
-            sgalg.prepare_scans(ctx, degrees)
+            group = _count_engine(ctx, degrees)
+            if group is None:
+                sgalg.prepare_scans(ctx, degrees)
         except ValueError as exc:
             return _fail(exc)
-        scans = dict(zip(degrees, _scan_counts(args, ctx, degrees)))
-    rows = []
-    for n in degrees:
-        if friendly:
-            r = counting.friendly_count_row(n)
+        if group is None:
+            counts = _scan_counts(args, ctx, degrees)
         else:
+            from . import classgroup  # loaded by _count_engine already
+
+            rows = classgroup.degree_counts(group, args.max_degree)[2:]
+            counts = [sgalg.ClassCounts(*row) for row in rows]
+        rows = []
+        for n, c in zip(degrees, counts):
             size = sgalg.member_count(ctx, n)
-            c = scans[n]
-            r = counting.CountRow(
+            rows.append(counting.CountRow(
                 n, counting.count_aq(n, args.q),
                 counting.count_s(n) if args.q == 2 else None,
                 c.classic, c.tame, c.wild, c.total, size,
                 Fraction(c.total, size) if size else None,
-            )
-        d = r.density
-        rows.append((
-            n, r.a, r.s, r.b_c, r.b_t, r.b_w, r.b, r.algebra_size,
-            None if d is None else f"{d.numerator}/{d.denominator}",
-            None if d is None else round(float(d), 6),
-        ))
+            ))
     fields = ("n", "a", "s", "b_c", "b_t", "b_w", "b", "algebra_size",
               "density", "density_float")
-    _emit(args, fields, rows)
+    _emit(args, fields, [
+        (r.n, r.a, r.s, r.b_c, r.b_t, r.b_w, r.b, r.algebra_size,
+         None if r.density is None else f"{r.density.numerator}/{r.density.denominator}",
+         None if r.density is None else round(float(r.density), 6))
+        for r in rows
+    ])
     return 0
 
 

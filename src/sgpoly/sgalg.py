@@ -26,6 +26,11 @@ uses one only when it pays (see table_pays) and otherwise calls
 factor_fq per member.  prepare_scans admits every scan: it refuses
 a degree over MAX_SCAN members and is the one builder of tables (at most
 MAX_SCAN entries); the scan itself only reads the cache.
+
+Scans are brute force and never consult the class group of `classgroup`,
+which counts whole degrees from the types of irreducibles instead; the
+CLI's `count` runs a scan only where that engine would cost more, and
+`verify` and `enumerate` always scan, so each route checks the other.
 """
 
 from __future__ import annotations
@@ -571,6 +576,19 @@ def _over_scan_guard(ctx, n):
         return False
     k = _free_count(ctx, n)
     return k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN
+
+
+def scan_members(ctx, degrees):
+    """Monic members a scan of ctx at degrees visits, read as MAX_SCAN + 1
+    once the total passes MAX_SCAN (so no huge power is ever formed)."""
+    total = 0
+    for n in degrees:
+        if _over_scan_guard(ctx, n):
+            return MAX_SCAN + 1
+        total += member_count(ctx, n)
+        if total > MAX_SCAN:
+            return MAX_SCAN + 1
+    return total
 
 
 def prepare_scans(ctx, degrees):

@@ -143,16 +143,55 @@ def test_verify_natural_semigroup_holds_its_bounds(capsys):
 
 
 def test_scan_guard_has_one_message(capsys):
-    # F_3[x^2,x^3] has 3^16 > 2^24 members at degree 17: count and verify
-    # refuse with the same line as enumerate, before any row
+    # F_3[x^2,x^3] has 3^16 > 2^24 members at degree 17: verify refuses
+    # with the same line as enumerate, before any row
     from sgpoly import cli
 
-    for argv in (["count", "--q", "3", "--max-degree", "18"],
-                 ["verify", "--q", "3", "--max-degree", "18"],
+    for argv in (["verify", "--q", "3", "--max-degree", "18"],
                  ["enumerate", "--q", "3", "--degree", "17"]):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == (
             "", "error: degree 17 needs more than 16777216 member scans\n")
+
+
+def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
+    # F_3[<9,...,17>] has 3^32 members at degree 40, and its class group
+    # 3^8 classes; count refuses with one line before any table or class
+    # group is built
+    from sgpoly import classgroup, cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    monkeypatch.setattr(classgroup, "ClassGroup", refuse)
+    wide = "9,10,11,12,13,14,15,16,17"
+    assert cli.main(["count", "--q", "3", "--sgp", wide, "--max-degree", "40"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: counting to degree 40 needs more than 16777216 member scans "
+        "and more than 16777216 class-group steps\n"))
+    # over the degree cap the engine is no route, so a scan over the cap is refused
+    assert cli.main(["count", "--q", "3", "--max-degree", "1001"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: counting to degree 1001 needs more than 16777216 member scans "
+        "and class-group counts stop at degree 1000\n"))
+
+
+def test_count_q3_to_degree_16_comes_from_the_class_group(monkeypatch, capsys):
+    # 3^15 members at degree 16 pass the member guard, and scanning them
+    # takes about 25 minutes; the engine answers without a scan, with the
+    # scan's rows where both run
+    from sgpoly import AlgebraContext, FieldSpec, cli, from_generators, sgalg
+
+    with monkeypatch.context() as m:
+        m.setattr(sgalg, "_scan", lambda *args: pytest.fail("count scanned"))
+        assert cli.main(["count", "--q", "3", "--max-degree", "16"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 16
+    ctx = AlgebraContext(FieldSpec(3), from_generators((2, 3)))
+    for line, n in zip(rows[1:10], range(2, 11)):
+        c = sgalg.count_classes(ctx, n)
+        assert line.split(",")[3:7] == [str(v) for v in c.as_tuple()], n
 
 
 def test_generator_limit_refuses_before_building(monkeypatch, capsys):
@@ -288,7 +327,7 @@ def test_workers_are_clamped_to_the_cpus(monkeypatch, capsys):
 
     from sgpoly import cli
 
-    argv = ["count", "--sgp", "3,4,5", "--max-degree", "15"]
+    argv = ["verify", "--sgp", "3,4,5", "--max-degree", "15"]
     assert cli.main(argv + ["--workers", "1"]) == 0
     serial = capsys.readouterr()
     pools = []
@@ -340,8 +379,8 @@ def test_count_builds_the_table_once(monkeypatch, capsys):
     monkeypatch.setattr(sgalg, "_TABLES", {})
     real = sgalg._basep_tables
     monkeypatch.setattr(sgalg, "_basep_tables", lambda *a: builds.append(a) or real(*a))
-    assert cli.main(["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "8"]) == 0
-    assert cli.main(["count", "--sgp", "3,4,5", "--max-degree", "12"]) == 0
+    assert cli.main(["verify", "--q", "3", "--sgp", "3,4,5", "--max-degree", "8"]) == 0
+    assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "12"]) == 0
     assert cli.main(["verify", "--max-degree", "13"]) == 0
     capsys.readouterr()
     assert builds == [(3, 8), (2, 12), (2, 13)]
@@ -485,7 +524,7 @@ def test_scan_determinism_across_workers(tmp_path):
     for workers in ("1", "3"):
         path = tmp_path / f"scan-w{workers}.csv"
         run_cli(
-            "count", "--sgp", "3,4,5", "--max-degree", "14",
+            "verify", "--sgp", "3,4,5", "--max-degree", "14",
             "--workers", workers, "--output", str(path),
         )
         paths.append(path.read_bytes())
@@ -508,8 +547,8 @@ def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
     for argv in (
-        ["count", "--sgp", "3,4,5", "--max-degree", "15"],  # degrees 14 and 15 pooled
-        ["count", "--q", "3", "--sgp", "3,4,5", "--max-degree", "11"],  # 10 and 11
+        ["verify", "--sgp", "3,4,5", "--max-degree", "15"],  # degrees 14 and 15 pooled
+        ["verify", "--q", "3", "--sgp", "3,4,5", "--max-degree", "11"],  # 10 and 11
     ):
         with monkeypatch.context() as m:
             assert cli.main(argv + ["--workers", "1"]) == 0
