@@ -27,6 +27,8 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
+from .counting import count_aq
+
 
 class ClassGroup:
     """Q = G1/H1 of an AlgebraContext, its classes numbered 0 .. order-1.
@@ -134,11 +136,68 @@ def _log(n, p):
     return e
 
 
-def type_bound(group, max_degree):
-    """C(|Q|-1+K, K) with K = min(D(Q)-1, max_degree): the multisets of at
-    most K non-identity classes, a bound on the types degree_counts lists."""
-    k = min(group.davenport - 1, max_degree)
-    return comb(group.order - 1 + k, k)
+# What the engine spends, in microseconds (2-vCPU x86-64, Python 3.11),
+# per unit of the work estimated_us counts, timed over 20 (q, S, N) with q
+# up to 257, |Q| up to 257 and N up to 320:
+RESIDUE_US = 1.2  # a residue product in class_of (0.3-1.9 us)
+EULER_US = 0.4  # an inner step of the Euler-product recursion (0.05-0.4 us)
+NODE_US = 10  # a node of the type search (7-17 us)
+PRODUCT_US = 0.01  # a product of two packed series, per (bits/30)^log2(3) (9-12 ns)
+SERIES_US = 1.2e-4  # a shift-add of a packed series, per bit (0.1-0.15 ns)
+
+
+def setup_us(p, genus, w):
+    """Estimated microseconds for the class table (p^(2 genus) entries) and
+    the listing of the p^(w-1) 1-units below x^w: the least the engine
+    costs, known before Q is built.  Each class_of takes up to w products."""
+    return RESIDUE_US * w * (p ** (2 * genus) + p ** (w - 1))
+
+
+def node_bound(group, max_degree):
+    """A bound on the nodes degree_counts' search visits up to max_degree.
+
+    Nodes are multisets of at most K = min(D(Q)-1, max_degree-1)
+    non-identity classes that weigh at most max_degree - 1, a class weighing
+    its least irreducible degree.  No more classes weigh at most e than
+    F_q[x] has monic irreducibles P != x of degree at most e, so giving the
+    classes those least weights, in turn, only adds multisets.
+    """
+    n = max_degree
+    k_max = min(group.davenport - 1, n - 1)
+    ways = [[0] * n for _ in range(k_max + 1)]  # ways[k][t]: k classes weighing t
+    ways[0][0] = 1
+    left, e = group.order - 1, 1
+    while left and e < n:
+        c = min(left, count_aq(e, group.p) - (e == 1))  # classes weighing e
+        left -= c
+        new = [row[:] for row in ways]
+        for k, row in enumerate(ways):
+            for t, v in enumerate(row):
+                if v:
+                    for j in range(1, min(k_max - k, (n - 1 - t) // e) + 1):
+                        new[k + j][t + j * e] += v * comb(c + j - 1, j)
+        ways = new
+        e += 1
+    return sum(map(sum, ways))
+
+
+def estimated_us(group, max_degree):
+    """Estimated microseconds for degree_counts(group, max_degree), the
+    class table included.  Beside setup_us: the Euler product's
+    N^2 + N (w-1) |Q|^2 steps; node_bound nodes, each searched once and
+    closing at most one atom, with one product of packed series for each;
+    and the per-class series, about |Q| N top^2 / 2 shift-adds of
+    (N+1)-slot series, top = min(D(Q), N).  A packed series has
+    (N+1) (N log2 q + 2) bits, and CPython multiplies such integers in
+    time (bits/30)^log2(3)."""
+    n, order, w = max_degree, group.order, group.w
+    nodes = node_bound(group, n)
+    top = min(group.davenport, n)
+    size = (n + 1) * ((group.p ** n).bit_length() + 1)  # bits of a packed series
+    return (setup_us(group.p, len(group.gaps), w)
+            + EULER_US * n * (n + (w - 1) * order ** 2)
+            + nodes * (NODE_US + 2 * PRODUCT_US * (size / 30) ** 1.585)
+            + SERIES_US * order * n * top * (top + 1) / 2 * size)
 
 
 def irreducible_class_counts(group, max_degree):
@@ -197,13 +256,14 @@ def irreducible_class_counts(group, max_degree):
 
 
 def _membership_sets(group):
-    # T[a] for 0 <= a <= F + m(S): the classes c with x^a * c a member
+    # T[a] for 0 <= a <= max(F + m(S), 1): the classes c with x^a * c a
+    # member (S = N has F = -1, and still needs a = 1 for the atom x)
     sgp = group.ctx.semigroup
     p, w = group.p, group.w
     gapset = set(group.gaps)
     everything = frozenset(range(group.order))
     out = []
-    for a in range(sgp.frobenius + sgp.min_generators[0] + 1):
+    for a in range(max(sgp.frobenius + sgp.min_generators[0], 1) + 1):
         if a == 0:
             out.append(frozenset((0,)))
         elif a in gapset:
@@ -218,43 +278,69 @@ def _membership_sets(group):
     return out
 
 
+def _search(group, weights, budget):
+    # Depth-first, in the order of sorted tuples (a node's prefixes come
+    # before it), over the product-one-free multisets U of non-identity
+    # classes weighing at most budget.  Yields (U, ms, closing): ms lists
+    # the m >= 1 for which x^m times classes U is irreducible, and closing
+    # is the class g = sigma(U)^-1 when U * g is an atom whose largest class
+    # is g and that weighs at most budget + 1, else None.  An atom A has a
+    # product-one-free A minus any one class, so it is closed exactly once,
+    # at A minus one copy of its largest class.  Only the current path is
+    # kept, each node with its set of subset products.
+    table, inverse, order = group.table, group.inverse, group.order
+    member = _membership_sets(group)
+    # per m >= 1: the pairs (T_a, T_(m-a)), 0 < a < m, that could split x^m * U
+    splits = [[(member[a], member[m - a]) for a in range(1, m) if member[a] and member[m - a]]
+              for m in range(len(member))]
+
+    def node(u, weight, sigma, sums):
+        row = table[sigma]
+        ms = [m for m in range(1, len(member))
+              if sigma in member[m]
+              and not any(s in ta and row[inverse[s]] in tb
+                          for ta, tb in splits[m] for s in sums)]
+        g = inverse[sigma]
+        closing = g if u and g >= u[-1] and weight + weights[g] <= budget + 1 else None
+        return u, ms, closing
+
+    root = ((), 0, 0, frozenset((0,)))
+    yield node(*root)
+    stack = [[*root, 1]]  # each frame: u, weight, sigma, sums, next class to try
+    while stack:
+        frame = stack[-1]
+        u, weight, sigma, sums, g = frame
+        # u * g has a product-one part exactly when g^-1 is a subset product
+        while g < order and (weight + weights[g] > budget or inverse[g] in sums):
+            g += 1
+        if g == order:
+            stack.pop()
+            continue
+        frame[4] = g + 1
+        shifted = table[g]
+        child = (u + (g,), weight + weights[g], table[sigma][g],
+                 sums | {shifted[s] for s in sums})
+        yield node(*child)
+        stack.append([*child, g])
+
+
 def atom_types(group, weights, budget):
     """The irreducible types whose classes weigh at most budget (+1 for atoms).
 
     Returns (nodes, atoms).  nodes maps every product-one-free multiset U
     of non-identity classes whose weights sum to at most budget (a sorted
-    tuple, listed by a depth-first search that carries U's set of subset
-    products) to the m >= 1 for which x^m times classes U is irreducible.
+    tuple) to the m >= 1 for which x^m times classes U is irreducible.
     atoms is the set of minimal product-one multisets that weigh at most
     budget + 1: each is U * sigma(U)^-1 for a nonempty node U, or the
     identity alone.  With every weight 1 and budget D(Q) - 1, that is every
-    type; degree_counts weighs a class by its least irreducible degree.
+    type.  degree_counts walks the same search without keeping it.
     """
-    table, inverse = group.table, group.inverse
-    member = _membership_sets(group)
-    # per m >= 1: the pairs (T_a, T_(m-a)), 0 < a < m, that could split x^m * U
-    splits = [[(member[a], member[m - a]) for a in range(1, m) if member[a] and member[m - a]]
-              for m in range(len(member))]
     nodes = {}
     atoms = {(0,)} if weights[0] <= budget + 1 else set()
-
-    def visit(u, weight, sigma, sums):
-        row = table[sigma]
-        nodes[u] = [
-            m for m in range(1, len(member))
-            if sigma in member[m]
-            and not any(s in ta and row[inverse[s]] in tb
-                        for ta, tb in splits[m] for s in sums)
-        ]
-        if u and weight + weights[inverse[sigma]] <= budget + 1:
-            atoms.add(tuple(sorted(u + (inverse[sigma],))))
-        for g in range(u[-1] if u else 1, group.order):
-            # u * g has a product-one part exactly when g^-1 is a subset product
-            if weight + weights[g] <= budget and inverse[g] not in sums:
-                shifted = table[g]
-                visit(u + (g,), weight + weights[g], row[g], sums | {shifted[s] for s in sums})
-
-    visit((), 0, 0, frozenset((0,)))
+    for u, ms, closing in _search(group, weights, budget):
+        nodes[u] = ms
+        if closing is not None:
+            atoms.add(u + (closing,))
     return nodes, atoms
 
 
@@ -266,9 +352,10 @@ def degree_counts(group, max_degree):
     tame: m > 0; wild: the rest), with the largest m and k among the
     degree's irreducibles (0 when there are none).
 
-    The types come from atom_types, a class weighing the least degree of
-    its irreducibles, so only types with members up to max_degree are
-    listed.  Each class c gets the generating function
+    The types come from the search behind atom_types, a class weighing
+    the least degree of its irreducibles, so only types with members up to
+    max_degree are visited, and none is kept once the search leaves it.
+    Each class c gets the generating function
     prod_d (1 - t u^d)^(-N_d(c)) of multisets of its irreducibles, kept for
     t^0 .. t^min(D(Q), max_degree); a type's members are the product of its
     classes' coefficients, shifted by u^m.  Each multiset's product is
@@ -283,7 +370,6 @@ def degree_counts(group, max_degree):
     counts = [[by_degree[d][c] for d in range(1, n + 1)] for c in range(group.order)]
     # a class weighs its least irreducible degree, or n+1 without one up to n
     weights = [next((d for d, v in enumerate(row, 1) if v), n + 1) for row in counts]
-    nodes, atoms = atom_types(group, weights, n - 1)
     bits = (group.p ** n).bit_length() + 1
     mask = (1 << (n + 1) * bits) - 1
 
@@ -301,29 +387,24 @@ def degree_counts(group, max_degree):
                     e[k] = add
         series.append(e)
 
-    def split(u):
-        # u is its longest prefix without u's last class, a node, then that class
-        run = len(u) - u.index(u[-1])
-        return len(u) - run, u[-1], run
-
-    ending = {}  # node -> (class, run) of each atom that node and run make up
-    for a in atoms:
-        depth, c, run = split(a)
-        ending.setdefault(a[:depth], []).append((c, run))
-
     by_shape = {}  # (m, k) -> packed member counts
+    if weights[0] <= n:  # the atoms of the identity class alone
+        by_shape[0, 1] = series[0][1]
     path = [1]  # path[i]: the product of the current node's first i classes
-    for u, ms in nodes.items():  # depth-first order: a node's prefixes come before it
+    for u, ms, closing in _search(group, weights, n - 1):
+        k = len(u)
         if u:
-            depth, c, run = split(u)
-            del path[len(u):]
-            path.append(path[depth] * series[c][run] & mask)
-        prod_u = path[-1]
+            # u is its prefix without its run of its last class, then that run
+            c = u[-1]
+            run = k - u.index(c)
+            del path[k:]
+            path.append(path[k - run] * series[c][run] & mask)
         for m in ms:
-            by_shape[m, len(u)] = by_shape.get((m, len(u)), 0) + (prod_u << m * bits)
-        for c, run in ending.get(u, ()):
-            k = len(u) + run
-            by_shape[0, k] = by_shape.get((0, k), 0) + (prod_u * series[c][run] & mask)
+            by_shape[m, k] = by_shape.get((m, k), 0) + (path[k] << m * bits)
+        if closing is not None:
+            run = k + 1 - (u + (closing,)).index(closing)
+            by_shape[0, k + 1] = (by_shape.get((0, k + 1), 0)
+                                  + (path[k + 1 - run] * series[closing][run] & mask))
 
     slot = (1 << bits) - 1
     out = []

@@ -223,34 +223,43 @@ def _scan_counts(args, ctx, degrees):
 
 
 def _count_engine(ctx, degrees):
-    # count's route for a context without closed forms, chosen from numbers
-    # known before any heavy work: the members the scan would visit, and
-    # for the class-group engine max(|Q|^2, C(|Q|-1+K, K)) steps, the
-    # product table and the type bound, K = min(D(Q)-1, N).  Q is built (D(Q)
-    # costs about |Q| residue products) only when |Q|^2 is below the scan's
-    # members.  Returns the ClassGroup when the engine is cheaper, None for
-    # the scan, and raises ValueError when both pass MAX_SCAN.  The engine's
-    # module is imported only here, so no other command pays for loading it.
+    # count's route for a context without closed forms: the class group when
+    # its estimated time (classgroup.estimated_us) is below the scan's
+    # (sgalg.scan_us) and below the time of MAX_SCAN table-route member
+    # scans, else the scan.  Both estimates come before any heavy work: Q
+    # is built (D(Q) costs about |Q| w residue products) only when its
+    # class table and residue listing alone, each at most MAX_SCAN entries,
+    # would cost less.  Returns the ClassGroup for the engine, None for the
+    # scan, and raises ValueError, naming both reasons, when the scan is
+    # refused and the engine passes its cap.  The engine's module is
+    # imported only here, so no other command pays for loading it.
     from . import classgroup
 
-    top = degrees[-1]
-    members = sgalg.scan_members(ctx, degrees)
-    genus = ctx.semigroup.genus
-    # |Q| = p^genus >= 2^genus: from genus 25 on, |Q|^2 passes any capped
-    # member count, so that power is never formed
-    if top <= MAX_COUNT_DEGREE and genus < sgalg.MAX_SCAN.bit_length():
-        order = ctx.field.p ** genus
-        if order ** 2 < members:
+    try:
+        scan, refused = sgalg.scan_us(ctx, degrees), None
+    except ValueError as exc:
+        scan, refused = None, exc
+    cap = sgalg.MAX_SCAN * sgalg.SCAN_US
+    limit = cap if scan is None else min(scan, cap)
+    top, p = degrees[-1], ctx.field.p
+    genus, w = ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
+    if top > MAX_COUNT_DEGREE:
+        why = f"class-group counts stop at degree {MAX_COUNT_DEGREE}"
+    # p^(w-1) >= 2^(w-1) residues, and genus < w, so the powers are formed
+    # only below the cap
+    elif w - 1 >= sgalg.MAX_SCAN.bit_length() or max(p ** (2 * genus), p ** (w - 1)) > sgalg.MAX_SCAN:
+        why = f"a class group with more than {sgalg.MAX_SCAN} table entries or residues"
+    else:
+        estimate = classgroup.setup_us(p, genus, w)
+        if estimate < limit:
             group = classgroup.ClassGroup(ctx)
-            steps = max(order ** 2, classgroup.type_bound(group, top))
-            if steps < members:  # members reads MAX_SCAN + 1 once over the cap
+            estimate = classgroup.estimated_us(group, top)
+            if estimate < limit:
                 return group
-    if members <= sgalg.MAX_SCAN:
+        why = f"a class-group count estimated at {estimate / 1e6:.0f} s (cap {cap / 1e6:.0f} s)"
+    if refused is None:
         return None
-    engine = (f"class-group counts stop at degree {MAX_COUNT_DEGREE}" if top > MAX_COUNT_DEGREE
-              else f"more than {sgalg.MAX_SCAN} class-group steps")
-    raise ValueError(
-        f"counting to degree {top} needs more than {sgalg.MAX_SCAN} member scans and {engine}")
+    raise ValueError(f"{refused}, and {why}")
 
 
 def cmd_count(args):

@@ -401,6 +401,13 @@ def find_subproduct(polys, clear_below):
 
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
 TABLE_RATIO = 512  # a p > 2 table pays with at least one member per this many entries
+# What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
+# a member factored by table lookups (8-21 us over F_2, F_3, F_5, F_7), a
+# member factored by factor_fq (208-450 us over F_3, F_257, F_4099), and
+# one factor-table entry built (0.3-0.9 us); see scan_us
+SCAN_US = 15
+FACTORED_US = 300
+ENTRY_US = 0.6
 
 # p -> (degree, (spf, cof)), see prepare_factor_table
 _TABLES: dict = {}
@@ -445,15 +452,21 @@ def prepare_factor_table(p, max_degree):
     would exceed MAX_SCAN entries.  Scans get their table only through
     prepare_scans, the one builder.
     """
+    _table_guard(p, max_degree)
+    if _TABLES.get(p, (-1,))[0] < max_degree:
+        _TABLES[p] = (max_degree, _basep_tables(p, max_degree))
+    return _TABLES[p][1]
+
+
+def _table_guard(p, max_degree):
+    # the entries of the table up to max_degree; ValueError over the cap
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
         raise ValueError(
             f"a degree-{max_degree} factor table over F_{p} needs {entries} entries "
             f"(cap is {MAX_SCAN})"
         )
-    if _TABLES.get(p, (-1,))[0] < max_degree:
-        _TABLES[p] = (max_degree, _basep_tables(p, max_degree))
-    return _TABLES[p][1]
+    return entries
 
 
 def cached_factor_table(p):
@@ -578,17 +591,17 @@ def _over_scan_guard(ctx, n):
     return k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN
 
 
-def scan_members(ctx, degrees):
-    """Monic members a scan of ctx at degrees visits, read as MAX_SCAN + 1
-    once the total passes MAX_SCAN (so no huge power is ever formed)."""
-    total = 0
+def _table_degree(ctx, degrees):
+    # the highest member degree whose scan uses a table (see table_pays),
+    # 0 for none; ValueError for a degree over MAX_SCAN members or a table
+    # over the cap, decided before any work
     for n in degrees:
         if _over_scan_guard(ctx, n):
-            return MAX_SCAN + 1
-        total += member_count(ctx, n)
-        if total > MAX_SCAN:
-            return MAX_SCAN + 1
-    return total
+            raise ValueError(f"degree {n} needs more than {MAX_SCAN} member scans")
+    top = max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
+    if top:
+        _table_guard(ctx.field.p, top)
+    return top
 
 
 def prepare_scans(ctx, degrees):
@@ -599,12 +612,26 @@ def prepare_scans(ctx, degrees):
     highest member degree whose scan uses one (see table_pays), or raises
     prepare_factor_table's ValueError when it would pass the cap.
     """
-    for n in degrees:
-        if _over_scan_guard(ctx, n):
-            raise ValueError(f"degree {n} needs more than {MAX_SCAN} member scans")
-    top = max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
+    top = _table_degree(ctx, degrees)
     if top:
         prepare_factor_table(ctx.field.p, top)
+
+
+def scan_us(ctx, degrees):
+    """Estimated microseconds for one process to scan ctx at degrees.
+
+    Each member costs SCAN_US on the table route and FACTORED_US through
+    factor_fq, and the table prepare_scans would build costs ENTRY_US an
+    entry (nothing when one is cached).  Raises prepare_scans's ValueError,
+    before any work, for scans it would refuse.
+    """
+    p = ctx.field.p
+    top = _table_degree(ctx, degrees)
+    cached = _TABLES.get(p, (0,))[0]
+    us = table_entries(p, top) * ENTRY_US if top > cached else 0
+    covered = max(top, cached)  # every degree a table covers is factored by it
+    return us + sum(member_count(ctx, n) * (SCAN_US if n <= covered else FACTORED_US)
+                    for n in degrees)
 
 
 def _index_range(ctx, n, lo, hi):

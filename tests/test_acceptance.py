@@ -263,7 +263,7 @@ def test_criterion_11_worker_determinism(tmp_path):
             path = tmp_path / f"acc-scan-w{workers}.csv"
             proc = subprocess.run(
                 SGPOLY + [
-                    "count", "--sgp", "3,4,5", "--max-degree", "14",
+                    "verify", "--sgp", "3,4,5", "--max-degree", "14",
                     "--workers", workers, "--output", str(path),
                 ],
                 capture_output=True, text=True, timeout=600,

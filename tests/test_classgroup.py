@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgpoly import AlgebraContext, FieldSpec, b_counts, count_classes, from_generators, member_count
-from sgpoly.classgroup import ClassGroup, atom_types, degree_counts, type_bound
+from sgpoly.classgroup import (
+    ClassGroup, atom_types, degree_counts, estimated_us, irreducible_class_counts, node_bound,
+)
 from oracles import divisor_scan_verdict, monic_members
 
 
@@ -14,7 +16,7 @@ def group_of(q, gens):
 
 
 # (q, generators, top degree): every case the engine must match bucket by
-# bucket, with max_m and max_k, at every degree from 2 up to the top
+# bucket, with max_m and max_k, at every degree from 1 up to the top
 BRUTE_FORCE_CASES = [
     (2, (2, 3), 14), (2, (3, 4, 5), 14), (2, (2, 5), 14), (2, (3, 5, 7), 14),
     (2, (4, 5, 6, 7), 14), (2, (5, 6, 7, 8, 9), 14), (2, (1,), 14),
@@ -27,7 +29,7 @@ BRUTE_FORCE_CASES = [
 def test_engine_matches_brute_force(q, gens, top):
     group = group_of(q, gens)
     rows = degree_counts(group, top)
-    for n in range(2, top + 1):
+    for n in range(1, top + 1):  # degree 1 holds x and x - c over F_q[x]
         c = count_classes(group.ctx, n)
         assert rows[n] == (c.classic, c.tame, c.wild, c.total, c.max_m, c.max_k), n
 
@@ -44,7 +46,7 @@ STRUCTURE = [
     (3, (3, 4, 5), 9, 5, 69, 555),
     (3, (2, 5), 9, 9, 119, 570),
     (5, (2, 3), 5, 5, 15, 50),
-    (2, (1,), 1, 1, 1, 0),
+    (2, (1,), 1, 1, 1, 1),  # the m >= 1 type is x itself
 ]
 
 
@@ -57,7 +59,20 @@ def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
     # Olson's D(Q) is the length of the longest atom the search lists
     assert max(map(len, found)) == davenport
     assert (len(found), sum(map(len, nodes.values()))) == (atoms, tame)
-    assert type_bound(group, 100) >= len(nodes)
+    # node_bound caps the nodes degree_counts' search visits at every degree
+    for n in (2, 4, 7, 11):
+        counts = irreducible_class_counts(group, n)
+        weights = [next((d for d in range(1, n + 1) if counts[d][c]), n + 1)
+                   for c in range(order)]
+        assert len(atom_types(group, weights, n - 1)[0]) <= node_bound(group, n), n
+
+
+def test_estimate_grows_with_the_degree():
+    # the engine's time grows about as N^3 (products of (N+1)-slot series
+    # of N log2 q bits a slot), and so must the estimate that admits it
+    group = group_of(3, (3, 4, 5))
+    estimates = [estimated_us(group, n) for n in (125, 250, 500, 1000)]
+    assert all(later > 6 * earlier for earlier, later in zip(estimates, estimates[1:]))
 
 
 # every numerical semigroup with Frobenius number at most 4, by its gaps

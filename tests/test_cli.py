@@ -155,26 +155,37 @@ def test_scan_guard_has_one_message(capsys):
 
 
 def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
-    # F_3[<9,...,17>] has 3^32 members at degree 40, and its class group
-    # 3^8 classes; count refuses with one line before any table or class
-    # group is built
+    # count refuses with one line naming both routes' reasons, before any
+    # factor table, class table or count is built
     from sgpoly import classgroup, cli, sgalg
 
     def refuse(*args):
         raise AssertionError("work started before the refusal")
 
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
-    monkeypatch.setattr(classgroup, "ClassGroup", refuse)
-    wide = "9,10,11,12,13,14,15,16,17"
-    assert cli.main(["count", "--q", "3", "--sgp", wide, "--max-degree", "40"]) == 2
+    monkeypatch.setattr(classgroup.ClassGroup, "table", property(refuse))
+    monkeypatch.setattr(classgroup, "irreducible_class_counts", refuse)
+    # F_3[<9,...,17>] has 3^22 members at degree 24, and its class group
+    # 3^8 classes, so a class table of 3^16 entries: Q is not even built
+    with monkeypatch.context() as m:
+        m.setattr(classgroup, "ClassGroup", refuse)
+        wide = "9,10,11,12,13,14,15,16,17"
+        assert cli.main(["count", "--q", "3", "--sgp", wide, "--max-degree", "40"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: degree 24 needs more than 16777216 member scans, and a class "
+            "group with more than 16777216 table entries or residues\n"))
+        # over the degree cap the engine is no route, so a scan over the cap is refused
+        assert cli.main(["count", "--q", "3", "--max-degree", "1001"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: degree 17 needs more than 16777216 member scans, "
+            "and class-group counts stop at degree 1000\n"))
+    # the engine's estimate grows with the degree: 16 classes but a type
+    # search bounded by 490,314 nodes, each with a product of two
+    # 1001-slot series, is refused like a scan over the member cap
+    assert cli.main(["count", "--sgp", "5,6,7,8,9", "--max-degree", "1000"]) == 2
     assert capsys.readouterr() == ("", (
-        "error: counting to degree 40 needs more than 16777216 member scans "
-        "and more than 16777216 class-group steps\n"))
-    # over the degree cap the engine is no route, so a scan over the cap is refused
-    assert cli.main(["count", "--q", "3", "--max-degree", "1001"]) == 2
-    assert capsys.readouterr() == ("", (
-        "error: counting to degree 1001 needs more than 16777216 member scans "
-        "and class-group counts stop at degree 1000\n"))
+        "error: degree 29 needs more than 16777216 member scans, and a "
+        "class-group count estimated at 145414 s (cap 252 s)\n"))
 
 
 def test_count_q3_to_degree_16_comes_from_the_class_group(monkeypatch, capsys):

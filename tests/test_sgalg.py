@@ -434,6 +434,30 @@ def test_table_factorization_property(data):
     assert fac == factor_fq(f)
 
 
+def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
+    # scan_us prices what prepare_scans would do: the same refusals before
+    # any work, a table only when none is cached, and each member on the
+    # route its scan takes
+    def refuse(*args):
+        raise AssertionError("an estimate built a table")
+
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    ctx33 = AlgebraContext(f3, from_generators((2, 3)))
+    with pytest.raises(ValueError, match="^degree 17 needs more than 16777216 member scans$"):
+        sgalg.scan_us(ctx33, range(2, 19))
+    with pytest.raises(ValueError, match="cap is 16777216"):
+        sgalg.scan_us(AlgebraContext(f2, from_generators(range(9, 18))), range(2, 31))
+    ctx345 = AlgebraContext(f3, from_generators((3, 4, 5)))
+    members = sum(member_count(ctx345, n) for n in range(2, 10))
+    assert sgalg.scan_us(ctx345, range(2, 10)) == (
+        sgalg.table_entries(3, 9) * sgalg.ENTRY_US + members * sgalg.SCAN_US)
+    sgalg.install_factor_table(3, (9, None))
+    assert sgalg.scan_us(ctx345, range(2, 10)) == members * sgalg.SCAN_US
+    # degree 15 is past the table's cap, so its members go through factor_fq
+    assert sgalg.scan_us(ctx33, [15]) == member_count(ctx33, 15) * sgalg.FACTORED_US
+
+
 def test_factor_tables_are_capped(monkeypatch, f2, f3):
     # over MAX_SCAN entries no table is built: p = 2 entry points refuse,
     # and p > 2 scans factor with factor_fq instead
