@@ -33,6 +33,10 @@ MAX_VERIFY_DEGREE = 20
 MAX_COUNT_DEGREE = 1000
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
+# the longest class-group count admitted, in microseconds: MAX_SCAN member
+# scans at the 15 us a table-route member first cost, about 252 s; pinned
+# so that re-measuring sgalg.SCAN_US moves no input across it
+ENGINE_CAP_US = 15 * sgalg.MAX_SCAN
 
 
 class UsageError(Exception):
@@ -225,22 +229,21 @@ def _scan_counts(args, ctx, degrees):
 def _count_engine(ctx, degrees):
     # count's route for a context without closed forms: the class group when
     # its estimated time (classgroup.estimated_us) is below the scan's
-    # (sgalg.scan_us) and below the time of MAX_SCAN table-route member
-    # scans, else the scan.  Both estimates come before any heavy work: Q
-    # is built (D(Q) costs about |Q| w residue products) only when its
-    # class table and residue listing alone, each at most MAX_SCAN entries,
-    # would cost less.  Returns the ClassGroup for the engine, None for the
-    # scan, and raises ValueError, naming both reasons, when the scan is
-    # refused and the engine passes its cap.  The engine's module is
-    # imported only here, so no other command pays for loading it.
+    # (sgalg.scan_us) and below ENGINE_CAP_US, else the scan.  Both
+    # estimates come before any heavy work: Q is built (D(Q) costs about
+    # |Q| w residue products) only when its class table and residue
+    # listing alone, each at most MAX_SCAN entries, would cost less.
+    # Returns the ClassGroup for the engine, None for the scan, and raises
+    # ValueError, naming both reasons, when the scan is refused and the
+    # engine passes its cap.  The engine's module is imported only here,
+    # so no other command pays for loading it.
     from . import classgroup
 
     try:
         scan, refused = sgalg.scan_us(ctx, degrees), None
     except ValueError as exc:
         scan, refused = None, exc
-    cap = sgalg.MAX_SCAN * sgalg.SCAN_US
-    limit = cap if scan is None else min(scan, cap)
+    limit = ENGINE_CAP_US if scan is None else min(scan, ENGINE_CAP_US)
     top, p = degrees[-1], ctx.field.p
     genus, w = ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
     if top > MAX_COUNT_DEGREE:
@@ -256,7 +259,8 @@ def _count_engine(ctx, degrees):
             estimate = classgroup.estimated_us(group, top)
             if estimate < limit:
                 return group
-        why = f"a class-group count estimated at {estimate / 1e6:.0f} s (cap {cap / 1e6:.0f} s)"
+        why = (f"a class-group count estimated at {estimate / 1e6:.0f} s "
+               f"(cap {ENGINE_CAP_US / 1e6:.0f} s)")
     if refused is None:
         return None
     raise ValueError(f"{refused}, and {why}")

@@ -14,9 +14,15 @@ counting scan and the listing all call it, and only the witness split is
 ever multiplied out in full.  For every p a residue is an integer code
 mod p^w, and each context owns one residue ring (AlgebraContext.ring)
 that memoizes products and memberships in bounded memos, so scans over
-several degrees and repeated verdicts share them.  Scans handle members
-and factors as integer codes (`Polynomial.encoding`, which is the bitmask
-for p = 2) and factor members by lookup in a cached factor table, since
+several degrees and repeated verdicts share them.  Since the kernel reads
+a factor only through its residue, a scan decides each member's verdict
+once per residue signature, the sorted (residue, multiplicity) pairs of
+its factors, in one more bounded memo (AlgebraContext.no_split); that is
+exact, because members with one signature have one divisor lattice of
+residues.  At degree 16 the 32,768 members of F_2[x^2,x^3] have 747
+signatures.  Scans handle members and factors as integer codes
+(`Polynomial.encoding`, which is the bitmask for p = 2) and factor
+members by lookup in a cached factor table, since
 enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
 and a cofactor array over codes, and one factoring routine that reads
@@ -71,10 +77,27 @@ class AlgebraContext:
         """
         return _residue_ring(self)
 
+    @cached_property
+    def no_split(self):
+        """The scans' memoized verdict: key -> True when no member split exists.
+
+        key is a member's sorted (residue, multiplicity) pairs, one per
+        irreducible factor.  _member_splits reads a factor only through its
+        residue and reduce is idempotent, so it decides on the key itself
+        as on the factors, and whether any split exists does not depend on
+        their order.  The memo keeps at most MEMO_SIZE entries and, like
+        the ring, is left out of pickles.
+        """
+        ring = self.ring
+        return lru_cache(maxsize=MEMO_SIZE)(
+            lambda key: next(_member_splits(key, ring), None) is None)
+
     def __getstate__(self):
-        # the ring holds closures; an unpickled context builds its own
+        # the ring and the verdict memo hold closures; an unpickled context
+        # builds its own
         state = dict(self.__dict__)
         state.pop("ring", None)
+        state.pop("no_split", None)
         return state
 
 
@@ -169,9 +192,10 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
         yield Polynomial(ctx.field, tuple(coeffs))
 
 
-# entries each memo of a residue ring keeps: room for the products that recur
-# in small-q scans, and about 1.2 MB for the three memos (mul, member, digits)
-# of a q = 257 ring over <2,3> when products rarely repeat
+# entries each memo of a context keeps: room for the products and residue
+# signatures that recur in small-q scans, and about 1.2 MB for the three
+# memos (mul, member, digits) of a q = 257 ring over <2,3> when products
+# rarely repeat, plus about 0.8 MB for its scans' verdict memo (no_split)
 MEMO_SIZE = 1 << 11
 
 
@@ -402,12 +426,15 @@ def find_subproduct(polys, clear_below):
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
 TABLE_RATIO = 512  # a p > 2 table pays with at least one member per this many entries
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
-# a member factored by table lookups (8-21 us over F_2, F_3, F_5, F_7), a
-# member factored by factor_fq (208-450 us over F_3, F_257, F_4099), and
-# one factor-table entry built (0.3-0.9 us); see scan_us
-SCAN_US = 15
+# a member factored by table lookups with memoized verdicts (3-19 us over
+# F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a
+# member factored by factor_fq (208-450 us over F_3, F_257, F_4099), and,
+# building a factor table, one step of its Gray walks and one entry of its
+# addition tables; see scan_us and table_us
+SCAN_US = 8
 FACTORED_US = 300
-ENTRY_US = 0.6
+WALK_US = 0.27
+ADD_US = 0.063
 
 # p -> (degree, (spf, cof)), see prepare_factor_table
 _TABLES: dict = {}
@@ -617,18 +644,37 @@ def prepare_scans(ctx, degrees):
         prepare_factor_table(ctx.field.p, top)
 
 
+def table_us(p, degree):
+    """Estimated microseconds to build the factor table over F_p up to degree.
+
+    For each irreducible a of degree d <= degree/2, _basep_tables builds
+    a's addition table over d+1 digits (ADD_US an entry) and walks the
+    cofactors of every degree from d to degree-d (WALK_US a step); p^d/d,
+    an upper bound, stands for the number of such a.  The step counts grow
+    with the degree, and the addition tables with p: at degree 2 they cost
+    about p/2 entries per table entry.  Over p <= 257 and tables of up to
+    2.2M entries this came within 0.6-1.3x of the measured build.
+    """
+    us = 0
+    for d in range(1, degree // 2 + 1):
+        walk = sum(p ** e for e in range(d, degree - d + 1))
+        add = sum(p ** i for i in range(1, d + 2))
+        us += p ** d // d * (WALK_US * walk + ADD_US * add)
+    return us
+
+
 def scan_us(ctx, degrees):
     """Estimated microseconds for one process to scan ctx at degrees.
 
     Each member costs SCAN_US on the table route and FACTORED_US through
-    factor_fq, and the table prepare_scans would build costs ENTRY_US an
-    entry (nothing when one is cached).  Raises prepare_scans's ValueError,
+    factor_fq, and the table prepare_scans would build costs table_us
+    (nothing when one is cached).  Raises prepare_scans's ValueError,
     before any work, for scans it would refuse.
     """
     p = ctx.field.p
     top = _table_degree(ctx, degrees)
     cached = _TABLES.get(p, (0,))[0]
-    us = table_entries(p, top) * ENTRY_US if top > cached else 0
+    us = table_us(p, top) if top > cached else 0
     covered = max(top, cached)  # every degree a table covers is factored by it
     return us + sum(member_count(ctx, n) * (SCAN_US if n <= covered else FACTORED_US)
                     for n in degrees)
@@ -649,10 +695,14 @@ def _scan(ctx, n, lo, hi):
 
     Covers the members with index in [lo, hi) of enumerate_degree's order
     and factors each exactly once, by _member_factor.  Members and factors
-    are codes (`Polynomial.encoding`, the bitmask for p = 2).  (m, k) is the
-    factorization shape.  A degree over the guard, a bad degree or range,
-    or a factor table over the cap raises ValueError here rather than at
-    the first item.  An empty range or a gap degree builds no table.
+    are codes (`Polynomial.encoding`, the bitmask for p = 2).  Whether a
+    member splits is looked up in ctx.no_split under its factors' sorted
+    (residue, multiplicity) pairs: _member_splits reads factors only
+    through their residues, so the memoized verdict is the member's own.
+    (m, k), the factorization shape, comes from the factors themselves.
+    A degree over the guard, a bad degree or range, or a factor table over
+    the cap raises ValueError here rather than at the first item.  An
+    empty range or a gap degree builds no table.
     """
     if _over_scan_guard(ctx, n):  # before _index_range lists the positions
         prepare_scans(ctx, (n,))  # raises the guard's refusal
@@ -668,13 +718,13 @@ def _scan(ctx, n, lo, hi):
     hi_tab = _digit_table(free[half:], p)
     size = len(lo_tab)
     base = p ** n
-    ring = ctx.ring
+    reduce, no_split = ctx.ring[1], ctx.no_split
 
     def members():
         for i in range(lo, hi):
             f = base + lo_tab[i % size] + hi_tab[i // size]
             factors = factor(f)
-            if next(_member_splits(factors, ring), None) is None:
+            if no_split(tuple(sorted([(reduce(g), e) for g, e in factors]))):
                 m, k = _shape_of(factors, p)  # p is the code of x
                 yield f, factors, m, k
 

@@ -205,6 +205,21 @@ def test_count_q3_to_degree_16_comes_from_the_class_group(monkeypatch, capsys):
         assert line.split(",")[3:7] == [str(v) for v in c.as_tuple()], n
 
 
+def test_count_q67_degree_2_comes_from_the_class_group(monkeypatch, capsys):
+    # a degree-2 factor table over F_67 has 8,978 entries, but building it
+    # fills 67 addition tables of 67^2 entries each, so the scan costs more
+    # than the engine and count takes the engine, with the scan's row
+    from sgpoly import AlgebraContext, FieldSpec, cli, from_generators, sgalg
+
+    monkeypatch.setattr(sgalg, "_TABLES", {})  # no cached table prices the scan
+    with monkeypatch.context() as m:
+        m.setattr(sgalg, "_scan", lambda *args: pytest.fail("count scanned"))
+        assert cli.main(["count", "--q", "67", "--max-degree", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+    c = sgalg.count_classes(AlgebraContext(FieldSpec(67), from_generators((2, 3))), 2)
+    assert rows[1].split(",")[3:7] == [str(v) for v in c.as_tuple()]
+
+
 def test_generator_limit_refuses_before_building(monkeypatch, capsys):
     # building <g, g+1> costs time and memory as g^2, so generators over
     # 1000 are refused before any semigroup is built

@@ -451,7 +451,7 @@ def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
     ctx345 = AlgebraContext(f3, from_generators((3, 4, 5)))
     members = sum(member_count(ctx345, n) for n in range(2, 10))
     assert sgalg.scan_us(ctx345, range(2, 10)) == (
-        sgalg.table_entries(3, 9) * sgalg.ENTRY_US + members * sgalg.SCAN_US)
+        sgalg.table_us(3, 9) + members * sgalg.SCAN_US)
     sgalg.install_factor_table(3, (9, None))
     assert sgalg.scan_us(ctx345, range(2, 10)) == members * sgalg.SCAN_US
     # degree 15 is past the table's cap, so its members go through factor_fq
@@ -670,6 +670,53 @@ def test_member_splits_take_first_levels_without_products(friendly, f3):
             assert splits == expected
 
 
+# semigroups with F(S) <= 6, S = N included
+SIGNATURE_SEMIGROUPS = (
+    (1,), (2, 3), (3, 4, 5), (2, 5), (3, 5, 7), (4, 5, 6, 7), (2, 7), (3, 4), (4, 5, 7),
+    tuple(range(7, 14)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_memoized_verdicts_match_the_lattice_and_the_oracle(data):
+    # a scan decides each member once per sorted residue signature; its
+    # counts equal those of a per-member lattice with no verdict memo and
+    # the divisor-scan oracle's, whether the memo is cold (degrees scanned
+    # in turn) or warm, and a member's sorted and unsorted signatures get
+    # the same verdict
+    q = data.draw(st.sampled_from((2, 3, 5)))
+    gens = data.draw(st.sampled_from(SIGNATURE_SEMIGROUPS))
+    ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
+    # the oracle divides each member by every member of lower degree, so
+    # keep that product small; the highest such degree is drawn first
+    sizes = [member_count(ctx, n) for n in range(9)]
+    tops = [n for n in range(8, 0, -1) if sizes[n] and sizes[n] * sum(sizes[1:n]) <= 20000]
+    n = data.draw(st.sampled_from(tops))
+    scanned = [count_classes(ctx, d) for d in range(1, n + 1)][-1]
+    assert count_classes(ctx, n) == scanned
+    ring = sgalg._residue_ring(ctx)  # apart from ctx's, which the memo reads
+    shapes, by_oracle = [], 0
+    for f in enumerate_degree(ctx, n):
+        factors = [(g.encoding, e) for g, e in factor_fq(f).factors]
+        unsplit = next(sgalg._member_splits(factors, ring), None) is None
+        signature = [(ring[1](g), e) for g, e in factors]
+        for key in (sorted(signature), signature, signature[::-1]):
+            assert ctx.no_split(tuple(key)) == unsplit
+        if unsplit:
+            shapes.append(sgalg._shape_of(factors, q))  # q is the code of x
+        by_oracle += divisor_scan_verdict(ctx, f) == "irreducible"
+    direct = ClassCounts(
+        classic=shapes.count((0, 1)),
+        tame=sum(m > 0 for m, _ in shapes),
+        wild=sum(m == 0 and k > 1 for m, k in shapes),
+        total=len(shapes),
+        max_m=max((m for m, _ in shapes), default=0),
+        max_k=max((k for _, k in shapes), default=0),
+    )
+    assert scanned == direct and scanned.total == by_oracle
+
+
 def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
     built = []
     real = sgalg._residue_ring
@@ -688,8 +735,9 @@ def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
     assert len(built) == 1 and built[0] is ctx  # one ring, however it is used
     fresh = AlgebraContext(f3, from_generators(gens))
     assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert {"ring", "no_split"} <= set(vars(ctx))
     copy = pickle.loads(pickle.dumps(ctx))
-    assert "ring" not in vars(copy)  # the memo stays behind
+    assert not {"ring", "no_split"} & set(vars(copy))  # the memos stay behind
     assert copy == fresh and hash(copy) == hash(fresh)
     assert is_irreducible_in_algebra(copy, f) == verdicts[0]
     assert count_classes(copy, 8) == count_classes(fresh, 8)
@@ -702,8 +750,10 @@ def test_residue_memo_keeps_at_most_memo_size_entries(monkeypatch):
     monkeypatch.setattr(sgalg, "MEMO_SIZE", 16)
     ctx = AlgebraContext(field, from_generators(gens))
     bounded = [count_classes(ctx, n) for n in degrees]
-    assert [f.cache_info().currsize for f in ctx.ring[2:]] == [16, 16]
+    memos = [*ctx.ring[2:], ctx.no_split]
+    assert [f.cache_info().currsize for f in memos] == [16, 16, 16]
     monkeypatch.setattr(sgalg, "MEMO_SIZE", None)
     fresh = AlgebraContext(field, from_generators(gens))
     assert [count_classes(fresh, n) for n in degrees] == bounded
     assert fresh.ring[2].cache_info().currsize > 16
+    assert fresh.no_split.cache_info().currsize > 16
