@@ -18,8 +18,8 @@ degree_counts lists those types once and counts each degree's members of
 every type from the per-class counts of irreducibles, which come from the
 Euler product and need no factoring.  Nothing here decides a single
 polynomial, and the brute-force scans in sgalg never consult Q: the two
-routes share only the residue arithmetic of AlgebraContext.ring, so each
-checks the other.
+routes share only the residue arithmetic of AlgebraContext.ring, its
+membership test included, so each checks the other.
 """
 
 from __future__ import annotations
@@ -48,18 +48,13 @@ class ClassGroup:
         self.w = w = max(sgp.frobenius + 1, 1)
         self.gaps = sgp.gaps
         self._nongaps = [j for j in range(1, w) if sgp.contains(j)]
-        self._mul = ctx.ring[2] if self.gaps else None  # S = N leaves Q trivial
+        _, self._reduce, self._mul, self._member = ctx.ring
         reps = [1]
         for g in self.gaps:
             reps = [r + c * p ** g for c in range(p) for r in reps]
         self.reps = reps
         self.order = len(reps)
         self._index = {r: i for i, r in enumerate(reps)}
-
-    def _in_h1(self, code):
-        # the residue lies in H1 exactly when its gap coefficients are all 0
-        p = self.p
-        return all(code // p ** g % p == 0 for g in self.gaps)
 
     def class_of(self, code):
         """The class of a 1-unit residue code (constant coefficient 1)."""
@@ -78,7 +73,7 @@ class ClassGroup:
         tops = []  # per class other than 1: the least t with c^(p^t) = 1
         for code in self.reps[1:]:
             t = 0
-            while not self._in_h1(code):
+            while not self._member(code):  # H1 is the member 1-units
                 power, base, e = 1, code, p  # code^p by squaring
                 while e:
                     if e & 1:
@@ -259,23 +254,9 @@ def _membership_sets(group):
     # T[a] for 0 <= a <= max(F + m(S), 1): the classes c with x^a * c a
     # member (S = N has F = -1, and still needs a = 1 for the atom x)
     sgp = group.ctx.semigroup
-    p, w = group.p, group.w
-    gapset = set(group.gaps)
-    everything = frozenset(range(group.order))
-    out = []
-    for a in range(max(sgp.frobenius + sgp.min_generators[0], 1) + 1):
-        if a == 0:
-            out.append(frozenset((0,)))
-        elif a in gapset:
-            out.append(frozenset())
-        elif a >= w:
-            out.append(everything)
-        else:
-            out.append(frozenset(
-                c for c, rep in enumerate(group.reps)
-                if all(rep // p ** g % p == 0 for g in group.gaps if a + g in gapset)
-            ))
-    return out
+    reduce, member = group._reduce, group._member
+    return [frozenset(c for c, rep in enumerate(group.reps) if member(reduce(rep * group.p ** a)))
+            for a in range(max(sgp.frobenius + sgp.min_generators[0], 1) + 1)]
 
 
 def _search(group, weights, budget):

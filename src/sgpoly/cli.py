@@ -4,7 +4,8 @@ and the prime experiment, emitted as CSV or JSON.
 `count` answers F_2[x^2,x^3] from the paper's closed forms, and every other
 (q, S) from the cheaper of two exact routes, chosen before any heavy work
 (see _count_engine): the class-group engine (`classgroup`) or a brute-force
-scan.  `enumerate` and `verify` always scan.
+scan.  `enumerate` and `verify` always scan.  No command starts a scan or a
+count whose estimated time passes TIME_CAP_US.
 
 Exit status contract: 0 on success, 1 when a verification detects a
 mismatch, 2 on usage errors.  Identical configuration yields byte-identical
@@ -33,10 +34,11 @@ MAX_VERIFY_DEGREE = 20
 MAX_COUNT_DEGREE = 1000
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
-# the longest class-group count admitted, in microseconds: MAX_SCAN member
-# scans at the 15 us a table-route member first cost, about 252 s; pinned
-# so that re-measuring sgalg.SCAN_US moves no input across it
-ENGINE_CAP_US = 15 * sgalg.MAX_SCAN
+# the longest scan or class-group count admitted, by its estimated time in
+# microseconds: MAX_SCAN member scans at the 15 us a table-route member
+# first cost, about 252 s; pinned so that re-measuring sgalg.SCAN_US moves
+# no input across it
+TIME_CAP_US = 15 * sgalg.MAX_SCAN
 
 
 class UsageError(Exception):
@@ -220,6 +222,15 @@ def _scan_counts(args, ctx, degrees):
     return [counts[n] for n in degrees]
 
 
+def _scan_estimate(ctx, degrees):
+    # sgalg.scan_us of a command's scans; ValueError, before any work, for
+    # scans that prepare_scans refuses or that pass TIME_CAP_US
+    us = sgalg.scan_us(ctx, degrees)
+    if us > TIME_CAP_US:
+        raise ValueError(f"a scan estimated at {us / 1e6:.0f} s (cap {TIME_CAP_US / 1e6:.0f} s)")
+    return us
+
+
 # -- subcommands -------------------------------------------------------------
 #
 # Each command builds one tuple per row, in the order of its fields, and
@@ -229,21 +240,21 @@ def _scan_counts(args, ctx, degrees):
 def _count_engine(ctx, degrees):
     # count's route for a context without closed forms: the class group when
     # its estimated time (classgroup.estimated_us) is below the scan's
-    # (sgalg.scan_us) and below ENGINE_CAP_US, else the scan.  Both
+    # (_scan_estimate) and below TIME_CAP_US, else the scan.  Both
     # estimates come before any heavy work: Q is built (D(Q) costs about
     # |Q| w residue products) only when its class table and residue
     # listing alone, each at most MAX_SCAN entries, would cost less.
     # Returns the ClassGroup for the engine, None for the scan, and raises
     # ValueError, naming both reasons, when the scan is refused and the
-    # engine passes its cap.  The engine's module is imported only here,
+    # engine passes the cap.  The engine's module is imported only here,
     # so no other command pays for loading it.
     from . import classgroup
 
     try:
-        scan, refused = sgalg.scan_us(ctx, degrees), None
+        scan, refused = _scan_estimate(ctx, degrees), None
     except ValueError as exc:
         scan, refused = None, exc
-    limit = ENGINE_CAP_US if scan is None else min(scan, ENGINE_CAP_US)
+    limit = TIME_CAP_US if scan is None else scan
     top, p = degrees[-1], ctx.field.p
     genus, w = ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
     if top > MAX_COUNT_DEGREE:
@@ -260,7 +271,7 @@ def _count_engine(ctx, degrees):
             if estimate < limit:
                 return group
         why = (f"a class-group count estimated at {estimate / 1e6:.0f} s "
-               f"(cap {ENGINE_CAP_US / 1e6:.0f} s)")
+               f"(cap {TIME_CAP_US / 1e6:.0f} s)")
     if refused is None:
         return None
     raise ValueError(f"{refused}, and {why}")
@@ -320,6 +331,7 @@ def cmd_enumerate(args):
         _emit(args, fields, [])
         return 0
     try:
+        _scan_estimate(ctx, (n,))
         sgalg.prepare_scans(ctx, (n,))
     except ValueError as exc:
         return _fail(exc)
@@ -336,6 +348,7 @@ def cmd_verify(args):
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
     try:
+        _scan_estimate(ctx, degrees)
         sgalg.prepare_scans(ctx, degrees)
     except ValueError as exc:
         return _fail(exc)

@@ -7,13 +7,15 @@ factorization; that scan is exhaustive because membership survives exact
 division (if g and g*h are members and g(0) != 0, then h is a member
 too), so any algebra split is visible among those divisors.
 
-Every gap of S lies below w = F(S)+1, so whether a divisor is a member
-depends only on its residue mod x^w.  One kernel, `_member_splits`,
-decides every verdict on those residues: the per-polynomial API, the
-counting scan and the listing all call it, and only the witness split is
-ever multiplied out in full.  For every p a residue is an integer code
-mod p^w, and each context owns one residue ring (AlgebraContext.ring)
-that memoizes products and memberships in bounded memos, so scans over
+Every gap of S lies below w = F(S)+1, so whether a polynomial is a member
+depends only on its residue mod x^w: its digits at the gaps must all be
+zero.  For every p a residue is an integer code mod p^w, and each context
+owns one residue ring (AlgebraContext.ring) whose member, that gap-digit
+test, is the one membership test, is_member's too.  One kernel,
+`_member_splits`, decides every verdict on those residues: the
+per-polynomial API, the counting scan and the listing all call it, and
+only the witness split is ever multiplied out in full.  The ring memoizes
+products in bounded memos, so scans over
 several degrees and repeated verdicts share them.  Since the kernel reads
 a factor only through its residue, a scan decides each member's verdict
 once per residue signature, the sorted (residue, multiplicity) pairs of
@@ -168,9 +170,11 @@ class AlgebraVerdict:
 
 
 def is_member(ctx, f):
-    """Support-based membership: every exponent of f lies in S."""
-    contains = ctx.semigroup.contains
-    return all(contains(i) for i in f.support)
+    """Whether f lies in F_p[S], by the ring's gap-digit test; ValueError for another field."""
+    if f.field != ctx.field:
+        raise ValueError("polynomial field does not match the context")
+    _, reduce, _, member = ctx.ring
+    return member(reduce(f.encoding))
 
 
 def enumerate_degree(ctx, n, lo=0, hi=None):
@@ -193,9 +197,9 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
 
 
 # entries each memo of a context keeps: room for the products and residue
-# signatures that recur in small-q scans, and about 1.2 MB for the three
-# memos (mul, member, digits) of a q = 257 ring over <2,3> when products
-# rarely repeat, plus about 0.8 MB for its scans' verdict memo (no_split)
+# signatures that recur in small-q scans, and about 1.0 MB for the two
+# memos (mul, digits) of a q = 257 ring over <2,3> when products rarely
+# repeat, plus about 0.7 MB for its scans' verdict memo (no_split)
 MEMO_SIZE = 1 << 11
 
 
@@ -205,12 +209,13 @@ def _residue_ring(ctx):
     Every gap lies below w, so a polynomial is a member exactly when its
     residue is.  A residue is an integer code for every p: the code
     (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
-    polynomial's code mod p^w (for p = 2, the mask cut to w bits).  mul and
-    member are memoized; a miss computes the product by `_gf2.mul` for p = 2
-    and by a convolution of the low w digits otherwise (a third memo keeps
-    each residue's digits, so a residue is decoded at most once while it
-    stays there), and the membership by is_member.  Each memo keeps its
-    MEMO_SIZE most recently used entries, so a context's memory stays
+    polynomial's code mod p^w (for p = 2, the mask cut to w bits).  member
+    reads the residue's digits at the gaps (one AND with the gap mask for
+    p = 2), none of which may be nonzero.  mul is memoized; a miss computes
+    the product by `_gf2.mul` for p = 2 and by a convolution of the low w
+    digits otherwise (a second memo keeps each residue's digits, so a
+    residue is decoded at most once while it stays there).  Each memo keeps
+    its MEMO_SIZE most recently used entries, so a context's memory stays
     bounded however long it lives and however rarely its products repeat.
     AlgebraContext.ring builds one per context.
     """
@@ -228,9 +233,19 @@ def _residue_ring(ctx):
         return out
 
     if p == 2:
+        # bit i set for a gap i, from a string: summing 1 << g is quadratic in F(S)
+        gap_mask = int("0" + "".join("10"[m] for m in reversed(ctx.semigroup.membership[:w])), 2)
+
         def product(a, b):
             return _gf2.mul(a, b) % modulus
+
+        def member(r):
+            return not r & gap_mask
     else:
+        # p^(g - previous gap), at most p^m(S) however large F(S) is
+        gaps = ctx.semigroup.gaps
+        steps = [p ** (g - prev) for prev, g in zip((0, *gaps), gaps)]
+
         def product(a, b):
             da, db = digits(a), digits(b)
             code = 0
@@ -238,13 +253,14 @@ def _residue_ring(ctx):
                 code = code * p + sum(map(operator.mul, da[: k + 1], db[k::-1])) % p
             return code
 
-    decode = partial(Polynomial.from_encoding, ctx.field)
-    return (
-        1 % modulus,
-        lambda code: code % modulus,
-        memo(product),
-        memo(lambda r: is_member(ctx, decode(r))),
-    )
+        def member(r):
+            for step in steps:
+                r //= step  # digit g of the residue is now the lowest
+                if r % p:
+                    return False
+            return True
+
+    return 1 % modulus, lambda code: code % modulus, memo(product), member
 
 
 def _member_splits(factors, ring):
@@ -424,7 +440,6 @@ def find_subproduct(polys, clear_below):
 
 
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
-TABLE_RATIO = 512  # a p > 2 table pays with at least one member per this many entries
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
 # a member factored by table lookups with memoized verdicts (3-19 us over
 # F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a
@@ -452,18 +467,18 @@ def table_pays(ctx, n):
     """True when degree-n scans over ctx should build a factor table.
 
     Always for p = 2, whose scans have no other route (the table may then
-    exceed MAX_SCAN, and prepare_scans raises).  For p > 2 the table has
-    table_entries(p, n) entries at about 0.3-0.5 us each to build, while
-    factor_fq costs 150-350 us per member, so it is built only when it fits
-    under MAX_SCAN and there is at least one member per TABLE_RATIO
-    entries.  That share is 1 / (2 p^g) for g gaps below n, so many gaps
-    or a large p leave the scan on factor_fq.
+    exceed MAX_SCAN, and prepare_scans raises).  For p > 2 the table is
+    built only when it fits under MAX_SCAN and its estimated build time
+    (table_us) is below what it saves, FACTORED_US - SCAN_US for each
+    member of degree n.  Members are a share 1 / (2 p^g) of the table's
+    entries for g gaps below n, so many gaps or a large p leave the scan
+    on factor_fq.
     """
     p = ctx.field.p
     if p == 2:
         return True
-    entries = table_entries(p, n)
-    return entries <= MAX_SCAN and member_count(ctx, n) * TABLE_RATIO >= entries
+    return (table_entries(p, n) <= MAX_SCAN
+            and table_us(p, n) < member_count(ctx, n) * (FACTORED_US - SCAN_US))
 
 
 def prepare_factor_table(p, max_degree):

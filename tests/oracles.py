@@ -1,13 +1,21 @@
 """Independent brute-force references for pinning expected values.
 
-Nothing here touches the production factorization or verdict paths:
-irreducibles come from a multiplication sieve (every composite is marked
-as an explicit product of smaller monic polynomials), factorizations from
-trial division against that sieve, and algebra verdicts from a divisor
-scan over all monic member polynomials of smaller degree.
+Nothing here touches the production factorization, membership or verdict
+paths: irreducibles come from a multiplication sieve (every composite is
+marked as an explicit product of smaller monic polynomials),
+factorizations from trial division against that sieve, membership from
+the support of a polynomial, and algebra verdicts from a divisor scan
+over all monic member polynomials of smaller degree.
 """
 
-from sgpoly import Polynomial, is_member, poly_divrem
+from sgpoly import Polynomial, poly_divrem
+
+
+def support_member(ctx, f):
+    """Membership by definition: every exponent with a nonzero coefficient
+    lies in S."""
+    contains = ctx.semigroup.contains
+    return all(contains(i) for i in f.support)
 
 
 def all_monic(field, n):
@@ -96,14 +104,14 @@ def divisor_scan_verdict(ctx, f):
     """Algebra verdict by scanning every monic member divisor of lower degree."""
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if not is_member(ctx, f):
+    if not support_member(ctx, f):
         return "not_member"
     if f.degree == 0:
         return "unit"
     for d in range(1, f.degree):
         for g in monic_members(ctx, d):
             q, r = poly_divrem(f, g)
-            if r.is_zero and is_member(ctx, q):
+            if r.is_zero and support_member(ctx, q):
                 return "reducible"
     return "irreducible"
 

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgpoly import AlgebraContext, FieldSpec, b_counts, count_classes, from_generators, member_count
-from sgpoly.classgroup import (
-    ClassGroup, atom_types, degree_counts, estimated_us, irreducible_class_counts, node_bound,
+from sgpoly import (
+    AlgebraContext, FieldSpec, Polynomial, b_counts, count_classes, from_generators, member_count,
 )
-from oracles import divisor_scan_verdict, monic_members
+from sgpoly.classgroup import (
+    ClassGroup, _membership_sets, atom_types, degree_counts, estimated_us,
+    irreducible_class_counts, node_bound,
+)
+from oracles import divisor_scan_verdict, monic_members, support_member
 
 
 def group_of(q, gens):
@@ -65,6 +68,20 @@ def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
         weights = [next((d for d in range(1, n + 1) if counts[d][c]), n + 1)
                    for c in range(order)]
         assert len(atom_types(group, weights, n - 1)[0]) <= node_bound(group, n), n
+
+
+@pytest.mark.parametrize("q, gens", [case[:2] for case in STRUCTURE])
+def test_membership_sets_match_the_support_oracle(q, gens):
+    # T_a holds the classes c with x^a * rep_c a member, by its support
+    group = group_of(q, gens)
+    field, sgp = group.ctx.field, group.ctx.semigroup
+    sets = _membership_sets(group)
+    assert len(sets) == max(sgp.frobenius + sgp.min_generators[0], 1) + 1
+    for a, found in enumerate(sets):
+        expected = {c for c, rep in enumerate(group.reps)
+                    if support_member(group.ctx, Polynomial.x(field) ** a
+                                      * Polynomial.from_encoding(field, rep))}
+        assert found == expected, a
 
 
 def test_estimate_grows_with_the_degree():

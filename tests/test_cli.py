@@ -154,6 +154,32 @@ def test_scan_guard_has_one_message(capsys):
             "", "error: degree 17 needs more than 16777216 member scans\n")
 
 
+def test_scans_over_the_time_cap_are_refused(monkeypatch, capsys, tmp_path):
+    # under the member guard, but estimated (sgalg.scan_us) past
+    # cli.TIME_CAP_US: one line and exit 2, before any table, scan or
+    # --output file; count refuses so only when the engine passes it too
+    from sgpoly import cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    monkeypatch.setattr(sgalg, "_scan", refuse)
+    path = tmp_path / "rows.csv"
+    for argv, message in (
+        (["verify", "--q", "3", "--max-degree", "16"], "a scan estimated at 5764 s"),
+        (["enumerate", "--q", "3", "--degree", "15"], "a scan estimated at 1435 s"),
+        (["verify", "--q", "5", "--max-degree", "10", "--workers", "2"],
+         "a scan estimated at 591 s"),
+        (["count", "--q", "5", "--sgp", "5,6,7,8,9", "--max-degree", "14"],
+         "a scan estimated at 3662 s (cap 252 s), and a class-group count estimated at 1555 s"),
+    ):
+        assert cli.main(argv + ["--output", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message} (cap 252 s)\n")
+        assert not path.exists()
+
+
 def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
     # count refuses with one line naming both routes' reasons, before any
     # factor table, class table or count is built

@@ -34,7 +34,7 @@ from sgpoly import (
     tame,
 )
 from sgpoly import sgalg
-from oracles import all_monic, divisor_scan_verdict
+from oracles import all_monic, divisor_scan_verdict, support_member
 
 
 def rand_member(rng, ctx, max_degree):
@@ -70,6 +70,26 @@ def test_membership_is_support_based(f3):
     ctx = AlgebraContext(f3, from_generators((2, 3)))
     assert is_member(ctx, parse_poly("2*x^2+1", f3))
     assert not is_member(ctx, parse_poly("x^2+2*x", f3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_member_matches_the_support_oracle(data):
+    # the gap-digit test of the residue against the support, on polynomials
+    # of any leading coefficient up to degree 3w, the zero one included
+    q = data.draw(st.sampled_from((2, 3, 5, 7, 257)))
+    gens = data.draw(st.sampled_from(RING_SEMIGROUPS + SIGNATURE_SEMIGROUPS))
+    ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
+    w = ctx.semigroup.frobenius + 1
+    f = Polynomial(ctx.field, tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=3 * w + 1))))
+    assert is_member(ctx, f) == support_member(ctx, f)
+
+
+def test_is_member_refuses_another_field(f2, f3, friendly):
+    for ctx, f in ((friendly, parse_poly("x^3+1", f3)),
+                   (AlgebraContext(f3, from_generators((2, 3))), parse_poly("x^3+1", f2))):
+        with pytest.raises(ValueError, match="field does not match"):
+            is_member(ctx, f)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -638,7 +658,22 @@ def test_residue_ring_matches_polynomial_arithmetic(data):
     product = reduce((a * b).encoding)
     for _ in range(2):  # a memo miss, then a hit
         assert mul(reduce(a.encoding), reduce(b.encoding)) == product
-        assert member(reduce(f.encoding)) == is_member(ctx, f)
+        assert member(reduce(f.encoding)) == support_member(ctx, f)
+
+
+def test_ring_member_matches_the_support_oracle_on_every_residue():
+    # every residue code mod p^w, decoded, is a member by its support
+    # exactly when the ring's gap-digit test says so
+    for q in (2, 3, 5):
+        for gens in {*RING_SEMIGROUPS, *SIGNATURE_SEMIGROUPS}:
+            ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
+            size = q ** (ctx.semigroup.frobenius + 1)
+            if size > 3 ** 7:
+                continue
+            member = ctx.ring[3]
+            for code in range(size):
+                f = Polynomial.from_encoding(ctx.field, code)
+                assert member(code) == support_member(ctx, f), (q, gens, code)
 
 
 def test_member_splits_take_first_levels_without_products(friendly, f3):
@@ -665,7 +700,7 @@ def test_member_splits_take_first_levels_without_products(friendly, f3):
                 for g, e in factors:
                     j, a = divmod(j, e + 1)
                     d = d * g ** a
-                if is_member(ctx, d) and is_member(ctx, f // d):
+                if support_member(ctx, d) and support_member(ctx, f // d):
                     expected.append(i)
             assert splits == expected
 
@@ -750,8 +785,8 @@ def test_residue_memo_keeps_at_most_memo_size_entries(monkeypatch):
     monkeypatch.setattr(sgalg, "MEMO_SIZE", 16)
     ctx = AlgebraContext(field, from_generators(gens))
     bounded = [count_classes(ctx, n) for n in degrees]
-    memos = [*ctx.ring[2:], ctx.no_split]
-    assert [f.cache_info().currsize for f in memos] == [16, 16, 16]
+    memos = [ctx.ring[2], ctx.no_split]
+    assert [f.cache_info().currsize for f in memos] == [16, 16]
     monkeypatch.setattr(sgalg, "MEMO_SIZE", None)
     fresh = AlgebraContext(field, from_generators(gens))
     assert [count_classes(fresh, n) for n in degrees] == bounded
