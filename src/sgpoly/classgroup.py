@@ -28,6 +28,7 @@ from functools import cached_property
 from math import comb
 
 from .counting import count_aq
+from .sgalg import ClassCounts
 
 
 class ClassGroup:
@@ -305,37 +306,14 @@ def _search(group, weights, budget):
         stack.append([*child, g])
 
 
-def atom_types(group, weights, budget):
-    """The irreducible types whose classes weigh at most budget (+1 for atoms).
-
-    Returns (nodes, atoms).  nodes maps every product-one-free multiset U
-    of non-identity classes whose weights sum to at most budget (a sorted
-    tuple) to the m >= 1 for which x^m times classes U is irreducible.
-    atoms is the set of minimal product-one multisets that weigh at most
-    budget + 1: each is U * sigma(U)^-1 for a nonempty node U, or the
-    identity alone.  With every weight 1 and budget D(Q) - 1, that is every
-    type.  degree_counts walks the same search without keeping it.
-    """
-    nodes = {}
-    atoms = {(0,)} if weights[0] <= budget + 1 else set()
-    for u, ms, closing in _search(group, weights, budget):
-        nodes[u] = ms
-        if closing is not None:
-            atoms.add(u + (closing,))
-    return nodes, atoms
-
-
 def degree_counts(group, max_degree):
-    """(classic, tame, wild, total, max_m, max_k) for every degree 0 ..
-    max_degree of F_q[S], exactly.
+    """One sgalg.ClassCounts for every degree 0 .. max_degree of F_q[S],
+    exactly: the buckets of sgalg.count_classes, with the largest m and k
+    among the degree's irreducibles (0 when there are none).
 
-    The buckets are those of sgalg.count_classes (classic: m = 0, k = 1;
-    tame: m > 0; wild: the rest), with the largest m and k among the
-    degree's irreducibles (0 when there are none).
-
-    The types come from the search behind atom_types, a class weighing
-    the least degree of its irreducibles, so only types with members up to
-    max_degree are visited, and none is kept once the search leaves it.
+    The types come from _search, a class weighing the least degree of its
+    irreducibles, so only types with members up to max_degree are
+    visited, and none is kept once the search leaves it.
     Each class c gets the generating function
     prod_d (1 - t u^d)^(-N_d(c)) of multisets of its irreducibles, kept for
     t^0 .. t^min(D(Q), max_degree); a type's members are the product of its
@@ -388,16 +366,8 @@ def degree_counts(group, max_degree):
                                   + (path[k + 1 - run] * series[closing][run] & mask))
 
     slot = (1 << bits) - 1
-    out = []
-    for d in range(n + 1):
-        at = {shape: v >> d * bits & slot for shape, v in by_shape.items()}
-        present = [shape for shape, v in at.items() if v]
-        out.append((
-            at.get((0, 1), 0),
-            sum(v for (m, _), v in at.items() if m),
-            sum(v for (m, k), v in at.items() if not m and k >= 2),
-            sum(at.values()),
-            max((m for m, _ in present), default=0),
-            max((k for _, k in present), default=0),
-        ))
+    out = [ClassCounts() for _ in range(n + 1)]
+    for (m, k), v in by_shape.items():
+        for d, counts in enumerate(out):
+            counts.add(m, k, v >> d * bits & slot)
     return out

@@ -246,8 +246,8 @@ def _count_engine(ctx, degrees):
     # listing alone, each at most MAX_SCAN entries, would cost less.
     # Returns the ClassGroup for the engine, None for the scan, and raises
     # ValueError, naming both reasons, when the scan is refused and the
-    # engine passes the cap.  The engine's module is imported only here,
-    # so no other command pays for loading it.
+    # engine passes the cap.  The engine's module is imported only on
+    # count's route, so no other command pays for loading it.
     from . import classgroup
 
     try:
@@ -277,44 +277,44 @@ def _count_engine(ctx, degrees):
     raise ValueError(f"{refused}, and {why}")
 
 
+def _count_route(args, ctx, degrees):
+    # count's route, chosen and admitted before any heavy work: the closed
+    # forms for F_2[x^2,x^3], else the class group or a scan (see
+    # _count_engine).  Returns a function giving one ClassCounts per
+    # degree; raises ValueError when the route is refused.
+    if ctx.is_friendly:
+        if degrees[-1] > MAX_COUNT_DEGREE:
+            raise ValueError(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
+        return lambda: [sgalg.ClassCounts(*counting.b_counts(n)) for n in degrees]
+    group = _count_engine(ctx, degrees)
+    if group is not None:
+        from . import classgroup  # loaded by _count_engine already
+
+        return lambda: classgroup.degree_counts(group, degrees[-1])[degrees[0]:]
+    sgalg.prepare_scans(ctx, degrees)
+    return lambda: _scan_counts(args, ctx, degrees)
+
+
 def cmd_count(args):
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
-    if ctx.is_friendly:
-        if args.max_degree > MAX_COUNT_DEGREE:
-            return _fail(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
-        rows = [counting.friendly_count_row(n) for n in degrees]
-    else:
-        try:
-            group = _count_engine(ctx, degrees)
-            if group is None:
-                sgalg.prepare_scans(ctx, degrees)
-        except ValueError as exc:
-            return _fail(exc)
-        if group is None:
-            counts = _scan_counts(args, ctx, degrees)
-        else:
-            from . import classgroup  # loaded by _count_engine already
-
-            rows = classgroup.degree_counts(group, args.max_degree)[2:]
-            counts = [sgalg.ClassCounts(*row) for row in rows]
-        rows = []
-        for n, c in zip(degrees, counts):
-            size = sgalg.member_count(ctx, n)
-            rows.append(counting.CountRow(
-                n, counting.count_aq(n, args.q),
-                counting.count_s(n) if args.q == 2 else None,
-                c.classic, c.tame, c.wild, c.total, size,
-                Fraction(c.total, size) if size else None,
-            ))
+    try:
+        route = _count_route(args, ctx, degrees)
+    except ValueError as exc:
+        return _fail(exc)
     fields = ("n", "a", "s", "b_c", "b_t", "b_w", "b", "algebra_size",
               "density", "density_float")
-    _emit(args, fields, [
-        (r.n, r.a, r.s, r.b_c, r.b_t, r.b_w, r.b, r.algebra_size,
-         None if r.density is None else f"{r.density.numerator}/{r.density.denominator}",
-         None if r.density is None else round(float(r.density), 6))
-        for r in rows
-    ])
+    rows = []
+    for n, c in zip(degrees, route()):
+        size = sgalg.member_count(ctx, n)
+        density = Fraction(c.total, size) if size else None
+        rows.append((
+            n, counting.count_aq(n, args.q), counting.count_s(n) if args.q == 2 else None,
+            *c.as_tuple(), size,
+            None if density is None else f"{density.numerator}/{density.denominator}",
+            None if density is None else round(float(density), 6),
+        ))
+    _emit(args, fields, rows)
     return 0
 
 

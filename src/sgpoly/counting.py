@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 from . import sgalg
@@ -152,26 +151,32 @@ def bound_density(n):
     return Fraction(4, n) + harmonic(n - 1) / n
 
 
-@cache
-def _psum(n, k, max_part):
-    # exact sum of 1/(m_1*...*m_k) over partitions of n into k parts <= max_part
+def _psum(n, k, max_part, memo):
+    # exact sum of 1/(m_1*...*m_k) over partitions of n into k parts <=
+    # max_part, memoized in the caller's dict
     if k == 0:
         return Fraction(1) if n == 0 else Fraction(0)
-    total = Fraction(0)
-    for m in range(min(max_part, n - k + 1), 0, -1):
-        if m * k < n:
-            break
-        total += Fraction(1, m) * _psum(n - m, k - 1, m)
-    return total
+    key = n, k, max_part
+    if key not in memo:
+        total = Fraction(0)
+        for m in range(min(max_part, n - k + 1), 0, -1):
+            if m * k < n:
+                break
+            total += Fraction(1, m) * _psum(n - m, k - 1, m, memo)
+        memo[key] = total
+    return memo[key]
 
 
 def partition_sum(n, k):
-    """Sum of 1/(m_1*...*m_k) over all partitions of n into exactly k parts."""
+    """Sum of 1/(m_1*...*m_k) over all partitions of n into exactly k parts.
+
+    Each call keeps its own memo, so nothing outlives the call.
+    """
     if k < 1:
         raise ValueError("partitions need at least one part")
     if n < k:
         raise ValueError(f"cannot partition {n} into {k} positive parts")
-    return _psum(n, k, n)
+    return _psum(n, k, n, {})
 
 
 def mult_order(a, p):
@@ -229,35 +234,3 @@ def cyclotomic_experiment(p):
                 f"order-based verdict for p={p} disagrees with direct factorization"
             )
     return record
-
-
-@dataclass(frozen=True)
-class CountRow:
-    """One line of the per-degree count table."""
-
-    n: int
-    a: int
-    s: int | None
-    b_c: int
-    b_t: int
-    b_w: int
-    b: int
-    algebra_size: int  # monic members of degree n
-    density: Fraction | None
-
-
-def friendly_count_row(n):
-    """Closed-form CountRow for F_2[x^2,x^3] at degree n >= 2."""
-    b_c, b_t, b_w, b = b_counts(n)
-    size = 1 << (n - 1)
-    return CountRow(
-        n=n,
-        a=count_aq(n, 2),
-        s=count_s(n),
-        b_c=b_c,
-        b_t=b_t,
-        b_w=b_w,
-        b=b,
-        algebra_size=size,
-        density=Fraction(b, size),
-    )

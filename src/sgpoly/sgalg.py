@@ -1,7 +1,8 @@
 """The semigroup-algebra layer for F_p[S].
 
-Membership is purely support-based: f lies in F_p[S] exactly when every
-exponent with a nonzero coefficient belongs to S.  Irreducibility inside
+Membership is defined by support: f lies in F_p[S] exactly when every
+exponent with a nonzero coefficient belongs to S, and the residue ring's
+gap digits decide it (see below).  Irreducibility inside
 the algebra is decided by scanning divisor pairs drawn from the F_p[x]
 factorization; that scan is exhaustive because membership survives exact
 division (if g and g*h are members and g(0) != 0, then h is a member
@@ -183,17 +184,14 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
     Coefficients run over the free positions S & [0, n-1], lowest position
     least significant, which is plain bitmask order for p = 2; the stream
     is empty when n is a gap of S.  Only the members with index in
-    [lo, hi) are yielded, as for count_classes.
+    [lo, hi) are yielded, as for count_classes, whose scans share this
+    order.  A degree over MAX_SCAN members raises ValueError, as a scan does.
     """
-    free, lo, hi = _index_range(ctx, n, lo, hi)
-    p = ctx.field.p
-    for idx in range(lo, hi):
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        t = idx
-        for pos in free:
-            t, coeffs[pos] = t // p, t % p
-        yield Polynomial(ctx.field, tuple(coeffs))
+    lo, hi, low, high = _member_tables(ctx, n, lo, hi)
+    field = ctx.field
+    base, size = field.p ** n, len(low)
+    for i in range(lo, hi):
+        yield Polynomial.from_encoding(field, base + low[i % size] + high[i // size])
 
 
 # entries each memo of a context keeps: room for the products and residue
@@ -578,11 +576,13 @@ def _basep_tables(p, degree):
 class ClassCounts:
     """Irreducible counts per factorization-shape bucket for one degree.
 
-    classic: no x factor, a single irreducible (with multiplicity one);
-    tame: a positive power of x times at most one irreducible;
-    wild: no x factor, two or more irreducible factors with multiplicity.
-    For F_2[x^2,x^3] these buckets coincide with the proper classification.
-    max_m / max_k track the extreme shapes seen among irreducibles.
+    An irreducible x^m * (k irreducibles of F_q[x]) is classic when m = 0
+    and k = 1, tame when m > 0, and wild otherwise (m = 0, k >= 2).  For
+    F_2[x^2,x^3] these buckets coincide with the proper classification.
+    max_m / max_k track the extreme shapes seen among irreducibles.  Every
+    count route gives one per degree: the closed forms (the four buckets
+    of counting.b_counts, with max_m and max_k left 0), the class-group
+    engine (classgroup.degree_counts) and the scans (count_classes).
     """
 
     classic: int = 0
@@ -591,6 +591,19 @@ class ClassCounts:
     total: int = 0
     max_m: int = 0
     max_k: int = 0
+
+    def add(self, m, k, count=1):
+        """Count `count` irreducibles of shape (m, k); none moves max_m, max_k."""
+        if m == 0 and k == 1:
+            self.classic += count
+        elif m > 0:
+            self.tame += count
+        else:
+            self.wild += count
+        self.total += count
+        if count:
+            self.max_m = max(self.max_m, m)
+            self.max_k = max(self.max_k, k)
 
     def absorb(self, other):
         self.classic += other.classic
@@ -695,14 +708,21 @@ def scan_us(ctx, degrees):
                     for n in degrees)
 
 
-def _index_range(ctx, n, lo, hi):
-    # free positions of degree n and the member index range [lo, hi), checked
+def _member_tables(ctx, n, lo, hi):
+    # (lo, hi, low, high): the member index range [lo, hi) of degree n,
+    # checked, and digit tables over the two halves of its free positions,
+    # so that member i has the code p^n + low[i % len(low)] + high[i // len(low)].
+    # A degree over the guard raises before its positions are listed.
+    if _over_scan_guard(ctx, n):
+        prepare_scans(ctx, (n,))  # raises the guard's refusal
     total = member_count(ctx, n)
     if hi is None:
         hi = total
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"invalid scan range [{lo}, {hi}) for {total} members")
-    return _free_positions(ctx, n), lo, hi
+    free, p = _free_positions(ctx, n), ctx.field.p
+    half = len(free) // 2
+    return lo, hi, _digit_table(free[:half], p), _digit_table(free[half:], p)
 
 
 def _scan(ctx, n, lo, hi):
@@ -719,18 +739,12 @@ def _scan(ctx, n, lo, hi):
     the cap raises ValueError here rather than at the first item.  An
     empty range or a gap degree builds no table.
     """
-    if _over_scan_guard(ctx, n):  # before _index_range lists the positions
-        prepare_scans(ctx, (n,))  # raises the guard's refusal
-    free, lo, hi = _index_range(ctx, n, lo, hi)
+    lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
         return iter(())
     prepare_scans(ctx, (n,))
     p = ctx.field.p
     factor = _member_factor(ctx, n)
-    # split the free positions into two lookup halves for fast code assembly
-    half = len(free) // 2
-    lo_tab = _digit_table(free[:half], p)
-    hi_tab = _digit_table(free[half:], p)
     size = len(lo_tab)
     base = p ** n
     reduce, no_split = ctx.ring[1], ctx.no_split
@@ -784,15 +798,7 @@ def count_classes(ctx, n, lo=0, hi=None):
     """
     counts = ClassCounts()
     for _, _, m, k in _scan(ctx, n, lo, hi):
-        counts.total += 1
-        counts.max_m = max(counts.max_m, m)
-        counts.max_k = max(counts.max_k, k)
-        if m == 0 and k == 1:
-            counts.classic += 1
-        elif m > 0:
-            counts.tame += 1
-        else:
-            counts.wild += 1
+        counts.add(m, k)
     return counts
 
 

@@ -8,7 +8,7 @@ from sgpoly import (
     AlgebraContext, FieldSpec, Polynomial, b_counts, count_classes, from_generators, member_count,
 )
 from sgpoly.classgroup import (
-    ClassGroup, _membership_sets, atom_types, degree_counts, estimated_us,
+    ClassGroup, _membership_sets, _search, degree_counts, estimated_us,
     irreducible_class_counts, node_bound,
 )
 from oracles import divisor_scan_verdict, monic_members, support_member
@@ -33,13 +33,12 @@ def test_engine_matches_brute_force(q, gens, top):
     group = group_of(q, gens)
     rows = degree_counts(group, top)
     for n in range(1, top + 1):  # degree 1 holds x and x - c over F_q[x]
-        c = count_classes(group.ctx, n)
-        assert rows[n] == (c.classic, c.tame, c.wild, c.total, c.max_m, c.max_k), n
+        assert rows[n] == count_classes(group.ctx, n), n
 
 
 def test_engine_matches_the_closed_forms_to_degree_200():
     rows = degree_counts(group_of(2, (2, 3)), 200)
-    assert [row[:4] for row in rows[2:]] == [b_counts(n) for n in range(2, 201)]
+    assert [row.as_tuple() for row in rows[2:]] == [b_counts(n) for n in range(2, 201)]
 
 
 # (q, generators): |Q|, D(Q), and the types with m = 0 and with m >= 1
@@ -53,12 +52,26 @@ STRUCTURE = [
 ]
 
 
+def types_of(group, weights, budget):
+    # (nodes, atoms) kept from the engine's search: every product-one-free
+    # multiset U weighing at most budget with the m >= 1 that make x^m * U
+    # irreducible, and every atom weighing at most budget + 1, each closed
+    # once from its node or, for the identity alone, taken directly
+    nodes = {}
+    atoms = {(0,)} if weights[0] <= budget + 1 else set()
+    for u, ms, closing in _search(group, weights, budget):
+        nodes[u] = ms
+        if closing is not None:
+            atoms.add(u + (closing,))
+    return nodes, atoms
+
+
 @pytest.mark.parametrize("q, gens, order, davenport, atoms, tame", STRUCTURE)
 def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
     group = group_of(q, gens)
     assert group.order == order == q ** from_generators(gens).genus
     assert group.davenport == davenport
-    nodes, found = atom_types(group, [1] * order, davenport - 1)
+    nodes, found = types_of(group, [1] * order, davenport - 1)
     # Olson's D(Q) is the length of the longest atom the search lists
     assert max(map(len, found)) == davenport
     assert (len(found), sum(map(len, nodes.values()))) == (atoms, tame)
@@ -67,7 +80,7 @@ def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
         counts = irreducible_class_counts(group, n)
         weights = [next((d for d in range(1, n + 1) if counts[d][c]), n + 1)
                    for c in range(order)]
-        assert len(atom_types(group, weights, n - 1)[0]) <= node_bound(group, n), n
+        assert len(types_of(group, weights, n - 1)[0]) <= node_bound(group, n), n
 
 
 @pytest.mark.parametrize("q, gens", [case[:2] for case in STRUCTURE])
@@ -113,4 +126,4 @@ def test_engine_brute_force_and_divisor_scan_agree(data):
             if member_count(ctx, n) * sum(member_count(ctx, d) for d in range(1, n)) <= 3000]
     n = data.draw(st.sampled_from(tops))
     by_oracle = sum(divisor_scan_verdict(ctx, f) == "irreducible" for f in monic_members(ctx, n))
-    assert degree_counts(ClassGroup(ctx), n)[n][3] == count_classes(ctx, n).total == by_oracle
+    assert degree_counts(ClassGroup(ctx), n)[n].total == count_classes(ctx, n).total == by_oracle

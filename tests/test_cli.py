@@ -246,6 +246,49 @@ def test_count_q67_degree_2_comes_from_the_class_group(monkeypatch, capsys):
     assert rows[1].split(",")[3:7] == [str(v) for v in c.as_tuple()]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_count_rows_do_not_depend_on_the_route(monkeypatch, capsys, fmt):
+    # every route gives ClassCounts and one builder prints them, so forcing
+    # another route changes no byte: the engine against the closed forms,
+    # and the scan against the engine
+    from sgpoly import classgroup, cli, counting, sgalg
+
+    def fail(*args):
+        pytest.fail("count took another route")
+
+    def run(*argv):
+        assert cli.main(["count", *argv, "--format", fmt]) == 0
+        return capsys.readouterr()
+
+    with monkeypatch.context() as m:
+        m.setattr(classgroup, "degree_counts", fail)
+        closed = run("--max-degree", "40")
+    with monkeypatch.context() as m:
+        m.setattr(sgalg.AlgebraContext, "is_friendly", property(lambda self: False))
+        m.setattr(counting, "b_counts", fail)
+        m.setattr(sgalg, "_scan", fail)
+        assert run("--max-degree", "40") == closed
+    for argv in (("--sgp", "3,5,7", "--max-degree", "12"),
+                 ("--q", "3", "--sgp", "3,4,5", "--max-degree", "10")):
+        with monkeypatch.context() as m:
+            m.setattr(sgalg, "_scan", fail)
+            engine = run(*argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_count_engine", lambda ctx, degrees: None)
+            m.setattr(classgroup, "degree_counts", fail)
+            assert run(*argv) == engine, argv
+
+
+def test_count_below_the_switch_scans(monkeypatch, capsys):
+    # F_2[<3,5,7>] to degree 9 scans faster than the engine would set up
+    from sgpoly import classgroup, cli
+
+    monkeypatch.setattr(classgroup, "degree_counts",
+                        lambda *args: pytest.fail("count took the class group"))
+    assert cli.main(["count", "--sgp", "3,5,7", "--max-degree", "9"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+
+
 def test_generator_limit_refuses_before_building(monkeypatch, capsys):
     # building <g, g+1> costs time and memory as g^2, so generators over
     # 1000 are refused before any semigroup is built

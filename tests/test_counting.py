@@ -16,7 +16,6 @@ from sgpoly import (
     cyclotomic_experiment,
     density,
     friendly_context,
-    friendly_count_row,
     friendly_density,
     from_generators,
     is_irreducible_fq,
@@ -221,6 +220,28 @@ def test_partition_sum_matches_direct_enumeration():
             assert partition_sum(n, k) == expected
 
 
+def test_partition_sum_keeps_no_memo_between_calls():
+    # each call memoizes in its own dict: repeated calls agree, and no
+    # attribute of the module holds entries afterwards
+    from sgpoly import counting
+
+    def held():
+        sizes = {}
+        for name, value in vars(counting).items():
+            if name.startswith("__"):
+                continue
+            if hasattr(value, "cache_info"):
+                sizes[name] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[name] = len(value)
+        return sizes
+
+    before = held()
+    first = [partition_sum(n, k) for n in (30, 60) for k in (3, 7)]
+    assert [partition_sum(n, k) for n in (30, 60) for k in (3, 7)] == first
+    assert held() == before
+
+
 def test_mult_order_examples():
     assert mult_order(2, 7) == 3
     assert mult_order(2, 3) == 2
@@ -269,11 +290,3 @@ def test_cyclotomic_cross_check_squares_with_enumeration():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         rec = cyclotomic_experiment(p)
         assert rec.irreducible_in_algebra == (rec.ord_2 == p - 1)
-
-
-def test_friendly_count_row():
-    row = friendly_count_row(4)
-    assert (row.n, row.a, row.s) == (4, 3, 2)
-    assert (row.b_c, row.b_t, row.b_w, row.b) == (1, 2, 2, 5)
-    assert row.algebra_size == 8
-    assert row.density == Fraction(5, 8)

@@ -130,6 +130,13 @@ def test_enumerate_degree_zero(friendly):
         list(enumerate_degree(friendly, -1))
 
 
+def test_enumerate_refuses_a_degree_over_the_scan_guard(friendly):
+    # the listing decodes the scans' digit tables, of about the square root
+    # of the members each, so like a scan it stops at MAX_SCAN members
+    with pytest.raises(ValueError, match="member scans"):
+        next(enumerate_degree(friendly, 60, 0, 1))
+
+
 # -- verdicts ----------------------------------------------------------------
 
 
