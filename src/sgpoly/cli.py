@@ -285,7 +285,7 @@ def _count_route(args, ctx, degrees):
     if ctx.is_friendly:
         if degrees[-1] > MAX_COUNT_DEGREE:
             raise ValueError(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
-        return lambda: [sgalg.ClassCounts(*counting.b_counts(n)) for n in degrees]
+        return lambda: [sgalg.ClassCounts(*c) for c in counting.b_counts_to(degrees[-1])]
     group = _count_engine(ctx, degrees)
     if group is not None:
         from . import classgroup  # loaded by _count_engine already

@@ -105,14 +105,20 @@ def b_counts(n):
     """
     if n < 2:
         raise ValueError("counts are defined for degree >= 2")
-    b_c = count_aq(n, 2) - count_s(n)
-    b_t = count_s(n - 2) + count_s(n - 3)
-    if n % 2 == 0:
-        b_w = sum(count_s(k) * count_s(n - k) for k in range(1, n // 2))
-        b_w += comb(count_s(n // 2) + 1, 2)
-    else:
-        b_w = sum(count_s(k) * count_s(n - k) for k in range(1, n // 2 + 1))
-    return (b_c, b_t, b_w, b_c + b_t + b_w)
+    return b_counts_to(n, low=n)[0]
+
+
+def b_counts_to(top, low=2):
+    """[b_counts(n) for n in low..top], from one list of count_s values."""
+    s = [count_s(k) for k in range(top + 1)] + [0]  # s[-1] is s(-1) = 0
+    rows = []
+    for n in range(low, top + 1):
+        b_c, b_t = count_aq(n, 2) - s[n], s[n - 2] + s[n - 3]
+        b_w = sum(s[k] * s[n - k] for k in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            b_w += comb(s[n // 2] + 1, 2)
+        rows.append((b_c, b_t, b_w, b_c + b_t + b_w))
+    return rows
 
 
 def algebra_count(q, semigroup, n):

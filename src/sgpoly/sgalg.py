@@ -28,13 +28,13 @@ signatures.  Scans handle members and factors as integer codes
 members by lookup in a cached factor table, since
 enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
-and a cofactor array over codes, and one factoring routine that reads
-them: pure lookups, with no division, for p = 2 as for every other p.  A
-table covers every monic code, not only the members, so a p > 2 scan
-uses one only when it pays (see table_pays) and otherwise calls
-factor_fq per member.  prepare_scans admits every scan: it refuses
-a degree over MAX_SCAN members and is the one builder of tables (at most
-MAX_SCAN entries); the scan itself only reads the cache.
+and a cofactor array over codes, which the scan's member loop walks
+inline for every p, with no division: one pass gives a member's factors,
+verdict key and shape.  A table covers every monic code, not only the
+members, so a p > 2 scan uses one only when it pays (see table_pays) and
+otherwise calls factor_fq per member.  prepare_scans admits every scan:
+it refuses a degree over MAX_SCAN members and is the one builder of
+tables (at most MAX_SCAN entries); the scan itself only reads the cache.
 
 Scans are brute force and never consult the class group of `classgroup`,
 which counts whole degrees from the types of irreducibles instead; the
@@ -439,7 +439,7 @@ def find_subproduct(polys, clear_below):
 
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
-# a member factored by table lookups with memoized verdicts (3-19 us over
+# a member factored by table lookups with memoized verdicts (2-16 us over
 # F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a
 # member factored by factor_fq (208-450 us over F_3, F_257, F_4099), and,
 # building a factor table, one step of its Gray walks and one entry of its
@@ -486,11 +486,9 @@ def prepare_factor_table(p, max_degree):
     the bitmask for p = 2), the same for every p: for a monic a, spf[a] is
     its least irreducible factor and cof[a] = a / spf[a], except that an
     irreducible a has spf[a] = 0 and cof[a] = 1.  Ascending code order is
-    canonical_key order.  Scans over every p, p = 2 included, factor by
-    these lookups alone.  The table is cached per p and rebuilt only for a
+    canonical_key order.  The table is cached per p and rebuilt only for a
     higher degree.  Raises ValueError, before any build, when the table
-    would exceed MAX_SCAN entries.  Scans get their table only through
-    prepare_scans, the one builder.
+    would exceed MAX_SCAN entries.  Scans get theirs through prepare_scans.
     """
     _table_guard(p, max_degree)
     if _TABLES.get(p, (-1,))[0] < max_degree:
@@ -499,14 +497,13 @@ def prepare_factor_table(p, max_degree):
 
 
 def _table_guard(p, max_degree):
-    # the entries of the table up to max_degree; ValueError over the cap
+    # ValueError when the table up to max_degree passes the cap
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
         raise ValueError(
             f"a degree-{max_degree} factor table over F_{p} needs {entries} entries "
             f"(cap is {MAX_SCAN})"
         )
-    return entries
 
 
 def cached_factor_table(p):
@@ -536,10 +533,14 @@ def _basep_tables(p, degree):
     # raises digit v of h by one mod p, v being the p-adic valuation of k,
     # so the product gains a*x^v.  That changes only digits v..v+deg(a) of
     # its code, which one lookup in a's digit-wise addition table does.
+    # x, the least irreducible, marks every x*h, code p*h, by one slice per deg(h).
     size = table_entries(p, degree)
     spf = array("I", [0]) * size
     cof = array("I", [1]) * size
     pw = [p ** i for i in range(degree + 1)]
+    for h in pw[1:degree]:
+        spf[p * h:2 * p * h:p] = array("I", [p]) * h
+        cof[p * h:2 * p * h:p] = array("I", range(h, 2 * h))
     walk = pw[max(degree - 1, 0)]
     steps = array("I", [1]) * walk  # p^v for step k
     for q in pw[1:degree]:
@@ -552,7 +553,7 @@ def _basep_tables(p, degree):
         gray[k] = g
     for d in range(1, degree // 2 + 1):
         window = pw[d + 1]
-        for a in range(pw[d], 2 * pw[d]):
+        for a in range(pw[d] + (d == 1), 2 * pw[d]):  # x is marked already
             if spf[a]:
                 continue
             add = [0]  # add[w]: the d+1 digits w plus those of a, mod p
@@ -675,19 +676,20 @@ def prepare_scans(ctx, degrees):
 def table_us(p, degree):
     """Estimated microseconds to build the factor table over F_p up to degree.
 
-    For each irreducible a of degree d <= degree/2, _basep_tables builds
-    a's addition table over d+1 digits (ADD_US an entry) and walks the
-    cofactors of every degree from d to degree-d (WALK_US a step); p^d/d,
-    an upper bound, stands for the number of such a.  The step counts grow
-    with the degree, and the addition tables with p: at degree 2 they cost
-    about p/2 entries per table entry.  Over p <= 257 and tables of up to
-    2.2M entries this came within 0.6-1.3x of the measured build.
+    For each irreducible a of degree d <= degree/2 other than x, whose
+    multiples are marked by slices, _basep_tables builds a's addition
+    table over d+1 digits (ADD_US an entry) and walks the cofactors of
+    every degree from d to degree-d (WALK_US a step); p^d/d, an upper
+    bound, stands for the number of such a.  The step counts grow with the
+    degree, and the addition tables with p: at degree 2 they cost about p/2
+    entries per table entry.  Over p <= 257 and tables of up to 3.9M
+    entries this came within 0.65-1.6x of the measured build.
     """
     us = 0
     for d in range(1, degree // 2 + 1):
         walk = sum(p ** e for e in range(d, degree - d + 1))
         add = sum(p ** i for i in range(1, d + 2))
-        us += p ** d // d * (WALK_US * walk + ADD_US * add)
+        us += (p ** d // d - (d == 1)) * (WALK_US * walk + ADD_US * add)
     return us
 
 
@@ -729,12 +731,10 @@ def _scan(ctx, n, lo, hi):
     """Iterator of (member, factors, m, k) per irreducible member of degree n.
 
     Covers the members with index in [lo, hi) of enumerate_degree's order
-    and factors each exactly once, by _member_factor.  Members and factors
-    are codes (`Polynomial.encoding`, the bitmask for p = 2).  Whether a
-    member splits is looked up in ctx.no_split under its factors' sorted
-    (residue, multiplicity) pairs: _member_splits reads factors only
-    through their residues, so the memoized verdict is the member's own.
-    (m, k), the factorization shape, comes from the factors themselves.
+    and factors each exactly once, by walking the cached factor table when
+    it covers n and by factor_fq otherwise.  Members and factors are codes
+    (`Polynomial.encoding`, the bitmask for p = 2).  Whether a member
+    splits is looked up in ctx.no_split under its key (see no_split).
     A degree over the guard, a bad degree or range, or a factor table over
     the cap raises ValueError here rather than at the first item.  An
     empty range or a gap degree builds no table.
@@ -744,30 +744,34 @@ def _scan(ctx, n, lo, hi):
         return iter(())
     prepare_scans(ctx, (n,))
     p = ctx.field.p
-    factor = _member_factor(ctx, n)
-    size = len(lo_tab)
-    base = p ** n
-    reduce, no_split = ctx.ring[1], ctx.no_split
+    covered, (spf, cof) = _TABLES.get(p, (0, (None, None)))
+    decode = partial(Polynomial.from_encoding, ctx.field)
+    base, size = p ** n, len(lo_tab)
+    modulus = p ** (ctx.semigroup.frobenius + 1)  # the ring's reduce is % modulus
+    no_split = ctx.no_split
 
     def members():
         for i in range(lo, hi):
             f = base + lo_tab[i % size] + hi_tab[i // size]
-            factors = factor(f)
-            if no_split(tuple(sorted([(reduce(g), e) for g, e in factors]))):
-                m, k = _shape_of(factors, p)  # p is the code of x
-                yield f, factors, m, k
+            if covered < n:  # factor_fq, for a degree no cached table covers
+                factors = [(g.encoding, e) for g, e in factor_fq(decode(f)).factors]
+                key = [(g % modulus, e) for g, e in factors]
+                k = sum(e for _, e in factors)
+            else:  # walk the table: equal factors come out in a row, least first
+                factors, key, k, a = [], [], 0, f
+                while a != 1:
+                    g, e, a = spf[a] or a, 1, cof[a]
+                    while (spf[a] or a) == g:
+                        e, a = e + 1, cof[a]
+                    factors.append((g, e))
+                    key.append((g % modulus, e))
+                    k += e
+            if no_split(tuple(sorted(key))):
+                g, e = factors[0]
+                m = e if g == p else 0  # p is the code of x, the least irreducible
+                yield f, factors, m, k - m
 
     return members()
-
-
-def _member_factor(ctx, n):
-    # code -> ascending (factor code, multiplicity) pairs for degree-n members:
-    # by lookups alone when the cached table covers n, otherwise by factor_fq
-    entry = cached_factor_table(ctx.field.p)
-    if entry is not None and entry[0] >= n:
-        return partial(_lookup_factor, *entry[1])
-    decode = partial(Polynomial.from_encoding, ctx.field)
-    return lambda a: [(g.encoding, e) for g, e in factor_fq(decode(a)).factors]
 
 
 def _digit_table(positions, p):
@@ -777,16 +781,6 @@ def _digit_table(positions, p):
         step = p ** pos
         table = [t + c * step for c in range(p) for t in table]
     return table
-
-
-def _lookup_factor(spf, cof, a):
-    # (factor, multiplicity) pairs of code a, ascending, by lookups alone
-    out = {}
-    while a != 1:
-        f = spf[a] or a
-        out[f] = out.get(f, 0) + 1
-        a = cof[a]
-    return list(out.items())
 
 
 def count_classes(ctx, n, lo=0, hi=None):

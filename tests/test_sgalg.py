@@ -390,20 +390,100 @@ def test_subproduct_contract_seeded(f2, f3):
 # -- bulk scanning guts --------------------------------------------------------
 
 
-def test_gf2_table_factor_agrees_with_factor_fq(f2):
-    spf, cof = sgalg.prepare_factor_table(2, 10)
-    for mask in range(1, 1 << 11):
-        expected = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert sgalg._lookup_factor(spf, cof, mask) == expected
+def table_factors(spf, cof, a):
+    # (factor, multiplicity) pairs of code a, ascending, read off a factor table
+    out = {}
+    while a != 1:
+        g = spf[a] or a
+        out[g] = out.get(g, 0) + 1
+        a = cof[a]
+    return list(out.items())
 
 
-def test_gf2_table_factor_matches_ddf_at_scan_degrees(f2):
-    rng = random.Random(64)
-    spf, cof = sgalg.prepare_factor_table(2, 16)
-    for _ in range(400):
-        mask = rng.randrange(2, 1 << 17)
-        via_ddf = [(g.mask, e) for g, e in factor_fq(Polynomial.from_mask(f2, mask)).factors]
-        assert sgalg._lookup_factor(spf, cof, mask) == via_ddf
+def scanned_members(ctx, n, lo=0, hi=None):
+    # every member _scan covers, each with its factors, shape and no_split
+    # key: the verdict memo is swapped for one that records the key and
+    # lets the member through
+    keys = []
+    vars(ctx)["no_split"] = lambda key: keys.append(key) or True
+    return [(*item, key) for item, key in zip(list(sgalg._scan(ctx, n, lo, hi)), keys)]
+
+
+def check_scanned(ctx, items):
+    # each scanned member's factors, shape and key against factor_fq's
+    field, reduce = ctx.field, ctx.ring[1]
+    x = Polynomial.x(field)
+    for f, factors, m, k, key in items:
+        fac = factor_fq(Polynomial.from_encoding(field, f))
+        assert factors == [(g.encoding, e) for g, e in fac.factors]
+        assert (m, k) == sgalg._shape_of(fac.factors, x)
+        assert key == tuple(sorted((reduce(g), e) for g, e in factors))
+
+
+@pytest.mark.parametrize("q, gens, top", [(2, (2, 3), 12), (3, (3, 4, 5), 9)], ids=["f2", "f3"])
+def test_scan_factor_lists_match_factor_fq(q, gens, top):
+    # the table route's inline walk, for every member up to degree top;
+    # F_3[<3,4,5>] adds 100 seeded single members at each of degrees 10-12
+    # (factor_fq for all 88k members to degree 12 would take 18 s)
+    ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
+    sgalg.prepare_factor_table(q, 12)
+    for n in range(1, top + 1):
+        items = scanned_members(ctx, n)
+        assert len(items) == member_count(ctx, n)
+        check_scanned(ctx, items)
+    rng = random.Random(16)
+    for n in range(top + 1, 13):
+        for i in rng.sample(range(member_count(ctx, n)), 100):
+            check_scanned(ctx, scanned_members(ctx, n, i, i + 1))
+
+
+def test_scan_factor_lists_match_factor_fq_off_the_table():
+    # F_257[x^2,x^3] scans by factor_fq (a table would pass the cap); its
+    # pairs feed the same key and shape as the table walk's
+    ctx = AlgebraContext(FieldSpec(257), from_generators((2, 3)))
+    assert not any(sgalg.table_pays(ctx, n) for n in (2, 3))
+    items = scanned_members(ctx, 2) + scanned_members(ctx, 3, 1000, 1300)
+    assert len(items) == 257 + 300
+    check_scanned(ctx, items)
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 7), (5, 5)])
+def test_basep_tables_match_a_factor_fq_table(p, top):
+    # the reference puts factor_fq's least factor and the quotient at every
+    # monic code, (0, 1) at an irreducible and at every other code; a
+    # table of any degree D is the reference cut to its 2*p^D entries
+    field = FieldSpec(p)
+    size = sgalg.table_entries(p, top)
+    spf, cof = [0] * size, [1] * size
+    for a in range(p, size):
+        f = Polynomial.from_encoding(field, a)
+        if f.leading_coeff != 1:
+            continue
+        factors = factor_fq(f).factors
+        if factors != ((f, 1),):
+            g = factors[0][0]
+            spf[a], cof[a] = g.encoding, (f // g).encoding
+    for degree in range(top + 1):
+        built = sgalg._basep_tables(p, degree)
+        end = sgalg.table_entries(p, degree)
+        assert [list(t) for t in built] == [spf[:end], cof[:end]]
+
+
+def test_count_ranges_that_cut_digit_rows_add_up():
+    # member i sits in row i // len(low) of the scans' digit tables; ranges
+    # that start and end inside rows, single members among them, absorb
+    # into the full-degree counts
+    for ctx, n in ((AlgebraContext(FieldSpec(2), from_generators((2, 3))), 12),
+                   (AlgebraContext(FieldSpec(3), from_generators((3, 4, 5))), 8)):
+        total = member_count(ctx, n)
+        row = len(sgalg._member_tables(ctx, n, 0, None)[2])
+        assert 1 < row < total
+        cuts = [0, 1, 2, row + 1, row + 2, 3 * row - 1, total - row // 2, total - 1, total]
+        assert all(c % row for c in cuts[1:-1])
+        merged = ClassCounts()
+        for lo, hi in zip(cuts, cuts[1:]):
+            merged.absorb(count_classes(ctx, n, lo, hi))
+        assert merged == count_classes(ctx, n)
 
 
 def test_gf2_scans_factor_without_division(monkeypatch, f2):
@@ -433,13 +513,13 @@ def test_basep_table_factors_every_monic_code(p, top):
         for code in range(p ** d, 2 * p ** d):
             f = Polynomial.from_encoding(field, code)
             expected = [(g.encoding, e) for g, e in factor_fq(f).factors]
-            assert sgalg._lookup_factor(spf, cof, code) == expected
+            assert table_factors(spf, cof, code) == expected
     x = Polynomial.x(field)
     x1 = x + Polynomial.one(field)
     g = parse_poly("x^2+x+1" if p == 2 else "x^2+x+2", field)  # irreducible over F_p
     for f, expected in ((x ** 2, [(x, 2)]), (x1 ** 3, [(x1, 3)]),
                         (x ** (top - 2) * g, [(x, top - 2), (g, 1)])):
-        got = sgalg._lookup_factor(spf, cof, f.encoding)
+        got = table_factors(spf, cof, f.encoding)
         assert got == [(h.encoding, e) for h, e in expected]
 
 
@@ -454,7 +534,7 @@ def test_table_factorization_property(data):
     low = data.draw(st.lists(st.integers(0, p - 1), max_size=top))
     f = Polynomial(field, (*low, data.draw(st.integers(1, p - 1))))
     spf, cof = sgalg.prepare_factor_table(p, top)
-    pairs = sgalg._lookup_factor(spf, cof, f.monic().encoding)
+    pairs = table_factors(spf, cof, f.monic().encoding)
     factors = tuple((Polynomial.from_encoding(field, g), e) for g, e in pairs)
     fac = FqFactorization(field, f.leading_coeff, factors)
     assert fac.expand() == f
