@@ -4,8 +4,9 @@ and the prime experiment, emitted as CSV or JSON.
 `count` answers F_2[x^2,x^3] from the paper's closed forms, and every other
 (q, S) from the cheaper of two exact routes, chosen before any heavy work
 (see _count_engine): the class-group engine (`classgroup`) or a brute-force
-scan.  `enumerate` and `verify` always scan.  No command starts a scan or a
-count whose estimated time passes TIME_CAP_US.
+scan.  `enumerate` always scans; `verify` checks a scan against the closed
+forms or the engine.  No command starts a scan or a count whose estimated
+time passes TIME_CAP_US.
 
 Exit status contract: 0 on success, 1 when a verification detects a
 mismatch, 2 on usage errors.  Identical configuration yields byte-identical
@@ -52,7 +53,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, option) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument(option, type=int, required=True)
         p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
         p.add_argument("--sgp", default="2,3",
@@ -83,6 +84,13 @@ def _check_args(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     args.sgp = gens
+
+    # --output must name a file in an existing directory, checked before any
+    # work; _open_output reports any other failure to open it
+    out = args.output
+    if out not in (None, "-"):
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise UsageError(f"cannot write {out}: not a file in an existing directory")
 
     if args.command in ("count", "verify"):
         if args.max_degree < 2:
@@ -116,7 +124,8 @@ def _open_output(path):
     # that replaces it only once everything is written, so a failed run
     # leaves the path as it was; the new file keeps the old one's mode bits,
     # not its owner or hard links.  A device or pipe, or a path whose
-    # directory takes no new file, is written in place.
+    # directory takes no new file, is written in place; a path that cannot
+    # be opened even so raises UsageError.
     if path is None or path == "-":
         yield sys.stdout
         return
@@ -129,7 +138,11 @@ def _open_output(path):
         except OSError:
             pass
     if fh is None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        with fh:
             yield fh
         return
     try:
@@ -237,44 +250,45 @@ def _scan_estimate(ctx, degrees):
 # _emit renders the rows as CSV or JSON.
 
 
-def _count_engine(ctx, degrees):
-    # count's route for a context without closed forms: the class group when
-    # its estimated time (classgroup.estimated_us) is below the scan's
-    # (_scan_estimate) and below TIME_CAP_US, else the scan.  Both
-    # estimates come before any heavy work: Q is built (D(Q) costs about
-    # |Q| w residue products) only when its class table and residue
-    # listing alone, each at most MAX_SCAN entries, would cost less.
-    # Returns the ClassGroup for the engine, None for the scan, and raises
-    # ValueError, naming both reasons, when the scan is refused and the
-    # engine passes the cap.  The engine's module is imported only on
-    # count's route, so no other command pays for loading it.
+def _class_group(ctx, top, limit):
+    # the engine's ClassGroup for degrees up to top when its estimated time
+    # (classgroup.estimated_us) is below limit microseconds, else ValueError
+    # naming the reason.  Q is built (D(Q) costs about |Q| w residue
+    # products) only when its class table and residue listing alone, each at
+    # most MAX_SCAN entries, would cost less.  Only here is classgroup loaded.
     from . import classgroup
 
-    try:
-        scan, refused = _scan_estimate(ctx, degrees), None
-    except ValueError as exc:
-        scan, refused = None, exc
-    limit = TIME_CAP_US if scan is None else scan
-    top, p = degrees[-1], ctx.field.p
-    genus, w = ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
+    p, genus, w = ctx.field.p, ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
     if top > MAX_COUNT_DEGREE:
-        why = f"class-group counts stop at degree {MAX_COUNT_DEGREE}"
+        raise ValueError(f"class-group counts stop at degree {MAX_COUNT_DEGREE}")
     # p^(w-1) >= 2^(w-1) residues, and genus < w, so the powers are formed
     # only below the cap
-    elif w - 1 >= sgalg.MAX_SCAN.bit_length() or max(p ** (2 * genus), p ** (w - 1)) > sgalg.MAX_SCAN:
-        why = f"a class group with more than {sgalg.MAX_SCAN} table entries or residues"
-    else:
-        estimate = classgroup.setup_us(p, genus, w)
+    if w - 1 >= sgalg.MAX_SCAN.bit_length() or max(p ** (2 * genus), p ** (w - 1)) > sgalg.MAX_SCAN:
+        raise ValueError(f"a class group with more than {sgalg.MAX_SCAN} table entries or residues")
+    estimate = classgroup.setup_us(p, genus, w)
+    if estimate < limit:
+        group = classgroup.ClassGroup(ctx)
+        estimate = classgroup.estimated_us(group, top)
         if estimate < limit:
-            group = classgroup.ClassGroup(ctx)
-            estimate = classgroup.estimated_us(group, top)
-            if estimate < limit:
-                return group
-        why = (f"a class-group count estimated at {estimate / 1e6:.0f} s "
-               f"(cap {TIME_CAP_US / 1e6:.0f} s)")
-    if refused is None:
-        return None
-    raise ValueError(f"{refused}, and {why}")
+            return group
+    raise ValueError(f"a class-group count estimated at {estimate / 1e6:.0f} s "
+                     f"(cap {TIME_CAP_US / 1e6:.0f} s)")
+
+
+def _count_engine(ctx, degrees):
+    # count's route without closed forms: the ClassGroup when the engine is
+    # admitted under the scan's estimate and TIME_CAP_US, None for the scan;
+    # ValueError naming both reasons when both are refused
+    try:
+        limit, refused = _scan_estimate(ctx, degrees), None
+    except ValueError as exc:
+        limit, refused = TIME_CAP_US, exc
+    try:
+        return _class_group(ctx, degrees[-1], limit)
+    except ValueError as why:
+        if refused is None:
+            return None
+        raise ValueError(f"{refused}, and {why}") from None
 
 
 def _count_route(args, ctx, degrees):
@@ -288,7 +302,7 @@ def _count_route(args, ctx, degrees):
         return lambda: [sgalg.ClassCounts(*c) for c in counting.b_counts_to(degrees[-1])]
     group = _count_engine(ctx, degrees)
     if group is not None:
-        from . import classgroup  # loaded by _count_engine already
+        from . import classgroup  # loaded by _class_group already
 
         return lambda: classgroup.degree_counts(group, degrees[-1])[degrees[0]:]
     sgalg.prepare_scans(ctx, degrees)
@@ -345,57 +359,41 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
+    # the scan's four buckets per degree against the closed forms for
+    # F_2[x^2,x^3], else the engine, admitted before any table or scan is
+    # built; a mismatch names its first differing bucket
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
+    top = degrees[-1]
     try:
         _scan_estimate(ctx, degrees)
+        if not ctx.is_friendly:
+            try:
+                group = _class_group(ctx, top, TIME_CAP_US)
+            except ValueError as why:
+                raise ValueError(f"no second route to verify against: {why}") from None
         sgalg.prepare_scans(ctx, degrees)
     except ValueError as exc:
         return _fail(exc)
-    check = _verify_friendly if ctx.is_friendly else _verify_shapes
-    fields, rows, failures = check(args, ctx, degrees)
+    if ctx.is_friendly:
+        ref, want = "closed", counting.b_counts_to(top)
+    else:
+        from . import classgroup  # loaded by _class_group already
+
+        ref, want = "engine", [c.as_tuple() for c in classgroup.degree_counts(group, top)[2:]]
+    fields = ("n", *(f"{route}_{b}" for route in (ref, "brute") for b in "ctwb"), "match")
+    rows, failures = [], []
+    for n, ref_row, c in zip(degrees, want, _scan_counts(args, ctx, degrees)):
+        brute = c.as_tuple()
+        rows.append((n, *ref_row, *brute, ref_row == brute))
+        for bucket, x, y in zip(("b_c", "b_t", "b_w", "b"), ref_row, brute):
+            if x != y:
+                failures.append(f"mismatch at degree {n}: {bucket} {ref} {x}, brute {y}")
+                break
     _emit(args, fields, rows)
     for line in failures:
         print(line, file=sys.stderr)
     return 1 if failures else 0
-
-
-def _verify_friendly(args, ctx, degrees):
-    # closed-form class counts against brute force, per degree; a mismatch
-    # names its first differing bucket
-    fields = ("n", "closed_c", "closed_t", "closed_w", "closed_b",
-              "brute_c", "brute_t", "brute_w", "brute_b", "match")
-    rows, failures = [], []
-    for n, c in zip(degrees, _scan_counts(args, ctx, degrees)):
-        closed = counting.b_counts(n)
-        brute = c.as_tuple()
-        rows.append((n, *closed, *brute, closed == brute))
-        for bucket, want, got in zip(("b_c", "b_t", "b_w", "b"), closed, brute):
-            if want != got:
-                failures.append(f"mismatch at degree {n}: {bucket} closed {want}, brute {got}")
-                break
-    return fields, rows, failures
-
-
-def _verify_shapes(args, ctx, degrees):
-    # extreme factorization shapes against m < 2(F+1) and k <= q^F, per
-    # degree; a violation names the bound it breaks.  F(N) = -1 counts as 0,
-    # whose bounds (m < 2, k <= 1) every irreducible of F_q[x] meets
-    frob = max(ctx.semigroup.frobenius, 0)
-    m_bound = 2 * (frob + 1)
-    k_bound = args.q ** frob
-    fields = ("n", "irreducible", "max_m", "max_k", "m_bound", "k_bound", "within")
-    rows, failures = [], []
-    for n, c in zip(degrees, _scan_counts(args, ctx, degrees)):
-        broken = []
-        if c.total and c.max_m >= m_bound:
-            broken.append(f"max_m {c.max_m} >= m_bound {m_bound}")
-        if c.total and c.max_k > k_bound:
-            broken.append(f"max_k {c.max_k} > k_bound {k_bound}")
-        rows.append((n, c.total, c.max_m, c.max_k, m_bound, k_bound, not broken))
-        if broken:
-            failures.append(f"shape bound violated at degree {n}: {', '.join(broken)}")
-    return fields, rows, failures
 
 
 def _primes_to(n):
@@ -429,7 +427,7 @@ def cmd_cyclotomic(args):
 _COMMANDS = {
     "count": (cmd_count, "per-degree count table with densities", "--max-degree"),
     "enumerate": (cmd_enumerate, "list the irreducibles of one degree", "--degree"),
-    "verify": (cmd_verify, "closed-form counts against enumeration", "--max-degree"),
+    "verify": (cmd_verify, "scanned counts against closed forms or the class group", "--max-degree"),
     "cyclotomic": (cmd_cyclotomic, "x^p+1 verdicts for odd primes", "--max-prime"),
 }
 
@@ -442,9 +440,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _check_args(args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         return _fail(exc)
-    return _COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

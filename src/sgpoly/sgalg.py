@@ -39,7 +39,8 @@ tables (at most MAX_SCAN entries); the scan itself only reads the cache.
 Scans are brute force and never consult the class group of `classgroup`,
 which counts whole degrees from the types of irreducibles instead; the
 CLI's `count` runs a scan only where that engine would cost more, and
-`verify` and `enumerate` always scan, so each route checks the other.
+`verify` compares a scan's buckets with the engine's (with the closed
+forms' for F_2[x^2,x^3]), so each route checks the other.
 """
 
 from __future__ import annotations

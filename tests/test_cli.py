@@ -117,29 +117,34 @@ def test_verify_friendly_all_match():
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_verify_shape_bounds_other_semigroup():
+def test_verify_other_semigroup_against_the_engine():
+    # without closed forms the scan is checked against the class-group
+    # engine, with the same columns and the same comparison rule
+    from sgpoly import AlgebraContext, FieldSpec, from_generators, sgalg
+
     proc = run_cli("verify", "--sgp", "3,4,5", "--max-degree", "12")
     lines = proc.stdout.splitlines()
-    assert lines[0] == "n,irreducible,max_m,max_k,m_bound,k_bound,within"
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[4] == "6" and fields[5] == "4"
-        assert fields[6] == "true"
+    assert lines[0] == ("n,engine_c,engine_t,engine_w,engine_b,"
+                        "brute_c,brute_t,brute_w,brute_b,match")
+    ctx = AlgebraContext(FieldSpec(2), from_generators((3, 4, 5)))
+    for line, n in zip(lines[1:], range(2, 13), strict=True):
+        want = ",".join(map(str, sgalg.count_classes(ctx, n).as_tuple()))
+        assert line == f"{n},{want},{want},true"
 
 
 def test_verify_guard():
     run_cli("verify", "--max-degree", "25", expect=2)
 
 
-def test_verify_natural_semigroup_holds_its_bounds(capsys):
-    # S = N has F = -1, taken as 0: m < 2 and k <= 1, which every
-    # irreducible of F_2[x] of degree >= 2 meets with m = 0 and k = 1
-    from sgpoly import cli
+def test_verify_natural_semigroup_matches_field_counts(capsys):
+    # S = N has a trivial class group: every irreducible of F_2[x] is a
+    # classic irreducible of the algebra, on both routes
+    from sgpoly import cli, count_aq
 
     assert cli.main(["verify", "--sgp", "1", "--max-degree", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
-    assert all(line.endswith(",2,1,true") for line in lines[1:])
+    assert lines[1:] == [f"{n},{a},0,0,{a},{a},0,0,{a},true"
+                         for n in range(2, 9) for a in [count_aq(n, 2)]]
 
 
 def test_scan_guard_has_one_message(capsys):
@@ -319,13 +324,13 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     # force a wrong closed form for one degree and watch the contract fire
     from sgpoly import cli, counting
 
-    real = counting.b_counts
+    real = counting.b_counts_to
 
-    def skewed(n):
-        out = real(n)
-        return (out[0] + 1, *out[1:]) if n == 4 else out
+    def skewed(top):
+        return [(c + 1, *rest) if n == 4 else (c, *rest)
+                for n, (c, *rest) in enumerate(real(top), 2)]
 
-    monkeypatch.setattr(cli.counting, "b_counts", skewed)
+    monkeypatch.setattr(cli.counting, "b_counts_to", skewed)
     code = cli.main(["verify", "--max-degree", "5"])
     captured = capsys.readouterr()
     assert code == 1
@@ -340,21 +345,51 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_shape_violation_names_the_bound(monkeypatch, capsys):
-    # the scans never break a bound, so feed the check counts that do
-    from sgpoly import cli, sgalg
+def test_engine_mismatch_names_the_bucket(monkeypatch, capsys):
+    # the scan and the engine are independent routes: skew one bucket of
+    # the engine at one degree and verify must catch it
+    from sgpoly import classgroup, cli
 
-    def skewed(args, ctx, degrees):
-        return [sgalg.ClassCounts(total=1, max_m=6 if n == 3 else 1, max_k=5) for n in degrees]
+    real = classgroup.degree_counts
 
-    monkeypatch.setattr(cli, "_scan_counts", skewed)
-    assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "3"]) == 1
+    def skewed(group, top):
+        out = real(group, top)
+        out[5].tame += 1
+        return out
+
+    monkeypatch.setattr(classgroup, "degree_counts", skewed)
+    assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "6"]) == 1
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[1:] == ["2,1,1,5,6,4,false", "3,1,6,5,6,4,false"]
-    assert captured.err == (
-        "shape bound violated at degree 2: max_k 5 > k_bound 4\n"
-        "shape bound violated at degree 3: max_m 6 >= m_bound 6, max_k 5 > k_bound 4\n"
-    )
+    assert captured.out.splitlines()[4:] == ["5,1,5,3,8,1,4,3,8,false", "6,2,6,5,13,2,6,5,13,true"]
+    assert captured.err == "mismatch at degree 5: b_t engine 5, brute 4\n"
+
+
+def test_verify_without_a_second_route_is_refused(monkeypatch, capsys):
+    # F_2[<5,7>] has 12 gaps: its class table alone is estimated past the
+    # cap, so verify exits 2 before any factor table, class table or scan
+    from sgpoly import classgroup, cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sgalg, "prepare_scans", refuse)
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    monkeypatch.setattr(sgalg, "_scan", refuse)
+    monkeypatch.setattr(classgroup, "ClassGroup", refuse)
+    assert cli.main(["verify", "--sgp", "5,7", "--max-degree", "8"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: no second route to verify against: a class-group count "
+        "estimated at 725 s (cap 252 s)\n"))
+
+
+def test_closed_form_verify_does_not_load_the_engine():
+    # F_2[x^2,x^3] verifies against the closed forms, so a fresh process
+    # never imports the class-group module
+    code = ("import sys\n"
+            "from sgpoly import cli\n"
+            "assert cli.main(['verify', '--max-degree', '6']) == 0\n"
+            "assert 'sgpoly.classgroup' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, timeout=600)
 
 
 def test_each_command_builds_the_semigroup_once(monkeypatch, capsys):
@@ -572,7 +607,7 @@ def test_output_to_a_pipe_is_written_in_place(tmp_path):
     assert list(tmp_path.iterdir()) == [pipe]
 
 
-def test_output_beside_no_new_file_is_written_in_place(monkeypatch, tmp_path):
+def test_output_beside_no_new_file_is_written_in_place(monkeypatch, capsys, tmp_path):
     # a directory that takes no new file (read-only, say) gets no temporary
     # file: PATH is rewritten in place, so a hard link still sees the rows
     from sgpoly import cli
@@ -594,11 +629,37 @@ def test_output_beside_no_new_file_is_written_in_place(monkeypatch, tmp_path):
     assert os.stat(path).st_ino == inode
     assert link.read_text().splitlines()[3] == "4,3,2,1,2,2,5,8,5/8,0.625000"
     assert sorted(tmp_path.iterdir()) == [link, path]
-    # a missing directory fails on PATH itself, as a plain open would
-    missing = tmp_path / "absent" / "table.csv"
-    with pytest.raises(FileNotFoundError) as err:
-        cli.main(["count", "--max-degree", "5", "--output", str(missing)])
-    assert err.value.filename == str(missing)
+
+    # a path that cannot be opened in place either is one error line, exit 2
+    def no_files(name, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(name))
+
+    monkeypatch.setattr(cli, "open", no_files, raising=False)
+    assert cli.main(["count", "--max-degree", "5", "--output", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: Permission denied\n")
+    assert path.read_text().splitlines()[3] == "4,3,2,1,2,2,5,8,5/8,0.625000"
+    assert sorted(tmp_path.iterdir()) == [link, path]
+
+
+def test_output_that_cannot_be_written_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    # a missing directory or a directory as PATH: one error line and exit 2,
+    # not a traceback and exit 1, before any count and with no temporary file
+    from sgpoly import cli, counting, sgalg
+
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sgalg, "prepare_scans", refuse)
+    monkeypatch.setattr(counting, "b_counts_to", refuse)
+    missing = tmp_path / "absent" / "v.csv"
+    for argv, path in (
+        (["verify", "--max-degree", "14", "--output", str(missing)], missing),
+        (["count", "--max-degree", "5", "--output", str(tmp_path)], tmp_path),
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: not a file in an existing directory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_count_determinism_across_workers(tmp_path):
