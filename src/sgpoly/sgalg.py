@@ -529,12 +529,14 @@ def prepare_gf2_cache(max_degree):
 def _basep_tables(p, degree):
     # Each irreducible a with 2*deg(a) <= degree, met in increasing code
     # order, marks a*h for every monic h with deg(a) <= deg(h) <= degree -
-    # deg(a) that no smaller irreducible marked.  The cofactors h of one
-    # degree e are visited by a modular p-ary Gray walk from x^e: step k
-    # raises digit v of h by one mod p, v being the p-adic valuation of k,
-    # so the product gains a*x^v.  That changes only digits v..v+deg(a) of
-    # its code, which one lookup in a's digit-wise addition table does.
-    # x, the least irreducible, marks every x*h, code p*h, by one slice per deg(h).
+    # deg(a) that no smaller irreducible marked.  x, the least irreducible,
+    # marks every x*h, code p*h, by one slice per deg(h), so a walk skips the
+    # cofactors divisible by x: those of one degree e with constant term
+    # t = 1..p-1 are visited by one modular p-ary Gray walk from x^e + t over
+    # digits 1..e-1.  Step k raises digit v+1 of h by one mod p, v being the
+    # p-adic valuation of k, so the product gains a*x^(v+1).  That changes
+    # only digits v+1..v+1+deg(a) of its code, which one lookup in a's
+    # digit-wise addition table does; adding t*a to a*x^e takes t of them.
     size = table_entries(p, degree)
     spf = array("I", [0]) * size
     cof = array("I", [1]) * size
@@ -542,11 +544,11 @@ def _basep_tables(p, degree):
     for h in pw[1:degree]:
         spf[p * h:2 * p * h:p] = array("I", [p]) * h
         cof[p * h:2 * p * h:p] = array("I", range(h, 2 * h))
-    walk = pw[max(degree - 1, 0)]
-    steps = array("I", [1]) * walk  # p^v for step k
-    for q in pw[1:degree]:
-        steps[q::q] = array("I", [q]) * len(range(q, walk, q))
-    gray = array("I", [0]) * walk  # code of h - x^e after step k
+    walk = pw[max(degree - 2, 0)]
+    steps = array("I", [p]) * walk  # p^(v+1) for step k
+    for q in pw[1:degree - 2]:
+        steps[q::q] = array("I", [p * q]) * len(range(q, walk, q))
+    gray = array("I", [0]) * walk  # code of h - x^e - t after step k
     g = 0
     for k in range(1, walk):
         q = steps[k]
@@ -562,15 +564,17 @@ def _basep_tables(p, degree):
                 digit = a // pw[i] % p
                 add = [w + (v + digit) % p * pw[i] for v in range(p) for w in add]
             for e in range(d, degree - d + 1):
-                h = pw[e]
-                c = a * h
-                if not spf[c]:
-                    spf[c], cof[c] = a, h
-                for q, g in islice(zip(steps, gray), 1, h):
-                    w = c // q % window
-                    c += (add[w] - w) * q
+                start = a * pw[e]
+                for h in range(pw[e] + 1, pw[e] + p):
+                    w = start % window
+                    c = start = start + add[w] - w
                     if not spf[c]:
-                        spf[c], cof[c] = a, h + g
+                        spf[c], cof[c] = a, h
+                    for q, g in islice(zip(steps, gray), 1, pw[e - 1]):
+                        w = c // q % window
+                        c += (add[w] - w) * q
+                        if not spf[c]:
+                            spf[c], cof[c] = a, h + g
     return spf, cof
 
 
@@ -679,16 +683,17 @@ def table_us(p, degree):
 
     For each irreducible a of degree d <= degree/2 other than x, whose
     multiples are marked by slices, _basep_tables builds a's addition
-    table over d+1 digits (ADD_US an entry) and walks the cofactors of
-    every degree from d to degree-d (WALK_US a step); p^d/d, an upper
-    bound, stands for the number of such a.  The step counts grow with the
-    degree, and the addition tables with p: at degree 2 they cost about p/2
-    entries per table entry.  Over p <= 257 and tables of up to 3.9M
-    entries this came within 0.65-1.6x of the measured build.
+    table over d+1 digits (ADD_US an entry) and walks the (p-1)*p^(e-1)
+    cofactors of every degree e from d to degree-d that x does not divide
+    (WALK_US a step); p^d/d, an upper bound, stands for the number of such
+    a.  The step counts grow with the degree, and the addition tables with
+    p: at degree 2 they cost about p/2 entries per table entry.  Over
+    p <= 257 and tables of up to 11.5M entries (F_7, degree 8) this came
+    within 0.65-1.4x of the measured build.
     """
     us = 0
     for d in range(1, degree // 2 + 1):
-        walk = sum(p ** e for e in range(d, degree - d + 1))
+        walk = sum((p - 1) * p ** (e - 1) for e in range(d, degree - d + 1))
         add = sum(p ** i for i in range(1, d + 2))
         us += (p ** d // d - (d == 1)) * (WALK_US * walk + ADD_US * add)
     return us

@@ -173,7 +173,7 @@ def test_scans_over_the_time_cap_are_refused(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sgalg, "_scan", refuse)
     path = tmp_path / "rows.csv"
     for argv, message in (
-        (["verify", "--q", "3", "--max-degree", "16"], "a scan estimated at 5763 s"),
+        (["verify", "--q", "3", "--max-degree", "16"], "a scan estimated at 5762 s"),
         (["enumerate", "--q", "3", "--degree", "15"], "a scan estimated at 1435 s"),
         (["verify", "--q", "5", "--max-degree", "10", "--workers", "2"],
          "a scan estimated at 591 s"),

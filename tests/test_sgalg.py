@@ -447,11 +447,14 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
     check_scanned(ctx, items)
 
 
-@pytest.mark.parametrize("p, top", [(2, 8), (3, 7), (5, 5)])
+@pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (3, 7), (5, 5), (7, 4)])
 def test_basep_tables_match_a_factor_fq_table(p, top):
     # the reference puts factor_fq's least factor and the quotient at every
     # monic code, (0, 1) at an irreducible and at every other code; a
-    # table of any degree D is the reference cut to its 2*p^D entries
+    # table of any degree D is the reference cut to its 2*p^D entries.  The
+    # walks start at a*(x^e + t) for t = 1..p-1 (six starts over F_7), where
+    # a*x^e and t*a share digit e when e = deg(a), and degrees up to 2 give
+    # walk arrays of one entry
     field = FieldSpec(p)
     size = sgalg.table_entries(p, top)
     spf, cof = [0] * size, [1] * size
