@@ -16,10 +16,12 @@ and Halter-Koch, Non-Unique Factorizations, 2006):
 
 degree_counts lists those types once and counts each degree's members of
 every type from the per-class counts of irreducibles, which come from the
-Euler product and need no factoring.  Nothing here decides a single
-polynomial, and the brute-force scans in sgalg never consult Q: the two
-routes share only the residue arithmetic of AlgebraContext.ring, its
-membership test included, so each checks the other.
+Euler product and need no factoring.  admit prices that count before it
+runs, from a dry walk of the same type search, and refuses it over a time
+limit; the CLI runs the engine only through it.  Nothing here decides a
+single polynomial, and the brute-force scans in sgalg never consult Q:
+the two routes share only the residue arithmetic of AlgebraContext.ring,
+its membership test included, so each checks the other.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import comb
 
-from .counting import count_aq
-from .sgalg import ClassCounts
+from .sgalg import MAX_SCAN, TIME_CAP_US, ClassCounts
 
 
 class ClassGroup:
@@ -47,11 +48,10 @@ class ClassGroup:
         self.p = p = ctx.field.p
         sgp = ctx.semigroup
         self.w = w = max(sgp.frobenius + 1, 1)
-        self.gaps = sgp.gaps
         self._nongaps = [j for j in range(1, w) if sgp.contains(j)]
         _, self._reduce, self._mul, self._member = ctx.ring
         reps = [1]
-        for g in self.gaps:
+        for g in sgp.gaps:
             reps = [r + c * p ** g for c in range(p) for r in reps]
         self.reps = reps
         self.order = len(reps)
@@ -132,70 +132,6 @@ def _log(n, p):
     return e
 
 
-# What the engine spends, in microseconds (2-vCPU x86-64, Python 3.11),
-# per unit of the work estimated_us counts, timed over 20 (q, S, N) with q
-# up to 257, |Q| up to 257 and N up to 320:
-RESIDUE_US = 1.2  # a residue product in class_of (0.3-1.9 us)
-EULER_US = 0.4  # an inner step of the Euler-product recursion (0.05-0.4 us)
-NODE_US = 10  # a node of the type search (7-17 us)
-PRODUCT_US = 0.01  # a product of two packed series, per (bits/30)^log2(3) (9-12 ns)
-SERIES_US = 1.2e-4  # a shift-add of a packed series, per bit (0.1-0.15 ns)
-
-
-def setup_us(p, genus, w):
-    """Estimated microseconds for the class table (p^(2 genus) entries) and
-    the listing of the p^(w-1) 1-units below x^w: the least the engine
-    costs, known before Q is built.  Each class_of takes up to w products."""
-    return RESIDUE_US * w * (p ** (2 * genus) + p ** (w - 1))
-
-
-def node_bound(group, max_degree):
-    """A bound on the nodes degree_counts' search visits up to max_degree.
-
-    Nodes are multisets of at most K = min(D(Q)-1, max_degree-1)
-    non-identity classes that weigh at most max_degree - 1, a class weighing
-    its least irreducible degree.  No more classes weigh at most e than
-    F_q[x] has monic irreducibles P != x of degree at most e, so giving the
-    classes those least weights, in turn, only adds multisets.
-    """
-    n = max_degree
-    k_max = min(group.davenport - 1, n - 1)
-    ways = [[0] * n for _ in range(k_max + 1)]  # ways[k][t]: k classes weighing t
-    ways[0][0] = 1
-    left, e = group.order - 1, 1
-    while left and e < n:
-        c = min(left, count_aq(e, group.p) - (e == 1))  # classes weighing e
-        left -= c
-        new = [row[:] for row in ways]
-        for k, row in enumerate(ways):
-            for t, v in enumerate(row):
-                if v:
-                    for j in range(1, min(k_max - k, (n - 1 - t) // e) + 1):
-                        new[k + j][t + j * e] += v * comb(c + j - 1, j)
-        ways = new
-        e += 1
-    return sum(map(sum, ways))
-
-
-def estimated_us(group, max_degree):
-    """Estimated microseconds for degree_counts(group, max_degree), the
-    class table included.  Beside setup_us: the Euler product's
-    N^2 + N (w-1) |Q|^2 steps; node_bound nodes, each searched once and
-    closing at most one atom, with one product of packed series for each;
-    and the per-class series, about |Q| N top^2 / 2 shift-adds of
-    (N+1)-slot series, top = min(D(Q), N).  A packed series has
-    (N+1) (N log2 q + 2) bits, and CPython multiplies such integers in
-    time (bits/30)^log2(3)."""
-    n, order, w = max_degree, group.order, group.w
-    nodes = node_bound(group, n)
-    top = min(group.davenport, n)
-    size = (n + 1) * ((group.p ** n).bit_length() + 1)  # bits of a packed series
-    return (setup_us(group.p, len(group.gaps), w)
-            + EULER_US * n * (n + (w - 1) * order ** 2)
-            + nodes * (NODE_US + 2 * PRODUCT_US * (size / 30) ** 1.585)
-            + SERIES_US * order * n * top * (top + 1) / 2 * size)
-
-
 def irreducible_class_counts(group, max_degree):
     """counts[d][c]: monic irreducibles P != x of degree d in class c, d >= 1.
 
@@ -260,50 +196,62 @@ def _membership_sets(group):
             for a in range(max(sgp.frobenius + sgp.min_generators[0], 1) + 1)]
 
 
+def _splits(member):
+    # per m >= 1: the pairs (T_a, T_(m-a)), 0 < a < m, that could split x^m * U
+    return [[(member[a], member[m - a]) for a in range(1, m) if member[a] and member[m - a]]
+            for m in range(len(member))]
+
+
 def _search(group, weights, budget):
     # Depth-first, in the order of sorted tuples (a node's prefixes come
     # before it), over the product-one-free multisets U of non-identity
-    # classes weighing at most budget.  Yields (U, ms, closing): ms lists
-    # the m >= 1 for which x^m times classes U is irreducible, and closing
+    # classes weighing at most budget.  Yields (U, ms, closing, sums): ms
+    # lists the m >= 1 for which x^m times classes U is irreducible, closing
     # is the class g = sigma(U)^-1 when U * g is an atom whose largest class
-    # is g and that weighs at most budget + 1, else None.  An atom A has a
-    # product-one-free A minus any one class, so it is closed exactly once,
-    # at A minus one copy of its largest class.  Only the current path is
-    # kept, each node with its set of subset products.
+    # is g and that weighs at most budget + 1, else None, and sums is the
+    # set of U's subset products.  An atom A has a product-one-free A minus
+    # any one class, so it is closed exactly once, at A minus one copy of
+    # its largest class.  Only the current path is kept, each node with its
+    # sums and the classes extending it, which for a child are among its
+    # parent's from its last class on (it weighs more, with more sums).
     table, inverse, order = group.table, group.inverse, group.order
     member = _membership_sets(group)
-    # per m >= 1: the pairs (T_a, T_(m-a)), 0 < a < m, that could split x^m * U
-    splits = [[(member[a], member[m - a]) for a in range(1, m) if member[a] and member[m - a]]
-              for m in range(len(member))]
+    splits = _splits(member)
+    lightest = min(weights[1:], default=budget + 1)
 
     def node(u, weight, sigma, sums):
         row = table[sigma]
         ms = [m for m in range(1, len(member))
               if sigma in member[m]
-              and not any(s in ta and row[inverse[s]] in tb
-                          for ta, tb in splits[m] for s in sums)]
+              and not (splits[m] and any(s in ta and row[inverse[s]] in tb
+                                         for ta, tb in splits[m] for s in sums))]
         g = inverse[sigma]
         closing = g if u and g >= u[-1] and weight + weights[g] <= budget + 1 else None
-        return u, ms, closing
+        return u, ms, closing, sums
+
+    def children(u, weight, sigma, sums, cands):
+        # the classes g of cands with u * g within budget (none at a leaf);
+        # u * g has a product-one part exactly when g^-1 is a subset product
+        return ([g for g in cands if weight + weights[g] <= budget and inverse[g] not in sums]
+                if weight + lightest <= budget else [])
 
     root = ((), 0, 0, frozenset((0,)))
     yield node(*root)
-    stack = [[*root, 1]]  # each frame: u, weight, sigma, sums, next class to try
+    # each frame: u, weight, sigma, sums, the classes extending u, the next one
+    stack = [[*root, children(*root, range(1, order)), 0]]
     while stack:
         frame = stack[-1]
-        u, weight, sigma, sums, g = frame
-        # u * g has a product-one part exactly when g^-1 is a subset product
-        while g < order and (weight + weights[g] > budget or inverse[g] in sums):
-            g += 1
-        if g == order:
+        u, weight, sigma, sums, cands, i = frame
+        if i == len(cands):
             stack.pop()
             continue
-        frame[4] = g + 1
+        g = cands[i]
+        frame[5] = i + 1
         shifted = table[g]
         child = (u + (g,), weight + weights[g], table[sigma][g],
                  sums | {shifted[s] for s in sums})
         yield node(*child)
-        stack.append([*child, g])
+        stack.append([*child, children(*child, cands[i:]), 0])
 
 
 def degree_counts(group, max_degree):
@@ -324,11 +272,19 @@ def degree_counts(group, max_degree):
     (no slot ever exceeds q^max_degree), so a product of series is one
     integer product.
     """
-    n = max_degree
-    by_degree = irreducible_class_counts(group, n)
-    counts = [[by_degree[d][c] for d in range(1, n + 1)] for c in range(group.order)]
+    return _tally(group, max_degree, irreducible_class_counts(group, max_degree))
+
+
+def _weights(by_degree):
     # a class weighs its least irreducible degree, or n+1 without one up to n
-    weights = [next((d for d, v in enumerate(row, 1) if v), n + 1) for row in counts]
+    return [next((d for d, row in enumerate(by_degree[1:], 1) if row[c]), len(by_degree))
+            for c in range(len(by_degree[1]))]
+
+
+def _tally(group, n, by_degree):
+    # degree_counts(group, n) from irreducible_class_counts(group, n)
+    counts = [[by_degree[d][c] for d in range(1, n + 1)] for c in range(group.order)]
+    weights = _weights(by_degree)
     bits = (group.p ** n).bit_length() + 1
     mask = (1 << (n + 1) * bits) - 1
 
@@ -350,7 +306,7 @@ def degree_counts(group, max_degree):
     if weights[0] <= n:  # the atoms of the identity class alone
         by_shape[0, 1] = series[0][1]
     path = [1]  # path[i]: the product of the current node's first i classes
-    for u, ms, closing in _search(group, weights, n - 1):
+    for u, ms, closing, _ in _search(group, weights, n - 1):
         k = len(u)
         if u:
             # u is its prefix without its run of its last class, then that run
@@ -371,3 +327,70 @@ def degree_counts(group, max_degree):
         for d, counts in enumerate(out):
             counts.add(m, k, v >> d * bits & slot)
     return out
+
+
+# What the engine spends, in microseconds (2-vCPU x86-64, Python 3.11), per
+# unit of the work admit counts, fit over 16 type searches and 12 counts (q <= 127,
+# |Q| <= 729, N <= 1000); a series has N+1 slots of bits = N log2 q + 2 bits:
+COUNT_US = 1000  # a count's fixed set-up: D(Q), membership sets, output rows
+RESIDUE_US = 1.2  # a residue product in class_of (0.3-1.9 us)
+EULER_US = 0.03  # a class pair of the Euler product, or a degree pair per bits^0.585
+SERIES_US = 2e-6  # a shift-add of a packed series, per bit and bits^0.585
+NODE_US = 5  # a node of the type search
+SUM_US = 0.13  # a subset product a node extends (it filters about as many classes)
+SPLIT_US = 0.1  # a split a node tests for one m, per subset product
+PRODUCT_US = 0.007  # a product of two series of size bits, per (size/30)^log2(3)
+WALK_SHARE = 8  # admit walks the type search for at most TIME_CAP_US / WALK_SHARE
+
+
+def _counting_us(group, n):
+    # the Euler product to degree n, n (w-1) |Q|^2 class pairs and n^2/2 degree
+    # pairs, and the series, |Q| n top (top+1)/2 shift-adds, top = min(D(Q), n)
+    bits = (group.p ** n).bit_length() + 1
+    order, top = group.order, min(group.davenport, n)
+    return (EULER_US * n * ((group.w - 1) * order ** 2 + n / 2 * bits ** 0.585)
+            + SERIES_US * order * n * top * (top + 1) / 2 * (n + 1) * bits * bits ** 0.585)
+
+
+def admit(ctx, max_degree, limit):
+    """degree_counts(ClassGroup(ctx), max_degree) as a function of no
+    arguments when its estimated time is below limit microseconds, else
+    ValueError naming the reason, raised as soon as the estimate passes it.
+
+    The estimate adds a fixed set-up, the class table and 1-unit listing
+    (at most MAX_SCAN entries each) before Q is built, the Euler product
+    and the series once D(Q) is known, and, after the Euler product has
+    run, the type search: a dry walk of it prices each node by its work,
+    which grows with |Q|, and the series products formed there and at each
+    atom it closes.  The walk stops at limit or after TIME_CAP_US /
+    WALK_SHARE.  No clock is read, so an input always gets the same
+    answer; the count reuses the Euler product.
+    """
+    p, sgp, n = ctx.field.p, ctx.semigroup, max_degree
+    w = max(sgp.frobenius + 1, 1)
+    # p^(w-1) >= 2^(w-1) residues, and genus < w, so the powers are formed
+    # only below the cap
+    if w - 1 >= MAX_SCAN.bit_length() or max(p ** (2 * sgp.genus), p ** (w - 1)) > MAX_SCAN:
+        raise ValueError(f"a class group with more than {MAX_SCAN} table entries or residues")
+    us = COUNT_US + RESIDUE_US * w * (p ** (2 * sgp.genus) + p ** (w - 1))
+    if us < limit:
+        group = ClassGroup(ctx)
+        us += _counting_us(group, n)
+    if us >= limit:
+        raise ValueError(f"a class-group count estimated at {us / 1e6:.0f} s "
+                         f"(cap {limit / 1e6:.0f} s)")
+    by_degree = irreducible_class_counts(group, n)
+    product = PRODUCT_US * ((n + 1) * ((p ** n).bit_length() + 1) / 30) ** 1.585
+    tests = [len(pairs) for pairs in _splits(_membership_sets(group))]
+    walked = 0
+    for u, ms, closing, sums in _search(group, _weights(by_degree), n - 1):
+        step = NODE_US + len(sums) * (SUM_US + SPLIT_US * sum(tests[m] for m in ms))
+        walked += step
+        us += step + product * (bool(u) + (closing is not None))
+        if us >= limit:
+            raise ValueError(f"a class-group count estimated at over {us / 1e6:.0f} s "
+                             f"(cap {limit / 1e6:.0f} s)")
+        if walked > TIME_CAP_US / WALK_SHARE:
+            raise ValueError(f"a class-group type search over {walked / 1e6:.0f} s "
+                             f"(1/{WALK_SHARE} of the {TIME_CAP_US / 1e6:.0f} s cap)")
+    return lambda: _tally(group, n, by_degree)

@@ -2,11 +2,12 @@
 and the prime experiment, emitted as CSV or JSON.
 
 `count` answers F_2[x^2,x^3] from the paper's closed forms, and every other
-(q, S) from the cheaper of two exact routes, chosen before any heavy work
-(see _count_engine): the class-group engine (`classgroup`) or a brute-force
-scan.  `enumerate` always scans; `verify` checks a scan against the closed
-forms or the engine.  No command starts a scan or a count whose estimated
-time passes TIME_CAP_US.
+(q, S) from the cheaper of two exact routes, chosen before any count runs:
+a brute-force scan, priced by sgalg.scan_us, or the class-group engine,
+which classgroup.admit prices from a dry walk of its own type search.
+`enumerate` always scans; `verify` checks a scan against the closed forms
+or the engine.  No command starts a scan or a count whose estimated time
+passes sgalg.TIME_CAP_US.
 
 Exit status contract: 0 on success, 1 when a verification detects a
 mismatch, 2 on usage errors.  Identical configuration yields byte-identical
@@ -35,11 +36,6 @@ MAX_VERIFY_DEGREE = 20
 MAX_COUNT_DEGREE = 1000
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
-# the longest scan or class-group count admitted, by its estimated time in
-# microseconds: MAX_SCAN member scans at the 15 us a table-route member
-# first cost, about 252 s; pinned so that re-measuring sgalg.SCAN_US moves
-# no input across it
-TIME_CAP_US = 15 * sgalg.MAX_SCAN
 
 
 class UsageError(Exception):
@@ -237,10 +233,11 @@ def _scan_counts(args, ctx, degrees):
 
 def _scan_estimate(ctx, degrees):
     # sgalg.scan_us of a command's scans; ValueError, before any work, for
-    # scans that prepare_scans refuses or that pass TIME_CAP_US
+    # scans that prepare_scans refuses or that pass sgalg.TIME_CAP_US
     us = sgalg.scan_us(ctx, degrees)
-    if us > TIME_CAP_US:
-        raise ValueError(f"a scan estimated at {us / 1e6:.0f} s (cap {TIME_CAP_US / 1e6:.0f} s)")
+    if us > sgalg.TIME_CAP_US:
+        raise ValueError(f"a scan estimated at {us / 1e6:.0f} s "
+                         f"(cap {sgalg.TIME_CAP_US / 1e6:.0f} s)")
     return us
 
 
@@ -251,60 +248,34 @@ def _scan_estimate(ctx, degrees):
 
 
 def _class_group(ctx, top, limit):
-    # the engine's ClassGroup for degrees up to top when its estimated time
-    # (classgroup.estimated_us) is below limit microseconds, else ValueError
-    # naming the reason.  Q is built (D(Q) costs about |Q| w residue
-    # products) only when its class table and residue listing alone, each at
-    # most MAX_SCAN entries, would cost less.  Only here is classgroup loaded.
-    from . import classgroup
-
-    p, genus, w = ctx.field.p, ctx.semigroup.genus, max(ctx.semigroup.frobenius + 1, 1)
+    # classgroup.admit below count's degree cap; only here is classgroup loaded
     if top > MAX_COUNT_DEGREE:
         raise ValueError(f"class-group counts stop at degree {MAX_COUNT_DEGREE}")
-    # p^(w-1) >= 2^(w-1) residues, and genus < w, so the powers are formed
-    # only below the cap
-    if w - 1 >= sgalg.MAX_SCAN.bit_length() or max(p ** (2 * genus), p ** (w - 1)) > sgalg.MAX_SCAN:
-        raise ValueError(f"a class group with more than {sgalg.MAX_SCAN} table entries or residues")
-    estimate = classgroup.setup_us(p, genus, w)
-    if estimate < limit:
-        group = classgroup.ClassGroup(ctx)
-        estimate = classgroup.estimated_us(group, top)
-        if estimate < limit:
-            return group
-    raise ValueError(f"a class-group count estimated at {estimate / 1e6:.0f} s "
-                     f"(cap {TIME_CAP_US / 1e6:.0f} s)")
+    from . import classgroup
 
-
-def _count_engine(ctx, degrees):
-    # count's route without closed forms: the ClassGroup when the engine is
-    # admitted under the scan's estimate and TIME_CAP_US, None for the scan;
-    # ValueError naming both reasons when both are refused
-    try:
-        limit, refused = _scan_estimate(ctx, degrees), None
-    except ValueError as exc:
-        limit, refused = TIME_CAP_US, exc
-    try:
-        return _class_group(ctx, degrees[-1], limit)
-    except ValueError as why:
-        if refused is None:
-            return None
-        raise ValueError(f"{refused}, and {why}") from None
+    return classgroup.admit(ctx, top, limit)
 
 
 def _count_route(args, ctx, degrees):
-    # count's route, chosen and admitted before any heavy work: the closed
-    # forms for F_2[x^2,x^3], else the class group or a scan (see
-    # _count_engine).  Returns a function giving one ClassCounts per
-    # degree; raises ValueError when the route is refused.
+    # count's route, chosen and admitted before any count runs: the closed
+    # forms for F_2[x^2,x^3], else the class group when it is admitted under
+    # the scan's estimate (sgalg.TIME_CAP_US when the scan is refused), else
+    # the scan.  Returns a function giving one ClassCounts per degree;
+    # raises ValueError, naming both reasons when both routes are refused.
     if ctx.is_friendly:
         if degrees[-1] > MAX_COUNT_DEGREE:
             raise ValueError(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
         return lambda: [sgalg.ClassCounts(*c) for c in counting.b_counts_to(degrees[-1])]
-    group = _count_engine(ctx, degrees)
-    if group is not None:
-        from . import classgroup  # loaded by _class_group already
-
-        return lambda: classgroup.degree_counts(group, degrees[-1])[degrees[0]:]
+    try:
+        limit, refused = _scan_estimate(ctx, degrees), None
+    except ValueError as exc:
+        limit, refused = sgalg.TIME_CAP_US, exc
+    try:
+        engine = _class_group(ctx, degrees[-1], limit)
+        return lambda: engine()[degrees[0]:]
+    except ValueError as why:
+        if refused is not None:
+            raise ValueError(f"{refused}, and {why}") from None
     sgalg.prepare_scans(ctx, degrees)
     return lambda: _scan_counts(args, ctx, degrees)
 
@@ -360,8 +331,9 @@ def cmd_enumerate(args):
 
 def cmd_verify(args):
     # the scan's four buckets per degree against the closed forms for
-    # F_2[x^2,x^3], else the engine, admitted before any table or scan is
-    # built; a mismatch names its first differing bucket
+    # F_2[x^2,x^3], else the engine's, with its max_m and max_k as well
+    # (the closed forms have none); the engine is admitted before any table
+    # or scan is built, and a mismatch names its first differing value
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
     top = degrees[-1]
@@ -369,7 +341,7 @@ def cmd_verify(args):
         _scan_estimate(ctx, degrees)
         if not ctx.is_friendly:
             try:
-                group = _class_group(ctx, top, TIME_CAP_US)
+                engine = _class_group(ctx, top, sgalg.TIME_CAP_US)
             except ValueError as why:
                 raise ValueError(f"no second route to verify against: {why}") from None
         sgalg.prepare_scans(ctx, degrees)
@@ -378,18 +350,17 @@ def cmd_verify(args):
     if ctx.is_friendly:
         ref, want = "closed", counting.b_counts_to(top)
     else:
-        from . import classgroup  # loaded by _class_group already
-
-        ref, want = "engine", [c.as_tuple() for c in classgroup.degree_counts(group, top)[2:]]
+        ref, want = "engine", [(*c.as_tuple(), c.max_m, c.max_k) for c in engine()[2:]]
     fields = ("n", *(f"{route}_{b}" for route in (ref, "brute") for b in "ctwb"), "match")
     rows, failures = [], []
     for n, ref_row, c in zip(degrees, want, _scan_counts(args, ctx, degrees)):
-        brute = c.as_tuple()
-        rows.append((n, *ref_row, *brute, ref_row == brute))
-        for bucket, x, y in zip(("b_c", "b_t", "b_w", "b"), ref_row, brute):
-            if x != y:
-                failures.append(f"mismatch at degree {n}: {bucket} {ref} {x}, brute {y}")
-                break
+        brute = (*c.as_tuple(), c.max_m, c.max_k)
+        # zip stops at the closed forms' four buckets
+        diffs = [f"{name} {ref} {x}, brute {y}" for name, x, y
+                 in zip(("b_c", "b_t", "b_w", "b", "max_m", "max_k"), ref_row, brute) if x != y]
+        rows.append((n, *ref_row[:4], *brute[:4], not diffs))
+        if diffs:
+            failures.append(f"mismatch at degree {n}: {diffs[0]}")
     _emit(args, fields, rows)
     for line in failures:
         print(line, file=sys.stderr)

@@ -439,6 +439,11 @@ def find_subproduct(polys, clear_below):
 
 
 MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor table
+# the longest scan or class-group count the CLI admits, by its estimated
+# time in microseconds: MAX_SCAN member scans at the 15 us a table-route
+# member first cost, about 252 s; pinned so that re-measuring SCAN_US
+# moves no input across it
+TIME_CAP_US = 15 * MAX_SCAN
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
 # a member factored by table lookups with memoized verdicts (2-16 us over
 # F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a

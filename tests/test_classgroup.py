@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from sgpoly import (
     AlgebraContext, FieldSpec, Polynomial, b_counts, count_classes, from_generators, member_count,
 )
+from sgpoly import classgroup
 from sgpoly.classgroup import (
-    ClassGroup, _membership_sets, _search, degree_counts, estimated_us,
-    irreducible_class_counts, node_bound,
+    ClassGroup, _counting_us, _membership_sets, _search, _weights, admit,
+    degree_counts, irreducible_class_counts,
 )
 from oracles import divisor_scan_verdict, monic_members, support_member
 
@@ -31,9 +32,14 @@ BRUTE_FORCE_CASES = [
 @pytest.mark.parametrize("q, gens, top", BRUTE_FORCE_CASES)
 def test_engine_matches_brute_force(q, gens, top):
     group = group_of(q, gens)
+    sgp = group.ctx.semigroup
     rows = degree_counts(group, top)
     for n in range(1, top + 1):  # degree 1 holds x and x - c over F_q[x]
         assert rows[n] == count_classes(group.ctx, n), n
+        # the transfer's bounds: x^m * (part) splits once m passes F + m(S),
+        # and an atom over Q has at most D(Q) classes
+        assert rows[n].max_m <= max(sgp.frobenius + sgp.min_generators[0], 1), n
+        assert rows[n].max_k <= group.davenport, n
 
 
 def test_engine_matches_the_closed_forms_to_degree_200():
@@ -59,15 +65,29 @@ def types_of(group, weights, budget):
     # once from its node or, for the identity alone, taken directly
     nodes = {}
     atoms = {(0,)} if weights[0] <= budget + 1 else set()
-    for u, ms, closing in _search(group, weights, budget):
+    for u, ms, closing, _ in _search(group, weights, budget):
         nodes[u] = ms
         if closing is not None:
             atoms.add(u + (closing,))
     return nodes, atoms
 
 
+def counting_search(monkeypatch):
+    # the nodes _search yields from now on, in a list
+    yielded = []
+    real = classgroup._search
+
+    def counted(*args):
+        for node in real(*args):
+            yielded.append(node)
+            yield node
+
+    monkeypatch.setattr(classgroup, "_search", counted)
+    return yielded
+
+
 @pytest.mark.parametrize("q, gens, order, davenport, atoms, tame", STRUCTURE)
-def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
+def test_type_counts_and_olson(monkeypatch, q, gens, order, davenport, atoms, tame):
     group = group_of(q, gens)
     assert group.order == order == q ** from_generators(gens).genus
     assert group.davenport == davenport
@@ -75,12 +95,13 @@ def test_type_counts_and_olson(q, gens, order, davenport, atoms, tame):
     # Olson's D(Q) is the length of the longest atom the search lists
     assert max(map(len, found)) == davenport
     assert (len(found), sum(map(len, nodes.values()))) == (atoms, tame)
-    # node_bound caps the nodes degree_counts' search visits at every degree
+    # admission's walk, unbounded, visits every node degree_counts does
+    yielded = counting_search(monkeypatch)
     for n in (2, 4, 7, 11):
-        counts = irreducible_class_counts(group, n)
-        weights = [next((d for d in range(1, n + 1) if counts[d][c]), n + 1)
-                   for c in range(order)]
-        assert len(types_of(group, weights, n - 1)[0]) <= node_bound(group, n), n
+        nodes = types_of(group, _weights(irreducible_class_counts(group, n)), n - 1)[0]
+        yielded.clear()
+        admit(group.ctx, n, float("inf"))
+        assert len(yielded) == len(nodes), n
 
 
 @pytest.mark.parametrize("q, gens", [case[:2] for case in STRUCTURE])
@@ -98,11 +119,51 @@ def test_membership_sets_match_the_support_oracle(q, gens):
 
 
 def test_estimate_grows_with_the_degree():
-    # the engine's time grows about as N^3 (products of (N+1)-slot series
-    # of N log2 q bits a slot), and so must the estimate that admits it
+    # the per-class series cost more than N^3 (shift-adds of (N+1)-slot
+    # series of N log2 q bits a slot), and so must the price that admits
+    # them, known before the Euler product or the type search runs
     group = group_of(3, (3, 4, 5))
-    estimates = [estimated_us(group, n) for n in (125, 250, 500, 1000)]
-    assert all(later > 6 * earlier for earlier, later in zip(estimates, estimates[1:]))
+    prices = [_counting_us(group, n) for n in (125, 250, 500, 1000)]
+    assert all(later > 6 * earlier for earlier, later in zip(prices, prices[1:]))
+
+
+def test_admitted_counts_are_degree_counts(monkeypatch):
+    # admission runs the Euler product once, and the count reuses it
+    group = group_of(3, (3, 4, 5))
+    expected = degree_counts(group, 30)
+    calls = []
+    real = classgroup.irreducible_class_counts
+    monkeypatch.setattr(classgroup, "irreducible_class_counts",
+                        lambda *args: calls.append(args) or real(*args))
+    assert admit(group.ctx, 30, float("inf"))() == expected
+    assert len(calls) == 1
+
+
+def test_admission_walks_no_more_than_its_share(monkeypatch):
+    # F_3[<2,9>] to degree 13 prices its class table and Euler product
+    # under 0.3 s, but its type search has 48,427 nodes.  The walk that
+    # prices the search stops as soon as what it has priced passes the
+    # limit, and in any case once it has spent 1/WALK_SHARE of the time
+    # cap (here made 1/2000, 126 ms)
+    ctx = group_of(3, (2, 9)).ctx
+    yielded = counting_search(monkeypatch)
+    for share, limit, message in (
+        (classgroup.WALK_SHARE, 3e5, "a class-group count estimated at over 0 s (cap 0 s)"),
+        (2000, classgroup.TIME_CAP_US, "a class-group type search over 0 s (1/2000 of the 252 s cap)"),
+    ):
+        monkeypatch.setattr(classgroup, "WALK_SHARE", share)
+        runs = []
+        for _ in range(2):
+            yielded.clear()
+            with pytest.raises(ValueError) as refused:
+                admit(ctx, 13, limit)
+            assert str(refused.value) == message
+            runs.append(len(yielded))
+        # each node costs at least NODE_US, and the walk stops at the first
+        # node past either bound
+        assert 0 < (runs[0] - 1) * classgroup.NODE_US <= min(limit, classgroup.TIME_CAP_US / share)
+        # admission reads no clock: the same limit always stops at the same node
+        assert runs[0] == runs[1] < 48427
 
 
 # every numerical semigroup with Frobenius number at most 4, by its gaps

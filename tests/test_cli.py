@@ -162,8 +162,9 @@ def test_scan_guard_has_one_message(capsys):
 def test_scans_over_the_time_cap_are_refused(monkeypatch, capsys, tmp_path):
     # under the member guard, but estimated (sgalg.scan_us) past
     # cli.TIME_CAP_US: one line and exit 2, before any table, scan or
-    # --output file; count refuses so only when the engine passes it too
-    from sgpoly import cli, sgalg
+    # --output file; count refuses so only when the engine is refused too,
+    # here for F_5[<4,5>]'s 5^10 classes before any walk of its search
+    from sgpoly import classgroup, cli, sgalg
 
     def refuse(*args):
         raise AssertionError("work started before the refusal")
@@ -171,31 +172,32 @@ def test_scans_over_the_time_cap_are_refused(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(sgalg, "_TABLES", {})
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
     monkeypatch.setattr(sgalg, "_scan", refuse)
+    monkeypatch.setattr(classgroup, "_search", refuse)
     path = tmp_path / "rows.csv"
     for argv, message in (
-        (["verify", "--q", "3", "--max-degree", "16"], "a scan estimated at 5762 s"),
-        (["enumerate", "--q", "3", "--degree", "15"], "a scan estimated at 1435 s"),
+        (["verify", "--q", "3", "--max-degree", "16"], "a scan estimated at 5762 s (cap 252 s)"),
+        (["enumerate", "--q", "3", "--degree", "15"], "a scan estimated at 1435 s (cap 252 s)"),
         (["verify", "--q", "5", "--max-degree", "10", "--workers", "2"],
-         "a scan estimated at 591 s"),
-        (["count", "--q", "5", "--sgp", "5,6,7,8,9", "--max-degree", "14"],
-         "a scan estimated at 3662 s (cap 252 s), and a class-group count estimated at 1555 s"),
+         "a scan estimated at 591 s (cap 252 s)"),
+        (["count", "--q", "5", "--sgp", "4,5", "--max-degree", "15"],
+         "a scan estimated at 732 s (cap 252 s), and a class group with more than "
+         "16777216 table entries or residues"),
     ):
         assert cli.main(argv + ["--output", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message} (cap 252 s)\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not path.exists()
 
 
 def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
     # count refuses with one line naming both routes' reasons, before any
-    # factor table, class table or count is built
+    # factor table or count is built
     from sgpoly import classgroup, cli, sgalg
 
     def refuse(*args):
         raise AssertionError("work started before the refusal")
 
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
-    monkeypatch.setattr(classgroup.ClassGroup, "table", property(refuse))
-    monkeypatch.setattr(classgroup, "irreducible_class_counts", refuse)
+    monkeypatch.setattr(classgroup, "_tally", refuse)
     # F_3[<9,...,17>] has 3^22 members at degree 24, and its class group
     # 3^8 classes, so a class table of 3^16 entries: Q is not even built
     with monkeypatch.context() as m:
@@ -210,13 +212,13 @@ def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
         assert capsys.readouterr() == ("", (
             "error: degree 17 needs more than 16777216 member scans, "
             "and class-group counts stop at degree 1000\n"))
-    # the engine's estimate grows with the degree: 16 classes but a type
-    # search bounded by 490,314 nodes, each with a product of two
-    # 1001-slot series, is refused like a scan over the member cap
+    # the engine's price grows with the degree: 16 classes, and a type
+    # search of 4,963 nodes, but each of its products of series is 1001
+    # slots of 1002 bits, so the walk stops once its price passes the cap
     assert cli.main(["count", "--sgp", "5,6,7,8,9", "--max-degree", "1000"]) == 2
     assert capsys.readouterr() == ("", (
         "error: degree 29 needs more than 16777216 member scans, and a "
-        "class-group count estimated at 145414 s (cap 252 s)\n"))
+        "class-group count estimated at over 252 s (cap 252 s)\n"))
 
 
 def test_count_q3_to_degree_16_comes_from_the_class_group(monkeypatch, capsys):
@@ -261,12 +263,15 @@ def test_count_rows_do_not_depend_on_the_route(monkeypatch, capsys, fmt):
     def fail(*args):
         pytest.fail("count took another route")
 
+    def refuse_engine(*args):
+        raise ValueError("the engine is refused")
+
     def run(*argv):
         assert cli.main(["count", *argv, "--format", fmt]) == 0
         return capsys.readouterr()
 
     with monkeypatch.context() as m:
-        m.setattr(classgroup, "degree_counts", fail)
+        m.setattr(classgroup, "_tally", fail)
         closed = run("--max-degree", "40")
     with monkeypatch.context() as m:
         m.setattr(sgalg.AlgebraContext, "is_friendly", property(lambda self: False))
@@ -279,8 +284,8 @@ def test_count_rows_do_not_depend_on_the_route(monkeypatch, capsys, fmt):
             m.setattr(sgalg, "_scan", fail)
             engine = run(*argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_count_engine", lambda ctx, degrees: None)
-            m.setattr(classgroup, "degree_counts", fail)
+            m.setattr(classgroup, "admit", refuse_engine)
+            m.setattr(classgroup, "_tally", fail)
             assert run(*argv) == engine, argv
 
 
@@ -288,7 +293,7 @@ def test_count_below_the_switch_scans(monkeypatch, capsys):
     # F_2[<3,5,7>] to degree 9 scans faster than the engine would set up
     from sgpoly import classgroup, cli
 
-    monkeypatch.setattr(classgroup, "degree_counts",
+    monkeypatch.setattr(classgroup, "_tally",
                         lambda *args: pytest.fail("count took the class group"))
     assert cli.main(["count", "--sgp", "3,5,7", "--max-degree", "9"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 9
@@ -346,22 +351,30 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
 
 
 def test_engine_mismatch_names_the_bucket(monkeypatch, capsys):
-    # the scan and the engine are independent routes: skew one bucket of
-    # the engine at one degree and verify must catch it
+    # the scan and the engine are independent routes: skew one bucket, or
+    # the largest k, of the engine at one degree and verify must catch it
     from sgpoly import classgroup, cli
 
-    real = classgroup.degree_counts
+    real = classgroup._tally
 
-    def skewed(group, top):
-        out = real(group, top)
-        out[5].tame += 1
-        return out
+    def skewed(degree, attr):
+        def tally(group, n, by_degree):
+            out = real(group, n, by_degree)
+            setattr(out[degree], attr, getattr(out[degree], attr) + 1)
+            return out
+        return tally
 
-    monkeypatch.setattr(classgroup, "degree_counts", skewed)
+    monkeypatch.setattr(classgroup, "_tally", skewed(5, "tame"))
     assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines()[4:] == ["5,1,5,3,8,1,4,3,8,false", "6,2,6,5,13,2,6,5,13,true"]
     assert captured.err == "mismatch at degree 5: b_t engine 5, brute 4\n"
+    # max_k has no column, but it sets match to false just the same
+    monkeypatch.setattr(classgroup, "_tally", skewed(6, "max_k"))
+    assert cli.main(["verify", "--sgp", "3,4,5", "--max-degree", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[4:] == ["5,1,4,3,8,1,4,3,8,true", "6,2,6,5,13,2,6,5,13,false"]
+    assert captured.err == "mismatch at degree 6: max_k engine 5, brute 4\n"
 
 
 def test_verify_without_a_second_route_is_refused(monkeypatch, capsys):
@@ -411,15 +424,18 @@ def test_each_command_builds_the_semigroup_once(monkeypatch, capsys):
 
 
 def test_table_cap_exits_before_any_work(monkeypatch, capsys):
-    # 4,194,304 members pass the member guard at degree 30, but their table
-    # would hold 2^31 entries; no table over the cap may ever be built
+    # 131,072 members pass the member guard at degree 30, but their table
+    # would hold 2^31 entries; no table over the cap may ever be built.
+    # The class group's 2^13 classes are over its own cap, so count has no
+    # other route (with <9,...,17>, 2^8 classes, count would first walk
+    # the engine's type search for its whole share of the time cap)
     from sgpoly import cli, sgalg
 
     def refuse(*args):
         raise AssertionError("a factor table over the cap was built")
 
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
-    wide = "9,10,11,12,13,14,15,16,17"
+    wide = ",".join(map(str, range(14, 28)))
     for argv in (
         ["count", "--sgp", wide, "--max-degree", "30"],
         ["count", "--sgp", wide, "--max-degree", "30", "--workers", "2"],
