@@ -6,8 +6,8 @@ and the prime experiment, emitted as CSV or JSON.
 a brute-force scan, priced by sgalg.scan_us, or the class-group engine,
 which classgroup.admit prices from a dry walk of its own type search.
 `enumerate` always scans; `verify` checks a scan against the closed forms
-or the engine.  No command starts a scan or a count whose estimated time
-passes sgalg.TIME_CAP_US.
+or the engine.  sgalg.scan_us admits every scan, and no scan or count
+starts whose estimated time passes sgalg.TIME_CAP_US.
 
 Exit status contract: 0 on success, 1 when a verification detects a
 mismatch, 2 on usage errors.  Identical configuration yields byte-identical
@@ -31,8 +31,8 @@ from .ffpoly import FieldSpec, format_poly
 from .numsgp import from_generators
 
 MAX_VERIFY_DEGREE = 20
-# closed-form and class-group rows; time grows about as N^2.2 for the closed
-# forms and N^3 for the class group (big-integer series products), row values as q^n
+# count rows, on any route; time grows about as N^2.2 for the closed forms
+# and N^3 for the class group (big-integer series products), row values as q^n
 MAX_COUNT_DEGREE = 1000
 MAX_PRIME_LIMIT = 10 ** 6
 MAX_GENERATOR = 10 ** 3  # building <g, g+1> costs time and memory as g^2
@@ -48,38 +48,44 @@ def _build_parser():
         description="Irreducible polynomials in numerical semigroup algebras F_q[S]",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command gets only the options it reads: cyclotomic is over
+    # F_2[x^2,x^3] alone, and only count and verify scan on a pool
     for name, (_, text, option) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=text)
         p.add_argument(option, type=int, required=True)
-        p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
-        p.add_argument("--sgp", default="2,3",
-                       help="comma-separated semigroup generators (default 2,3)")
+        if name != "cyclotomic":
+            p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
+            p.add_argument("--sgp", default="2,3",
+                           help="comma-separated semigroup generators (default 2,3)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1)
+        if option == "--max-degree":
+            p.add_argument("--workers", type=int, default=1)
     return parser
 
 
 def _check_args(args):
-    # raise UsageError for a bad option; args.sgp becomes the generator tuple
-    if args.workers < 1:
+    # raise UsageError for a bad option of the command; args.sgp becomes
+    # the generator tuple
+    counts = args.command in ("count", "verify")
+    if counts and args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    try:
-        FieldSpec(args.q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    try:
-        gens = tuple(int(part) for part in args.sgp.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse semigroup generators {args.sgp!r}") from None
-    if any(g > MAX_GENERATOR for g in gens):
-        raise UsageError(f"generators above {MAX_GENERATOR} are not supported")
-    try:
-        args.semigroup = from_generators(gens)  # built once; _context reuses it
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    args.sgp = gens
+    if args.command != "cyclotomic":
+        try:
+            FieldSpec(args.q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        try:
+            gens = tuple(int(part) for part in args.sgp.split(","))
+        except ValueError:
+            raise UsageError(f"cannot parse semigroup generators {args.sgp!r}") from None
+        if any(g > MAX_GENERATOR for g in gens):
+            raise UsageError(f"generators above {MAX_GENERATOR} are not supported")
+        try:
+            args.semigroup = from_generators(gens)  # built once; _context reuses it
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        args.sgp = gens
 
     # --output must name a file in an existing directory, checked before any
     # work; _open_output reports any other failure to open it
@@ -88,13 +94,13 @@ def _check_args(args):
         if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise UsageError(f"cannot write {out}: not a file in an existing directory")
 
-    if args.command in ("count", "verify"):
+    if counts:
         if args.max_degree < 2:
             raise UsageError("--max-degree must be at least 2")
         if args.command == "verify" and args.max_degree > MAX_VERIFY_DEGREE:
-            raise UsageError(
-                f"verification is capped at degree {MAX_VERIFY_DEGREE}"
-            )
+            raise UsageError(f"verification is capped at degree {MAX_VERIFY_DEGREE}")
+        if args.max_degree > MAX_COUNT_DEGREE:
+            raise UsageError(f"counts are capped at degree {MAX_COUNT_DEGREE}")
     if args.command == "enumerate" and args.degree < 0:
         raise UsageError("--degree must be nonnegative")
     if args.command == "cyclotomic":
@@ -201,11 +207,13 @@ def _count_chunk(task):
 
 
 def _scan_counts(args, ctx, degrees):
-    # One ClassCounts per degree.  When some degree has POOL_MIN members and
-    # there is more than one worker, one pool scans every degree: all chunks
-    # are submitted at once, highest degree first, so the small degrees
-    # (one chunk each) fill the tail.  Counts merge additively, so the
-    # result is the same for any worker count.
+    # One ClassCounts per degree, from scans sgalg.scan_us admitted; their
+    # one factor table is built here, in the parent.  When some degree has
+    # POOL_MIN members and there is more than one worker, one pool scans
+    # every degree: all chunks are submitted at once, highest degree first,
+    # so the small degrees (one chunk each) fill the tail.  Counts merge
+    # additively, so the result is the same for any worker count.
+    sgalg.prepare_scans(ctx, degrees)
     sizes = [sgalg.member_count(ctx, n) for n in degrees]
     # every pool worker starts at the first submit, so workers beyond the
     # CPUs would only add processes
@@ -231,16 +239,6 @@ def _scan_counts(args, ctx, degrees):
     return [counts[n] for n in degrees]
 
 
-def _scan_estimate(ctx, degrees):
-    # sgalg.scan_us of a command's scans; ValueError, before any work, for
-    # scans that prepare_scans refuses or that pass sgalg.TIME_CAP_US
-    us = sgalg.scan_us(ctx, degrees)
-    if us > sgalg.TIME_CAP_US:
-        raise ValueError(f"a scan estimated at {us / 1e6:.0f} s "
-                         f"(cap {sgalg.TIME_CAP_US / 1e6:.0f} s)")
-    return us
-
-
 # -- subcommands -------------------------------------------------------------
 #
 # Each command builds one tuple per row, in the order of its fields, and
@@ -248,9 +246,7 @@ def _scan_estimate(ctx, degrees):
 
 
 def _class_group(ctx, top, limit):
-    # classgroup.admit below count's degree cap; only here is classgroup loaded
-    if top > MAX_COUNT_DEGREE:
-        raise ValueError(f"class-group counts stop at degree {MAX_COUNT_DEGREE}")
+    # classgroup.admit, for count and verify; only here is classgroup loaded
     from . import classgroup
 
     return classgroup.admit(ctx, top, limit)
@@ -263,11 +259,9 @@ def _count_route(args, ctx, degrees):
     # the scan.  Returns a function giving one ClassCounts per degree;
     # raises ValueError, naming both reasons when both routes are refused.
     if ctx.is_friendly:
-        if degrees[-1] > MAX_COUNT_DEGREE:
-            raise ValueError(f"closed-form counts are capped at degree {MAX_COUNT_DEGREE}")
         return lambda: [sgalg.ClassCounts(*c) for c in counting.b_counts_to(degrees[-1])]
     try:
-        limit, refused = _scan_estimate(ctx, degrees), None
+        limit, refused = sgalg.scan_us(ctx, degrees), None
     except ValueError as exc:
         limit, refused = sgalg.TIME_CAP_US, exc
     try:
@@ -276,7 +270,6 @@ def _count_route(args, ctx, degrees):
     except ValueError as why:
         if refused is not None:
             raise ValueError(f"{refused}, and {why}") from None
-    sgalg.prepare_scans(ctx, degrees)
     return lambda: _scan_counts(args, ctx, degrees)
 
 
@@ -316,8 +309,7 @@ def cmd_enumerate(args):
         _emit(args, fields, [])
         return 0
     try:
-        _scan_estimate(ctx, (n,))
-        sgalg.prepare_scans(ctx, (n,))
+        sgalg.scan_us(ctx, (n,))
     except ValueError as exc:
         return _fail(exc)
     rows = [
@@ -338,13 +330,12 @@ def cmd_verify(args):
     degrees = range(2, args.max_degree + 1)
     top = degrees[-1]
     try:
-        _scan_estimate(ctx, degrees)
+        sgalg.scan_us(ctx, degrees)
         if not ctx.is_friendly:
             try:
                 engine = _class_group(ctx, top, sgalg.TIME_CAP_US)
             except ValueError as why:
                 raise ValueError(f"no second route to verify against: {why}") from None
-        sgalg.prepare_scans(ctx, degrees)
     except ValueError as exc:
         return _fail(exc)
     if ctx.is_friendly:

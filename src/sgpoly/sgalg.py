@@ -32,9 +32,11 @@ and a cofactor array over codes, which the scan's member loop walks
 inline for every p, with no division: one pass gives a member's factors,
 verdict key and shape.  A table covers every monic code, not only the
 members, so a p > 2 scan uses one only when it pays (see table_pays) and
-otherwise calls factor_fq per member.  prepare_scans admits every scan:
-it refuses a degree over MAX_SCAN members and is the one builder of
-tables (at most MAX_SCAN entries); the scan itself only reads the cache.
+otherwise calls factor_fq per member.  prepare_scans refuses a degree
+over MAX_SCAN members and is the one builder of tables (at most MAX_SCAN
+entries), called by each scan for its degree and first by a caller of
+several degrees, for one table.  scan_us refuses the same, and estimates
+over TIME_CAP_US, before any work: it is the CLI's one scan admission.
 
 Scans are brute force and never consult the class group of `classgroup`,
 which counts whole degrees from the types of irreducibles instead; the
@@ -647,14 +649,15 @@ def member_count(ctx, n):
     return ctx.field.p ** _free_count(ctx, n)
 
 
-def _over_scan_guard(ctx, n):
-    # True when degree n has more than MAX_SCAN monic members: decided from
-    # the number k of free positions below n, without forming p^k when k
-    # alone puts it over (p^k >= 2^k); a negative n is member_count's error
+def _member_guard(ctx, n):
+    # ValueError when degree n has more than MAX_SCAN monic members: decided
+    # from the number k of free positions below n, without forming p^k when
+    # k alone puts it over (p^k >= 2^k); a negative n is member_count's error
     if n < 0 or not ctx.semigroup.contains(n):
-        return False
+        return
     k = _free_count(ctx, n)
-    return k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN
+    if k >= MAX_SCAN.bit_length() or ctx.field.p ** k > MAX_SCAN:
+        raise ValueError(f"degree {n} needs more than {MAX_SCAN} member scans")
 
 
 def _table_degree(ctx, degrees):
@@ -662,8 +665,7 @@ def _table_degree(ctx, degrees):
     # 0 for none; ValueError for a degree over MAX_SCAN members or a table
     # over the cap, decided before any work
     for n in degrees:
-        if _over_scan_guard(ctx, n):
-            raise ValueError(f"degree {n} needs more than {MAX_SCAN} member scans")
+        _member_guard(ctx, n)
     top = max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
     if top:
         _table_guard(ctx.field.p, top)
@@ -671,12 +673,13 @@ def _table_degree(ctx, degrees):
 
 
 def prepare_scans(ctx, degrees):
-    """Admit scans of ctx at degrees: refuse the oversized, build the table.
+    """Refuse oversized scans of ctx at degrees, else build their one table.
 
     Raises ValueError for the first degree with more than MAX_SCAN monic
     members, before any work.  Then builds the factor table once, for the
     highest member degree whose scan uses one (see table_pays), or raises
-    prepare_factor_table's ValueError when it would pass the cap.
+    prepare_factor_table's ValueError when it would pass the cap.  Each
+    scan calls it for its own degree; it sets no time cap (see scan_us).
     """
     top = _table_degree(ctx, degrees)
     if top:
@@ -709,16 +712,19 @@ def scan_us(ctx, degrees):
 
     Each member costs SCAN_US on the table route and FACTORED_US through
     factor_fq, and the table prepare_scans would build costs table_us
-    (nothing when one is cached).  Raises prepare_scans's ValueError,
-    before any work, for scans it would refuse.
+    (nothing when one is cached).  Raises ValueError, before any work, for
+    scans prepare_scans would refuse and for an estimate over TIME_CAP_US.
     """
     p = ctx.field.p
     top = _table_degree(ctx, degrees)
     cached = _TABLES.get(p, (0,))[0]
     us = table_us(p, top) if top > cached else 0
     covered = max(top, cached)  # every degree a table covers is factored by it
-    return us + sum(member_count(ctx, n) * (SCAN_US if n <= covered else FACTORED_US)
-                    for n in degrees)
+    us += sum(member_count(ctx, n) * (SCAN_US if n <= covered else FACTORED_US)
+              for n in degrees)
+    if us > TIME_CAP_US:
+        raise ValueError(f"a scan estimated at {us / 1e6:.0f} s (cap {TIME_CAP_US / 1e6:.0f} s)")
+    return us
 
 
 def _member_tables(ctx, n, lo, hi):
@@ -726,8 +732,7 @@ def _member_tables(ctx, n, lo, hi):
     # checked, and digit tables over the two halves of its free positions,
     # so that member i has the code p^n + low[i % len(low)] + high[i // len(low)].
     # A degree over the guard raises before its positions are listed.
-    if _over_scan_guard(ctx, n):
-        prepare_scans(ctx, (n,))  # raises the guard's refusal
+    _member_guard(ctx, n)
     total = member_count(ctx, n)
     if hi is None:
         hi = total

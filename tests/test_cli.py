@@ -61,10 +61,10 @@ def test_count_usage_errors():
     run_cli("count", "--max-degree", "6", "--q", "4", expect=2)
     run_cli("count", "--max-degree", "6", "--sgp", "4,6", expect=2)
     run_cli("count", "--max-degree", "6", "--workers", "0", expect=2)
-    # closed-form rows are capped; a scanned context has the member guard instead
+    # count rows are capped on every route, the closed forms' too
     proc = run_cli("count", "--max-degree", "1001", expect=2)
     assert proc.stdout == ""
-    assert proc.stderr == "error: closed-form counts are capped at degree 1000\n"
+    assert proc.stderr == "error: counts are capped at degree 1000\n"
     run_cli("count", expect=2)  # missing --max-degree
 
 
@@ -161,7 +161,7 @@ def test_scan_guard_has_one_message(capsys):
 
 def test_scans_over_the_time_cap_are_refused(monkeypatch, capsys, tmp_path):
     # under the member guard, but estimated (sgalg.scan_us) past
-    # cli.TIME_CAP_US: one line and exit 2, before any table, scan or
+    # sgalg.TIME_CAP_US: one line and exit 2, before any table, scan or
     # --output file; count refuses so only when the engine is refused too,
     # here for F_5[<4,5>]'s 5^10 classes before any walk of its search
     from sgpoly import classgroup, cli, sgalg
@@ -207,11 +207,6 @@ def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
         assert capsys.readouterr() == ("", (
             "error: degree 24 needs more than 16777216 member scans, and a class "
             "group with more than 16777216 table entries or residues\n"))
-        # over the degree cap the engine is no route, so a scan over the cap is refused
-        assert cli.main(["count", "--q", "3", "--max-degree", "1001"]) == 2
-        assert capsys.readouterr() == ("", (
-            "error: degree 17 needs more than 16777216 member scans, "
-            "and class-group counts stop at degree 1000\n"))
     # the engine's price grows with the degree: 16 classes, and a type
     # search of 4,963 nodes, but each of its products of series is 1001
     # slots of 1002 bits, so the walk stops once its price passes the cap
@@ -219,6 +214,23 @@ def test_count_refuses_when_both_routes_pass_the_cap(monkeypatch, capsys):
     assert capsys.readouterr() == ("", (
         "error: degree 29 needs more than 16777216 member scans, and a "
         "class-group count estimated at over 252 s (cap 252 s)\n"))
+
+
+def test_count_degree_cap_holds_on_every_route(monkeypatch, capsys):
+    # one usage error for every (q, S), before any table, class group or
+    # scan: F_3[<999,1000>] has 12 members up to degree 1001 and passes the
+    # scan's caps, so it was scanned past the degree cap (and hung there)
+    from sgpoly import classgroup, cli, sgalg
+
+    def refuse(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    monkeypatch.setattr(sgalg, "_scan", refuse)
+    monkeypatch.setattr(classgroup, "ClassGroup", refuse)
+    for argv in (["--q", "3", "--sgp", "999,1000"], ["--q", "3"], []):
+        assert cli.main(["count", *argv, "--max-degree", "1001"]) == 2
+        assert capsys.readouterr() == ("", "error: counts are capped at degree 1000\n")
 
 
 def test_count_q3_to_degree_16_comes_from_the_class_group(monkeypatch, capsys):
@@ -530,6 +542,61 @@ def test_count_builds_the_table_once(monkeypatch, capsys):
     assert cli.main(["verify", "--max-degree", "13"]) == 0
     capsys.readouterr()
     assert builds == [(3, 8), (2, 12), (2, 13)]
+
+
+def test_each_command_builds_its_table_once_in_the_parent(monkeypatch, capsys):
+    # _scan_counts builds the table a command's scans share before any
+    # pool opens, and enumerate's scan builds its own: one build each, and
+    # none in a worker (a forked worker that built one fails its chunk)
+    from sgpoly import cli, sgalg
+
+    parent, builds = os.getpid(), []
+    real = sgalg._basep_tables
+
+    def build(p, degree):
+        assert os.getpid() == parent, "a pool worker built a factor table"
+        builds.append((p, degree))
+        return real(p, degree)
+
+    monkeypatch.setattr(sgalg, "_basep_tables", build)
+    monkeypatch.setattr(cli, "POOL_MIN", 256)  # a pool at these small degrees
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for argv, table in (
+        (["verify", "--max-degree", "12", "--workers", "2"], (2, 12)),
+        (["count", "--sgp", "3,5,7", "--max-degree", "9", "--workers", "2"], (2, 9)),
+        (["enumerate", "--degree", "12"], (2, 12)),
+    ):
+        monkeypatch.setattr(sgalg, "_TABLES", {})
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert builds == [table], argv
+    capsys.readouterr()
+
+
+def test_each_command_takes_only_its_own_options(monkeypatch, capsys, tmp_path):
+    # cyclotomic reads no --q, --sgp or --workers and enumerate no
+    # --workers, so argparse refuses them (exit 2); every argv of the
+    # benchmark's workloads still parses and passes _check_args
+    from sgpoly import cli
+
+    for argv in (
+        ["cyclotomic", "--max-prime", "20", "--q", "3"],
+        ["cyclotomic", "--max-prime", "20", "--sgp", "5,7"],
+        ["cyclotomic", "--max-prime", "20", "--workers", "9"],
+        ["enumerate", "--degree", "4", "--workers", "2"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err, argv
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    argvs = [w.argv for w in workloads.WORKLOADS.values() if w.argv]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    for argv in argvs:
+        args = cli._build_parser().parse_args([a.format(output=tmp_path / "out") for a in argv])
+        cli._check_args(args)
 
 
 def test_count_natural_semigroup_reduces_to_field_counts():

@@ -547,7 +547,7 @@ def test_table_factorization_property(data):
 def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
     # scan_us prices what prepare_scans would do: the same refusals before
     # any work, a table only when none is cached, and each member on the
-    # route its scan takes
+    # route its scan takes; it refuses an estimate over TIME_CAP_US too
     def refuse(*args):
         raise AssertionError("an estimate built a table")
 
@@ -564,8 +564,12 @@ def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
         sgalg.table_us(3, 9) + members * sgalg.SCAN_US)
     sgalg.install_factor_table(3, (9, None))
     assert sgalg.scan_us(ctx345, range(2, 10)) == members * sgalg.SCAN_US
-    # degree 15 is past the table's cap, so its members go through factor_fq
-    assert sgalg.scan_us(ctx33, [15]) == member_count(ctx33, 15) * sgalg.FACTORED_US
+    # past the table's cap members go through factor_fq: 3^14 of them at
+    # degree 15 are over the time cap, 4099 at degree 2 over F_4099 are not
+    with pytest.raises(ValueError, match=r"^a scan estimated at 1435 s \(cap 252 s\)$"):
+        sgalg.scan_us(ctx33, [15])
+    ctx4099 = AlgebraContext(FieldSpec(4099), from_generators((2, 3)))
+    assert sgalg.scan_us(ctx4099, [2]) == 4099 * sgalg.FACTORED_US
 
 
 def test_factor_tables_are_capped(monkeypatch, f2, f3):
@@ -724,7 +728,11 @@ def test_monic_count_identity(friendly, ctx345, f3):
             assert len(list(enumerate_degree(ctx, n))) == member_count(ctx, n)
         # the scan guard refuses exactly the degrees over MAX_SCAN members
         for n in range(40):
-            assert sgalg._over_scan_guard(ctx, n) == (member_count(ctx, n) > sgalg.MAX_SCAN)
+            if member_count(ctx, n) > sgalg.MAX_SCAN:
+                with pytest.raises(ValueError, match=f"^degree {n} needs more than 16777216"):
+                    sgalg._member_guard(ctx, n)
+            else:
+                sgalg._member_guard(ctx, n)
 
 
 # -- the residue ring --------------------------------------------------------
