@@ -322,10 +322,9 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    # the scan's four buckets per degree against the closed forms for
-    # F_2[x^2,x^3], else the engine's, with its max_m and max_k as well
-    # (the closed forms have none); the engine is admitted before any table
-    # or scan is built, and a mismatch names its first differing value
+    # the scan's buckets, max_m and max_k per degree against the closed
+    # forms' for F_2[x^2,x^3], else the engine's, admitted before any table
+    # or scan is built; a mismatch names its first differing value
     ctx = _context(args)
     degrees = range(2, args.max_degree + 1)
     top = degrees[-1]
@@ -346,7 +345,6 @@ def cmd_verify(args):
     rows, failures = [], []
     for n, ref_row, c in zip(degrees, want, _scan_counts(args, ctx, degrees)):
         brute = (*c.as_tuple(), c.max_m, c.max_k)
-        # zip stops at the closed forms' four buckets
         diffs = [f"{name} {ref} {x}, brute {y}" for name, x, y
                  in zip(("b_c", "b_t", "b_w", "b", "max_m", "max_k"), ref_row, brute) if x != y]
         rows.append((n, *ref_row[:4], *brute[:4], not diffs))

@@ -105,11 +105,11 @@ def b_counts(n):
     """
     if n < 2:
         raise ValueError("counts are defined for degree >= 2")
-    return b_counts_to(n, low=n)[0]
+    return b_counts_to(n, low=n)[0][:4]
 
 
 def b_counts_to(top, low=2):
-    """[b_counts(n) for n in low..top], from one list of count_s values."""
+    """[(*b_counts(n), max_m, max_k) for n in low..top], from one list of count_s values."""
     s = [count_s(k) for k in range(top + 1)] + [0]  # s[-1] is s(-1) = 0
     rows = []
     for n in range(low, top + 1):
@@ -117,7 +117,12 @@ def b_counts_to(top, low=2):
         b_w = sum(s[k] * s[n - k] for k in range(1, (n + 1) // 2))
         if n % 2 == 0:
             b_w += comb(s[n // 2] + 1, 2)
-        rows.append((b_c, b_t, b_w, b_c + b_t + b_w))
+        # the extreme shapes (see sgalg.ClassCounts): a tame irreducible is x^2
+        # or x^3 times nothing (s(0) = 1) or one of class 1, a wild one two
+        max_m = 3 if s[n - 3] else 2 if s[n - 2] else 0
+        cofactor = n > 2 and s[n - 2] or n > 3 and s[n - 3]  # a tame one with k = 1
+        max_k = 2 if b_w else 1 if b_c or cofactor else 0
+        rows.append((b_c, b_t, b_w, b_c + b_t + b_w, max_m, max_k))
     return rows
 
 
@@ -216,8 +221,9 @@ def cyclotomic_experiment(p):
 
     x^p + 1 factors as (x + 1) times the p-th cyclotomic polynomial, whose
     F_2 factor count is (p-1)/ord_p(2); the whole thing stays irreducible
-    in the algebra exactly when 2 generates the units mod p.  For p <= 31
-    the verdict is cross-checked against the direct algebra factorization.
+    in the algebra exactly when 2 generates the units mod p.  For p <= 61
+    the verdict is cross-checked against the direct algebra factorization
+    (milliseconds in all; Phi_127's 18 factors over F_2 alone take 2-3 s).
     """
     if p == 2 or not _is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
@@ -231,7 +237,7 @@ def cyclotomic_experiment(p):
         irreducible_in_algebra=primitive,
         phi_factor_count=(p - 1) // order,
     )
-    if p <= 31:
+    if p <= 61:
         ctx = sgalg.friendly_context()
         f = Polynomial(ctx.field, (1,) + (0,) * (p - 1) + (1,))
         verdict = sgalg.is_irreducible_in_algebra(ctx, f)

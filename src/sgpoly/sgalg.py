@@ -25,18 +25,18 @@ exact, because members with one signature have one divisor lattice of
 residues.  At degree 16 the 32,768 members of F_2[x^2,x^3] have 747
 signatures.  Scans handle members and factors as integer codes
 (`Polynomial.encoding`, which is the bitmask for p = 2) and factor
-members by lookup in a cached factor table, since
+members by lookup in a cached factor table where one pays, since
 enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
 and a cofactor array over codes, which the scan's member loop walks
 inline for every p, with no division: one pass gives a member's factors,
 verdict key and shape.  A table covers every monic code, not only the
-members, so a p > 2 scan uses one only when it pays (see table_pays) and
-otherwise calls factor_fq per member.  prepare_scans refuses a degree
-over MAX_SCAN members and is the one builder of tables (at most MAX_SCAN
-entries), called by each scan for its degree and first by a caller of
-several degrees, for one table.  scan_us refuses the same, and estimates
-over TIME_CAP_US, before any work: it is the CLI's one scan admission.
+members, so a scan over any field uses one only when it fits under
+MAX_SCAN entries and pays (see table_pays), else factor_fq per member.
+prepare_scans refuses a degree over MAX_SCAN members and is the scans'
+one builder of tables, called by each scan for its degree and first by a
+caller of several degrees, for one table.  scan_us refuses the same, and
+estimates over TIME_CAP_US, before any work: the CLI's one scan admission.
 
 Scans are brute force and never consult the class group of `classgroup`,
 which counts whole degrees from the types of irreducibles instead; the
@@ -212,10 +212,11 @@ def _residue_ring(ctx):
     (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
     polynomial's code mod p^w (for p = 2, the mask cut to w bits).  member
     reads the residue's digits at the gaps (one AND with the gap mask for
-    p = 2), none of which may be nonzero.  mul is memoized; a miss computes
-    the product by `_gf2.mul` for p = 2 and by a convolution of the low w
-    digits otherwise (a second memo keeps each residue's digits, so a
-    residue is decoded at most once while it stays there).  Each memo keeps
+    p = 2), none of which may be nonzero, until no digits are left.  mul
+    is memoized; a miss computes the product by `_gf2.mul` for p = 2 and
+    otherwise by a convolution of the residues' own digits, cut to w (a
+    second memo keeps each residue's digits, so a residue is decoded at
+    most once while it stays there).  Each memo keeps
     its MEMO_SIZE most recently used entries, so a context's memory stays
     bounded however long it lives and however rarely its products repeat.
     AlgebraContext.ring builds one per context.
@@ -228,7 +229,7 @@ def _residue_ring(ctx):
     @memo
     def digits(code):
         out = []
-        for _ in range(w):
+        while code:
             code, c = divmod(code, p)
             out.append(c)
         return out
@@ -248,14 +249,18 @@ def _residue_ring(ctx):
         steps = [p ** (g - prev) for prev, g in zip((0, *gaps), gaps)]
 
         def product(a, b):
-            da, db = digits(a), digits(b)
-            code = 0
-            for k in range(w - 1, -1, -1):  # coefficient k of the product
+            db, da = sorted((digits(a), digits(b)), key=len)  # db is the shorter
+            top, rev, code = len(db) - 1, db[::-1], 0
+            for k in range(min(len(da) + top, w) - 1, top - 1, -1):  # all of db meets da
+                code = code * p + sum(map(operator.mul, da[k - top:k + 1], rev)) % p
+            for k in range(min(top, w) - 1, -1, -1):
                 code = code * p + sum(map(operator.mul, da[: k + 1], db[k::-1])) % p
             return code
 
         def member(r):
             for step in steps:
+                if not r:  # no digits left
+                    break
                 r //= step  # digit g of the residue is now the lowest
                 if r % p:
                     return False
@@ -449,7 +454,8 @@ TIME_CAP_US = 15 * MAX_SCAN
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
 # a member factored by table lookups with memoized verdicts (2-16 us over
 # F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a
-# member factored by factor_fq (208-450 us over F_3, F_257, F_4099), and,
+# member factored by factor_fq (208-450 us over F_3, F_257, F_4099, and
+# 100-180 us over F_2 at degrees 16-30, code conversions included), and,
 # building a factor table, one step of its Gray walks and one entry of its
 # addition tables; see scan_us and table_us
 SCAN_US = 8
@@ -472,17 +478,13 @@ def table_entries(p, degree):
 def table_pays(ctx, n):
     """True when degree-n scans over ctx should build a factor table.
 
-    Always for p = 2, whose scans have no other route (the table may then
-    exceed MAX_SCAN, and prepare_scans raises).  For p > 2 the table is
-    built only when it fits under MAX_SCAN and its estimated build time
-    (table_us) is below what it saves, FACTORED_US - SCAN_US for each
-    member of degree n.  Members are a share 1 / (2 p^g) of the table's
-    entries for g gaps below n, so many gaps or a large p leave the scan
-    on factor_fq.
+    The rule is the same for every p: the table is built only when it fits
+    under MAX_SCAN and its estimated build time (table_us) is below what it
+    saves, FACTORED_US - SCAN_US for each member of degree n.  Members are
+    a share 1 / (2 p^g) of the table's entries for g gaps below n, so many
+    gaps, a large p or a high degree leave the scan on factor_fq.
     """
     p = ctx.field.p
-    if p == 2:
-        return True
     return (table_entries(p, n) <= MAX_SCAN
             and table_us(p, n) < member_count(ctx, n) * (FACTORED_US - SCAN_US))
 
@@ -498,20 +500,15 @@ def prepare_factor_table(p, max_degree):
     higher degree.  Raises ValueError, before any build, when the table
     would exceed MAX_SCAN entries.  Scans get theirs through prepare_scans.
     """
-    _table_guard(p, max_degree)
-    if _TABLES.get(p, (-1,))[0] < max_degree:
-        _TABLES[p] = (max_degree, _basep_tables(p, max_degree))
-    return _TABLES[p][1]
-
-
-def _table_guard(p, max_degree):
-    # ValueError when the table up to max_degree passes the cap
     entries = table_entries(p, max_degree)
     if entries > MAX_SCAN:
         raise ValueError(
             f"a degree-{max_degree} factor table over F_{p} needs {entries} entries "
             f"(cap is {MAX_SCAN})"
         )
+    if _TABLES.get(p, (-1,))[0] < max_degree:
+        _TABLES[p] = (max_degree, _basep_tables(p, max_degree))
+    return _TABLES[p][1]
 
 
 def cached_factor_table(p):
@@ -593,9 +590,8 @@ class ClassCounts:
     and k = 1, tame when m > 0, and wild otherwise (m = 0, k >= 2).  For
     F_2[x^2,x^3] these buckets coincide with the proper classification.
     max_m / max_k track the extreme shapes seen among irreducibles.  Every
-    count route gives one per degree: the closed forms (the four buckets
-    of counting.b_counts, with max_m and max_k left 0), the class-group
-    engine (classgroup.degree_counts) and the scans (count_classes).
+    count route gives one per degree: the closed forms (counting.b_counts_to),
+    the class group (classgroup.degree_counts) and the scans (count_classes).
     """
 
     classic: int = 0
@@ -662,14 +658,11 @@ def _member_guard(ctx, n):
 
 def _table_degree(ctx, degrees):
     # the highest member degree whose scan uses a table (see table_pays),
-    # 0 for none; ValueError for a degree over MAX_SCAN members or a table
-    # over the cap, decided before any work
+    # 0 for none; ValueError for a degree over MAX_SCAN members, decided
+    # before any work
     for n in degrees:
         _member_guard(ctx, n)
-    top = max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
-    if top:
-        _table_guard(ctx.field.p, top)
-    return top
+    return max((n for n in degrees if member_count(ctx, n) and table_pays(ctx, n)), default=0)
 
 
 def prepare_scans(ctx, degrees):
@@ -677,9 +670,9 @@ def prepare_scans(ctx, degrees):
 
     Raises ValueError for the first degree with more than MAX_SCAN monic
     members, before any work.  Then builds the factor table once, for the
-    highest member degree whose scan uses one (see table_pays), or raises
-    prepare_factor_table's ValueError when it would pass the cap.  Each
-    scan calls it for its own degree; it sets no time cap (see scan_us).
+    highest member degree whose scan uses one (see table_pays, which never
+    picks a table over the cap).  Each scan calls it for its own degree;
+    it sets no time cap (see scan_us).
     """
     top = _table_degree(ctx, degrees)
     if top:
@@ -712,8 +705,9 @@ def scan_us(ctx, degrees):
 
     Each member costs SCAN_US on the table route and FACTORED_US through
     factor_fq, and the table prepare_scans would build costs table_us
-    (nothing when one is cached).  Raises ValueError, before any work, for
-    scans prepare_scans would refuse and for an estimate over TIME_CAP_US.
+    (nothing when one is cached).  Raises ValueError, before any work, only
+    for a degree over MAX_SCAN members, as prepare_scans does, and for an
+    estimate over TIME_CAP_US.
     """
     p = ctx.field.p
     top = _table_degree(ctx, degrees)
@@ -751,9 +745,9 @@ def _scan(ctx, n, lo, hi):
     it covers n and by factor_fq otherwise.  Members and factors are codes
     (`Polynomial.encoding`, the bitmask for p = 2).  Whether a member
     splits is looked up in ctx.no_split under its key (see no_split).
-    A degree over the guard, a bad degree or range, or a factor table over
-    the cap raises ValueError here rather than at the first item.  An
-    empty range or a gap degree builds no table.
+    A degree over the guard or a bad degree or range raises ValueError
+    here rather than at the first item.  An empty range or a gap degree
+    builds no table.
     """
     lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
@@ -816,7 +810,8 @@ def iter_irreducible(ctx, n):
     """Iterator of (polynomial, factorization, class) per irreducible member of degree n.
 
     Stream order matches enumerate_degree; class is None outside F_2[x^2,x^3].
-    Like count_classes, it raises ValueError at the call, before any item.
+    Like count_classes, it raises ValueError at the call, before any item,
+    for a degree over MAX_SCAN members or a negative degree.
     """
     scan = _scan(ctx, n, 0, None)
     field = ctx.field

@@ -238,7 +238,7 @@ def test_criterion_10_cyclotomic_experiment():
         assert not records[43].irreducible_in_algebra and records[43].p_mod_8 == 3
         assert records[131].irreducible_in_algebra and records[131].p_mod_8 == 3
         assert not records[409].irreducible_in_algebra and records[409].p_mod_8 == 1
-        # records for p <= 31 were cross-checked against direct factorization
+        # records for p <= 61 were cross-checked against direct factorization
         # inside cyclotomic_experiment; reaching here means none disagreed
 
 

@@ -360,6 +360,19 @@ def test_verify_mismatch_exits_one(monkeypatch, capsys, tmp_path):
     assert cli.main(["verify", "--max-degree", "5", "--output", str(path)]) == 1
     assert path.read_text() == captured.out
     assert list(tmp_path.iterdir()) == [path]
+    capsys.readouterr()
+
+    # the closed forms' max_m and max_k are compared like the engine's:
+    # max_k has no column, but it sets match to false just the same
+    def skewed_k(top):
+        return [(*rest, k + 1) if n == 5 else (*rest, k)
+                for n, (*rest, k) in enumerate(real(top), 2)]
+
+    monkeypatch.setattr(cli.counting, "b_counts_to", skewed_k)
+    assert cli.main(["verify", "--max-degree", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "mismatch at degree 5: max_k closed 3, brute 2\n"
+    assert captured.out.splitlines()[3:] == ["4,1,2,2,5,1,2,2,5,true", "5,3,2,3,8,3,2,3,8,false"]
 
 
 def test_engine_mismatch_names_the_bucket(monkeypatch, capsys):
@@ -436,27 +449,43 @@ def test_each_command_builds_the_semigroup_once(monkeypatch, capsys):
 
 
 def test_table_cap_exits_before_any_work(monkeypatch, capsys):
-    # 131,072 members pass the member guard at degree 30, but their table
-    # would hold 2^31 entries; no table over the cap may ever be built.
-    # The class group's 2^13 classes are over its own cap, so count has no
-    # other route (with <9,...,17>, 2^8 classes, count would first walk
-    # the engine's type search for its whole share of the time cap)
+    # no factor table over MAX_SCAN entries is ever built: a GF(2) scan
+    # whose table would pass the cap factors with factor_fq, as every
+    # field's does.  F_2[<14,...,27>] to degree 24 (a 2^25-entry table) is
+    # admitted; no two members of positive degree sum to 24, so all 2,048
+    # members there are irreducible.  The refusals left, an estimate over
+    # the time cap and a degree over the member cap, exit 2 before any scan
     from sgpoly import cli, sgalg
 
-    def refuse(*args):
-        raise AssertionError("a factor table over the cap was built")
+    real = sgalg._basep_tables
 
-    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    def capped(p, degree):
+        if sgalg.table_entries(p, degree) > sgalg.MAX_SCAN:
+            raise AssertionError("a factor table over the cap was built")
+        return real(p, degree)
+
+    monkeypatch.setattr(sgalg, "_basep_tables", capped)
     wide = ",".join(map(str, range(14, 28)))
-    for argv in (
-        ["count", "--sgp", wide, "--max-degree", "30"],
-        ["count", "--sgp", wide, "--max-degree", "30", "--workers", "2"],
-        ["enumerate", "--sgp", wide, "--degree", "30"],
+    assert cli.main(["enumerate", "--sgp", wide, "--degree", "24"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2048
+    assert cli.main(["count", "--sgp", wide, "--max-degree", "24", "--workers", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[6:8] == ["2048", "2048"]
+
+    def refuse(*args):
+        raise AssertionError("a refused scan started")
+
+    monkeypatch.setattr(sgalg, "_scan", refuse)
+    for argv, err in (
+        (["enumerate", "--degree", "24"], "a scan estimated at 2517 s (cap 252 s)"),
+        (["enumerate", "--degree", "26"], "degree 26 needs more than 16777216 member scans"),
+        (["count", "--sgp", wide, "--max-degree", "40"],
+         "degree 38 needs more than 16777216 member scans, "
+         "and a class group with more than 16777216 table entries or residues"),
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "cap is 16777216" in captured.err
+        assert captured.err == f"error: {err}\n"
 
 
 def test_member_guard_does_not_list_free_positions(monkeypatch, capsys):
@@ -564,6 +593,8 @@ def test_each_command_builds_its_table_once_in_the_parent(monkeypatch, capsys):
     for argv, table in (
         (["verify", "--max-degree", "12", "--workers", "2"], (2, 12)),
         (["count", "--sgp", "3,5,7", "--max-degree", "9", "--workers", "2"], (2, 9)),
+        # past degree 15 the table stops paying: workers factor with factor_fq
+        (["count", "--sgp", "5,7", "--max-degree", "19", "--workers", "2"], (2, 15)),
         (["enumerate", "--degree", "12"], (2, 12)),
     ):
         monkeypatch.setattr(sgalg, "_TABLES", {})

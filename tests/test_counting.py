@@ -284,9 +284,23 @@ def test_cyclotomic_examples():
         cyclotomic_experiment(9)
 
 
-def test_cyclotomic_cross_check_squares_with_enumeration():
-    # for p <= 31 the record construction itself re-derives the verdict by
+def test_cyclotomic_cross_check_squares_with_enumeration(monkeypatch):
+    # for p <= 61 the record construction itself re-derives the verdict by
     # direct factorization in the algebra; it must never disagree
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    from sgpoly import sgalg
+
+    calls = []
+    real = sgalg.is_irreducible_in_algebra
+
+    def counted(ctx, f):
+        calls.append(f.degree)
+        return real(ctx, f)
+
+    monkeypatch.setattr(sgalg, "is_irreducible_in_algebra", counted)
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for p in primes:
         rec = cyclotomic_experiment(p)
         assert rec.irreducible_in_algebra == (rec.ord_2 == p - 1)
+    assert calls == list(primes)
+    cyclotomic_experiment(67)  # past the cross-check's reach
+    assert calls == list(primes)

@@ -556,7 +556,9 @@ def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
     ctx33 = AlgebraContext(f3, from_generators((2, 3)))
     with pytest.raises(ValueError, match="^degree 17 needs more than 16777216 member scans$"):
         sgalg.scan_us(ctx33, range(2, 19))
-    with pytest.raises(ValueError, match="cap is 16777216"):
+    # past degree 23 F_2[<9,...,17>]'s table does not pay, and its members
+    # through factor_fq pass the time cap
+    with pytest.raises(ValueError, match=r"^a scan estimated at 2503 s \(cap 252 s\)$"):
         sgalg.scan_us(AlgebraContext(f2, from_generators(range(9, 18))), range(2, 31))
     ctx345 = AlgebraContext(f3, from_generators((3, 4, 5)))
     members = sum(member_count(ctx345, n) for n in range(2, 10))
@@ -573,26 +575,29 @@ def test_scan_estimate_refuses_like_prepare_scans(monkeypatch, f2, f3):
 
 
 def test_factor_tables_are_capped(monkeypatch, f2, f3):
-    # over MAX_SCAN entries no table is built: p = 2 entry points refuse,
-    # and p > 2 scans factor with factor_fq instead
+    # over MAX_SCAN entries no table is built: prepare_factor_table refuses,
+    # and scans over every field factor with factor_fq instead
     def refuse(*args):
         raise AssertionError("a factor table over the cap was built")
 
     monkeypatch.setattr(sgalg, "_TABLES", {})
     monkeypatch.setattr(sgalg, "_basep_tables", refuse)
-    wide = AlgebraContext(f2, from_generators(range(9, 18)))
-    assert member_count(wide, 30) == 4_194_304 <= sgalg.MAX_SCAN
-    assert sgalg.table_entries(2, 30) == 2 ** 31
-    with pytest.raises(ValueError, match="cap is 16777216"):
-        count_classes(wide, 30, 0, 1)
-    with pytest.raises(ValueError, match="cap is 16777216"):
-        iter_irreducible(wide, 30)  # at the call, not at the first next()
-    with pytest.raises(ValueError, match="degree must be nonnegative"):
-        iter_irreducible(wide, -1)
     with pytest.raises(ValueError, match="cap is 16777216"):
         sgalg.prepare_factor_table(2, 24)
     with pytest.raises(ValueError, match="cap is 16777216"):
         sgalg.prepare_factor_table(3, 15)
+    wide = AlgebraContext(f2, from_generators(range(9, 18)))
+    assert member_count(wide, 30) == 4_194_304 <= sgalg.MAX_SCAN
+    assert sgalg.table_entries(2, 30) == 2 ** 31
+    assert not sgalg.table_pays(wide, 30)
+    f, fac, _ = next(iter_irreducible(wide, 30))
+    assert fac == factor_fq(f)
+    assert count_classes(wide, 30, 0, 40).total > 0
+    # refusals come at the call, not at the first next()
+    with pytest.raises(ValueError, match="^degree 33 needs more than 16777216 member scans$"):
+        iter_irreducible(wide, 33)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        iter_irreducible(wide, -1)
     # an empty range or a gap degree needs no table
     assert count_classes(wide, 30, 5, 5) == ClassCounts()
     assert count_classes(wide, 5) == ClassCounts()
@@ -604,31 +609,36 @@ def test_factor_tables_are_capped(monkeypatch, f2, f3):
     assert count_classes(ctx33, 15, 0, 40).total > 0
 
 
-def test_table_pays_only_with_enough_members(monkeypatch, f3, ctx345):
-    # a p > 2 table covers every monic code of degree <= n; many gaps below n
-    # make members a small share of those codes, and factor_fq is cheaper
+def test_table_pays_only_with_enough_members(monkeypatch, f2, f3, ctx345):
+    # a table covers every monic code of degree <= n; many gaps below n
+    # make members a small share of those codes, and factor_fq is cheaper,
+    # by one rule for every field
     ctx3_345 = AlgebraContext(f3, from_generators((3, 4, 5)))
     sparse = AlgebraContext(f3, from_generators(range(7, 14)))  # gaps 1..6
-    assert sgalg.table_pays(ctx345, 20)  # p = 2 always uses its table
+    sparse2 = AlgebraContext(f2, from_generators(range(11, 22)))  # gaps 1..10
+    assert sgalg.table_pays(ctx345, 20)
     assert sgalg.table_pays(ctx3_345, 9)
     assert not sgalg.table_pays(sparse, 9)
+    assert not sgalg.table_pays(sparse2, 14)
     assert not sgalg.table_pays(AlgebraContext(FieldSpec(4099), from_generators((2, 3))), 2)
 
     def refuse(*args):
         raise AssertionError("a factor table that does not pay was built")
 
     # the factor_fq route and the table route give the same stream
-    with monkeypatch.context() as m:
-        m.setattr(sgalg, "_TABLES", {})
-        m.setattr(sgalg, "_basep_tables", refuse)
-        by_fq = [(n, list(iter_irreducible(sparse, n)), count_classes(sparse, n))
-                 for n in range(7, 12)]
-    monkeypatch.setattr(sgalg, "_TABLES", {})
-    sgalg.prepare_factor_table(3, 11)
-    by_table = [(n, list(iter_irreducible(sparse, n)), count_classes(sparse, n))
-                for n in range(7, 12)]
-    assert by_table == by_fq
-    assert sum(c.total for _, _, c in by_fq) > 0
+    for ctx, low, top in ((sparse, 7, 11), (sparse2, 11, 14)):
+        with monkeypatch.context() as m:
+            m.setattr(sgalg, "_TABLES", {})
+            m.setattr(sgalg, "_basep_tables", refuse)
+            by_fq = [(n, list(iter_irreducible(ctx, n)), count_classes(ctx, n))
+                     for n in range(low, top + 1)]
+        monkeypatch.setattr(sgalg, "_TABLES", {})
+        sgalg.prepare_factor_table(ctx.field.p, top)
+        by_table = [(n, list(iter_irreducible(ctx, n)), count_classes(ctx, n))
+                    for n in range(low, top + 1)]
+        assert by_table == by_fq
+        assert sum(c.total for _, _, c in by_fq) > 0
+        assert any(c.max_m for _, _, c in by_fq)  # x's multiplicity, on both routes
 
 
 def test_library_scans_refuse_over_the_guard(capsys):
@@ -772,6 +782,17 @@ def test_ring_member_matches_the_support_oracle_on_every_residue():
             for code in range(size):
                 f = Polynomial.from_encoding(ctx.field, code)
                 assert member(code) == support_member(ctx, f), (q, gens, code)
+
+
+def test_ring_work_follows_the_residue_not_the_width(f3):
+    # F_3[<999,1000>] has w = 996,002: a product convolves only its
+    # operands' digits, and member stops once the residue has none left
+    _, reduce, mul, member = AlgebraContext(f3, from_generators((999, 1000))).ring
+    start = time.perf_counter()
+    assert mul(3, 3) == 9  # x * x
+    assert member(reduce(3 ** 999))  # x^999
+    assert not member(reduce(3 ** 998))
+    assert time.perf_counter() - start < 1
 
 
 def test_member_splits_take_first_levels_without_products(friendly, f3):
