@@ -18,20 +18,24 @@ per-polynomial API, the counting scan and the listing all call it, and
 only the witness split is ever multiplied out in full.  The ring memoizes
 products in bounded memos, so scans over
 several degrees and repeated verdicts share them.  Since the kernel reads
-a factor only through its residue, a scan decides each member's verdict
-once per residue signature, the sorted (residue, multiplicity) pairs of
-its factors, in one more bounded memo (AlgebraContext.no_split); that is
-exact, because members with one signature have one divisor lattice of
-residues.  At degree 16 the 32,768 members of F_2[x^2,x^3] have 747
-signatures.  Scans handle members and factors as integer codes
-(`Polynomial.encoding`, which is the bitmask for p = 2) and factor
+a factor only through its residue, whether a member splits depends only
+on the multiset of its factors' residues (equal residues give the same
+divisor residues and complements, merged or not), so a scan decides each
+verdict once per residue signature, the sorted (residue, multiplicity)
+pairs with equal residues merged, in one more bounded memo
+(AlgebraContext.no_split).  Scans handle members and factors as integer
+codes (`Polynomial.encoding`, which is the bitmask for p = 2) and factor
 members by lookup in a cached factor table where one pays, since
 enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
-and a cofactor array over codes, which the scan's member loop walks
-inline for every p, with no division: one pass gives a member's factors,
-verdict key and shape.  A table covers every monic code, not only the
-members, so a scan over any field uses one only when it fits under
+and a cofactor array over codes, read with no division.  A scan on the
+table walks no member's factors: its context keeps one signature id per
+code (AlgebraContext.signatures), resolved at most once, in batches along
+the cofactor chains, and the scan tallies its members' ids and reads each
+id's verdict and shape once.  At degree 16 the 32,768 members of
+F_2[x^2,x^3] have 285 ids.  Only the listing walks the table, for the
+factors of its irreducible members.  A table covers every monic code, not
+only the members, so a scan over any field uses one only when it fits under
 MAX_SCAN entries and pays (see table_pays), else factor_fq per member.
 prepare_scans refuses a degree over MAX_SCAN members and is the scans'
 one builder of tables, called by each scan for its degree and first by a
@@ -50,9 +54,10 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import compress, islice
 from math import prod
 
 from . import _gf2
@@ -87,23 +92,46 @@ class AlgebraContext:
     def no_split(self):
         """The scans' memoized verdict: key -> True when no member split exists.
 
-        key is a member's sorted (residue, multiplicity) pairs, one per
-        irreducible factor.  _member_splits reads a factor only through its
-        residue and reduce is idempotent, so it decides on the key itself
-        as on the factors, and whether any split exists does not depend on
-        their order.  The memo keeps at most MEMO_SIZE entries and, like
-        the ring, is left out of pickles.
+        A scan's key (see _split_key) is a member's (residue, multiplicity)
+        pairs, one per distinct residue of its irreducible factors, in
+        increasing residue order; both routes of a scan, signature ids and
+        factor_fq, ask with that one form.  _member_splits reads a factor
+        only through its residue and reduce is idempotent, so it decides on
+        the key itself as on the factors; whether any split exists depends
+        neither on their order nor on merging equal residues, which leaves
+        the set of divisor residues and their complements as it is.  The
+        memo keeps at most MEMO_SIZE entries and, like the ring, is left
+        out of pickles.
         """
         ring = self.ring
         return lru_cache(maxsize=MEMO_SIZE)(
             lambda key: next(_member_splits(key, ring), None) is None)
 
+    @cached_property
+    def signatures(self):
+        """The table-route scans' signature ids (a _Signatures), built on first use.
+
+        Its array sig over the factor table's codes holds, for each code a
+        a scan has reached, the id of the multiset of a's factor residues
+        mod x^(F(S)+1), x kept in its own slot; 0 marks a code not yet
+        resolved.  sig[a] = step(sig[cof[a]], slot of spf[a] or a), with
+        the steps memoized in one dict (id, slot) -> id, so a code is
+        resolved at most once per context, in batches along the cofactor
+        chains of the members a scan asks for, and a scan only tallies ids.
+        Each id's verdict (unsplit, m, k) is decided once, through
+        no_split.  The array grows with the table, 4 bytes an entry, and
+        like the ring it is left out of pickles.
+        """
+        return _Signatures(self)
+
     def __getstate__(self):
-        # the ring and the verdict memo hold closures; an unpickled context
-        # builds its own
+        # the ring and the verdict memo hold closures, and the signature
+        # array is as long as the factor table; an unpickled context builds
+        # its own
         state = dict(self.__dict__)
         state.pop("ring", None)
         state.pop("no_split", None)
+        state.pop("signatures", None)
         return state
 
 
@@ -452,8 +480,9 @@ MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor t
 # moves no input across it
 TIME_CAP_US = 15 * MAX_SCAN
 # What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
-# a member factored by table lookups with memoized verdicts (2-16 us over
-# F_2, F_3, F_5, F_7, the most where residue signatures rarely repeat), a
+# a member on the factor table, tallied by signature id (1-12 us over F_2,
+# F_3, F_5, F_7, the most where ids rarely repeat and each takes its own
+# verdict; 8 stays, so no count moves between routes), a
 # member factored by factor_fq (208-450 us over F_3, F_257, F_4099, and
 # 100-180 us over F_2 at degrees 16-30, code conversions included), and,
 # building a factor table, one step of its Gray walks and one entry of its
@@ -462,6 +491,10 @@ SCAN_US = 8
 FACTORED_US = 300
 WALK_US = 0.27
 ADD_US = 0.063
+
+# member codes a table-route scan resolves at once, so that a degree's
+# scan holds its block's cofactor lists rather than a whole degree's
+SCAN_BLOCK = 1 << 12
 
 # p -> (degree, (spf, cof)), see prepare_factor_table
 _TABLES: dict = {}
@@ -738,50 +771,122 @@ def _member_tables(ctx, n, lo, hi):
 
 
 def _scan(ctx, n, lo, hi):
-    """Iterator of (member, factors, m, k) per irreducible member of degree n.
+    """(blocks, sigs) for the members with index in [lo, hi) of degree n.
 
-    Covers the members with index in [lo, hi) of enumerate_degree's order
-    and factors each exactly once, by walking the cached factor table when
-    it covers n and by factor_fq otherwise.  Members and factors are codes
-    (`Polynomial.encoding`, the bitmask for p = 2).  Whether a member
-    splits is looked up in ctx.no_split under its key (see no_split).
-    A degree over the guard or a bad degree or range raises ValueError
-    here rather than at the first item.  An empty range or a gap degree
-    builds no table.
+    blocks iterates lists of member codes (`Polynomial.encoding`, the
+    bitmask for p = 2) in enumerate_degree's order: the rows of the
+    high-digit table, cut to [lo, hi), gathered until a list holds
+    SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^ceil(k/2)
+    codes for p^k members).  sigs is ctx.signatures when the cached factor
+    table covers n, else None: the members then go through factor_fq (see
+    _factored).  A degree over the guard or a bad degree or range raises
+    ValueError here rather than at the first block.  An empty range or a
+    gap degree builds no table.
     """
     lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
-        return iter(())
+        return iter(()), None
     prepare_scans(ctx, (n,))
     p = ctx.field.p
-    covered, (spf, cof) = _TABLES.get(p, (0, (None, None)))
-    decode = partial(Polynomial.from_encoding, ctx.field)
     base, size = p ** n, len(lo_tab)
+
+    def blocks():
+        block = []
+        for row in range(lo // size, (hi - 1) // size + 1):
+            start = row * size
+            block += map((base + hi_tab[row]).__add__, lo_tab[max(lo - start, 0):hi - start])
+            if len(block) >= SCAN_BLOCK:
+                yield block
+                block = []
+        if block:
+            yield block
+
+    covered = _TABLES.get(p, (0,))[0]
+    return blocks(), ctx.signatures if covered >= n else None
+
+
+def _factored(ctx, blocks):
+    # (member, factors, m, k) per irreducible member of blocks, each member
+    # factored by factor_fq; its verdict key has the signatures' form
+    p = ctx.field.p
+    decode = partial(Polynomial.from_encoding, ctx.field)
     modulus = p ** (ctx.semigroup.frobenius + 1)  # the ring's reduce is % modulus
     no_split = ctx.no_split
-
-    def members():
-        for i in range(lo, hi):
-            f = base + lo_tab[i % size] + hi_tab[i // size]
-            if covered < n:  # factor_fq, for a degree no cached table covers
-                factors = [(g.encoding, e) for g, e in factor_fq(decode(f)).factors]
-                key = [(g % modulus, e) for g, e in factors]
-                k = sum(e for _, e in factors)
-            else:  # walk the table: equal factors come out in a row, least first
-                factors, key, k, a = [], [], 0, f
-                while a != 1:
-                    g, e, a = spf[a] or a, 1, cof[a]
-                    while (spf[a] or a) == g:
-                        e, a = e + 1, cof[a]
-                    factors.append((g, e))
-                    key.append((g % modulus, e))
-                    k += e
-            if no_split(tuple(sorted(key))):
+    for codes in blocks:
+        for f in codes:
+            factors = [(g.encoding, e) for g, e in factor_fq(decode(f)).factors]
+            if no_split(_split_key((g % modulus, e) for g, e in factors)):
                 g, e = factors[0]
                 m = e if g == p else 0  # p is the code of x, the least irreducible
-                yield f, factors, m, k - m
+                yield f, factors, m, sum(e for _, e in factors) - m
 
-    return members()
+
+def _split_key(pairs):
+    # no_split's key for (residue, multiplicity) pairs: equal residues
+    # merged, in increasing residue order
+    merged = {}
+    for r, e in pairs:
+        merged[r] = merged.get(r, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+class _Signatures:
+    """A context's signature ids over the factor table's codes (see AlgebraContext.signatures)."""
+
+    def __init__(self, ctx):
+        p, w = ctx.field.p, ctx.semigroup.frobenius + 1
+        self.p, self.modulus, self.no_split = p, p ** w, ctx.no_split
+        # a slot is a factor's residue mod p^max(w, 1): x's, p % slot_mod,
+        # has constant digit 0 and every other irreducible's a nonzero one,
+        # so x keeps its own slot even for S = N, where w = 0
+        self.slot_mod = p ** max(w, 1)
+        self.x_slot = p % self.slot_mod
+        self.sig = array("i", [0, 1])  # 0: unresolved; 1: the empty multiset, code 1's
+        self.steps = {}  # id * slot_mod + slot -> id of that multiset plus the slot
+        self.multisets = [None, ()]  # id -> its slots, sorted
+        self.interned = {(): 1}  # sorted slots -> id
+        self.verdicts = {}  # id -> (unsplit, m, k), decided on first use
+
+    def ids(self, codes):
+        """The signature id of each code in the list codes, resolving new ones."""
+        sig, table = self.sig, _TABLES[self.p][1]
+        if len(sig) < len(table[1]):  # a new table, or one rebuilt to a higher degree
+            sig.frombytes(bytes(sig.itemsize * (len(table[1]) - len(sig))))
+        ids = list(map(sig.__getitem__, codes))
+        if 0 in ids:
+            self._resolve(list(dict.fromkeys(compress(codes, map(operator.not_, ids)))), table)
+            ids = list(map(sig.__getitem__, codes))
+        return ids
+
+    def _resolve(self, codes, table):
+        # sig[a] = step(sig[cof[a]], slot of a's least factor) for the
+        # distinct unresolved codes, their unresolved cofactors first; a
+        # step's key is id * slot_mod + slot
+        spf, cof = table
+        sig, step, modulus = self.sig, self.steps.get, self.slot_mod
+        for a, sid in zip(codes, self.ids(list(map(cof.__getitem__, codes)))):
+            slot = (spf[a] or a) % modulus
+            key = sid * modulus + slot
+            sig[a] = step(key) or self._step(key, sid, slot)
+
+    def _step(self, key, sid, slot):
+        multiset = tuple(sorted((*self.multisets[sid], slot)))
+        new = self.interned.get(multiset)
+        if new is None:
+            new = self.interned[multiset] = len(self.multisets)
+            self.multisets.append(multiset)
+        self.steps[key] = new
+        return new
+
+    def verdict(self, sid):
+        """(unsplit, m, k) for the members with id sid, decided once by no_split."""
+        verdict = self.verdicts.get(sid)
+        if verdict is None:
+            multiset = self.multisets[sid]
+            m = multiset.count(self.x_slot)
+            key = _split_key((slot % self.modulus, 1) for slot in multiset)
+            verdict = self.verdicts[sid] = (self.no_split(key), m, len(multiset) - m)
+        return verdict
 
 
 def _digit_table(positions, p):
@@ -798,11 +903,25 @@ def count_classes(ctx, n, lo=0, hi=None):
 
     The index range refers to the canonical enumeration order of
     enumerate_degree, so disjoint ranges can run on separate workers and
-    their ClassCounts absorb into the full-degree answer.
+    their ClassCounts absorb into the full-degree answer.  On the table
+    route members are tallied by signature id, and each id's verdict is
+    read once.
     """
+    blocks, sigs = _scan(ctx, n, lo, hi)
+    shapes = Counter()
+    if sigs is None:
+        shapes.update((m, k) for _, _, m, k in _factored(ctx, blocks))
+    else:
+        ids = Counter()
+        for codes in blocks:
+            ids.update(sigs.ids(codes))
+        for sid, count in ids.items():
+            unsplit, m, k = sigs.verdict(sid)
+            if unsplit:
+                shapes[m, k] += count
     counts = ClassCounts()
-    for _, _, m, k in _scan(ctx, n, lo, hi):
-        counts.add(m, k)
+    for (m, k), count in shapes.items():
+        counts.add(m, k, count)
     return counts
 
 
@@ -813,7 +932,7 @@ def iter_irreducible(ctx, n):
     Like count_classes, it raises ValueError at the call, before any item,
     for a degree over MAX_SCAN members or a negative degree.
     """
-    scan = _scan(ctx, n, 0, None)
+    blocks, sigs = _scan(ctx, n, 0, None)
     field = ctx.field
     friendly = ctx.is_friendly
     decode = partial(Polynomial.from_encoding, field)
@@ -823,5 +942,22 @@ def iter_irreducible(ctx, n):
             FqFactorization(field, 1, tuple((decode(g), e) for g, e in factors)),
             _friendly_class_of(m, k) if friendly else None,
         )
-        for f, factors, m, k in scan
+        for f, factors, m, k in (_factored(ctx, blocks) if sigs is None else _walked(sigs, blocks))
     )
+
+
+def _walked(sigs, blocks):
+    # (member, factors, m, k) per irreducible member of blocks, its verdict
+    # read from its signature id and its factors walked from the table:
+    # equal factors come out in a row, least first
+    spf, cof = _TABLES[sigs.p][1]
+    for codes in blocks:
+        for f, (unsplit, m, k) in zip(codes, map(sigs.verdict, sigs.ids(codes))):
+            if unsplit:
+                factors, a = [], f
+                while a != 1:
+                    g, e, a = spf[a] or a, 1, cof[a]
+                    while (spf[a] or a) == g:
+                        e, a = e + 1, cof[a]
+                    factors.append((g, e))
+                yield f, factors, m, k

@@ -3,6 +3,7 @@
 import pickle
 import random
 import time
+from functools import partial
 from math import prod
 
 import pytest
@@ -400,51 +401,87 @@ def table_factors(spf, cof, a):
     return list(out.items())
 
 
-def scanned_members(ctx, n, lo=0, hi=None):
-    # every member _scan covers, each with its factors, shape and no_split
-    # key: the verdict memo is swapped for one that records the key and
-    # lets the member through
-    keys = []
-    vars(ctx)["no_split"] = lambda key: keys.append(key) or True
-    return [(*item, key) for item, key in zip(list(sgalg._scan(ctx, n, lo, hi)), keys)]
+def reference_verdict(ctx, ring, f):
+    # (unsplit, m, k) of member code f from factor_fq and a lattice of its
+    # own, on a ring apart from ctx's and with equal residues left unmerged
+    fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
+    codes = [(g.encoding, e) for g, e in fac.factors]
+    unsplit = next(sgalg._member_splits(codes, ring), None) is None
+    return (unsplit, *sgalg._shape_of(fac.factors, Polynomial.x(ctx.field)))
 
 
-def check_scanned(ctx, items):
-    # each scanned member's factors, shape and key against factor_fq's
-    field, reduce = ctx.field, ctx.ring[1]
-    x = Polynomial.x(field)
-    for f, factors, m, k, key in items:
-        fac = factor_fq(Polynomial.from_encoding(field, f))
-        assert factors == [(g.encoding, e) for g, e in fac.factors]
-        assert (m, k) == sgalg._shape_of(fac.factors, x)
-        assert key == tuple(sorted((reduce(g), e) for g, e in factors))
-
-
-@pytest.mark.parametrize("q, gens, top", [(2, (2, 3), 12), (3, (3, 4, 5), 9)], ids=["f2", "f3"])
-def test_scan_factor_lists_match_factor_fq(q, gens, top):
-    # the table route's inline walk, for every member up to degree top;
-    # F_3[<3,4,5>] adds 100 seeded single members at each of degrees 10-12
-    # (factor_fq for all 88k members to degree 12 would take 18 s)
+@pytest.mark.parametrize(
+    "q, gens, top",
+    [(2, (2, 3), 12), (2, (1,), 10), (3, (3, 4, 5), 8), (5, (2, 3), 5), (2, (4, 5, 6, 7), 13)],
+    ids=["f2", "f2-N", "f3", "f5", "f2-4567"],
+)
+def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top):
+    # the table route: every member's signature id carries the (unsplit, m,
+    # k) that factor_fq and a per-member lattice give, and the listing walks
+    # factor_fq's factors for the irreducible ones.  Degrees are scanned in
+    # turn from an empty table cache, so each scan rebuilds the table to a
+    # higher degree and extends the id array the earlier scans filled, and
+    # each degree is scanned in three uneven ranges, as pool chunks cut it.
+    # Over N, w = 0 and every residue is 0: only x's own slot gives m
+    monkeypatch.setattr(sgalg, "_TABLES", {})
     ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
-    sgalg.prepare_factor_table(q, 12)
+    ring = sgalg._residue_ring(ctx)
+    decode = partial(Polynomial.from_encoding, ctx.field)
+    lengths = []
     for n in range(1, top + 1):
-        items = scanned_members(ctx, n)
-        assert len(items) == member_count(ctx, n)
-        check_scanned(ctx, items)
-    rng = random.Random(16)
-    for n in range(top + 1, 13):
-        for i in rng.sample(range(member_count(ctx, n)), 100):
-            check_scanned(ctx, scanned_members(ctx, n, i, i + 1))
+        total = member_count(ctx, n)
+        cuts = [0, total // 3, min(2 * total // 3 + 1, total), total]
+        seen = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            blocks, sigs = sgalg._scan(ctx, n, lo, hi)
+            for codes in blocks:
+                assert sigs is ctx.signatures
+                seen += zip(codes, map(sigs.verdict, sigs.ids(codes)))
+        assert [f for f, _ in seen] == [g.encoding for g in enumerate_degree(ctx, n)]
+        assert all(verdict == reference_verdict(ctx, ring, f) for f, verdict in seen)
+        listed = [(f.encoding, fac) for f, fac, _ in iter_irreducible(ctx, n)]
+        assert listed == [(f, factor_fq(decode(f))) for f, (unsplit, _, _) in seen if unsplit]
+        if "signatures" in vars(ctx):
+            lengths.append(len(ctx.signatures.sig))
+    assert lengths == sorted(lengths) and len(set(lengths)) > 1
+    assert lengths[-1] == sgalg.table_entries(q, top)
 
 
 def test_scan_factor_lists_match_factor_fq_off_the_table():
-    # F_257[x^2,x^3] scans by factor_fq (a table would pass the cap); its
-    # pairs feed the same key and shape as the table walk's
-    ctx = AlgebraContext(FieldSpec(257), from_generators((2, 3)))
-    assert not any(sgalg.table_pays(ctx, n) for n in (2, 3))
-    items = scanned_members(ctx, 2) + scanned_members(ctx, 3, 1000, 1300)
-    assert len(items) == 257 + 300
-    check_scanned(ctx, items)
+    # F_257[x^2,x^3] and F_31[x^2,x^3] at degree 5 scan by factor_fq (a
+    # table would pass the cap); each member's factors, shape and verdict
+    # match the reference, and its verdict key merges equal residues into
+    # one pair, as the signatures' keys do: the one F_31 member scanned is
+    # (x^2+c)(x^3+b*x^2+c), two irreducibles with the residue c mod x^2
+    def irreducible(f):
+        return factor_fq(f).factors == ((f, 1),)
+
+    f31 = FieldSpec(31)
+    c = next(c for c in range(1, 31) if irreducible(parse_poly(f"x^2+{c}", f31)))
+    b = next(b for b in range(31) if irreducible(parse_poly(f"x^3+{b}*x^2+{c}", f31)))
+    product = parse_poly(f"x^2+{c}", f31) * parse_poly(f"x^3+{b}*x^2+{c}", f31)
+    i = sum(product.coeff(pos) * 31 ** j for j, pos in enumerate((0, 2, 3, 4)))  # its index
+    items, keys = [], []
+    for q, n, lo, hi in ((257, 2, 0, None), (257, 3, 1000, 1300), (31, 5, i, i + 1)):
+        ctx = AlgebraContext(FieldSpec(q), from_generators((2, 3)))
+        assert not sgalg.table_pays(ctx, n)
+        ring, reduce, no_split = sgalg._residue_ring(ctx), ctx.ring[1], ctx.no_split
+        vars(ctx)["no_split"] = lambda key, no_split=no_split: keys.append(key) or no_split(key)
+        blocks, sigs = sgalg._scan(ctx, n, lo, hi)
+        assert sigs is None
+        for f in [f for block in blocks for f in block]:
+            found = list(sgalg._factored(ctx, [[f]]))
+            fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
+            factors = [(g.encoding, e) for g, e in fac.factors]
+            pairs = {}
+            for g, e in factors:
+                pairs[reduce(g)] = pairs.get(reduce(g), 0) + e
+            assert keys[-1] == tuple(sorted(pairs.items()))
+            unsplit, m, k = reference_verdict(ctx, ring, f)
+            assert found == ([(f, factors, m, k)] if unsplit else [])
+            items.append(f)
+    assert len(items) == len(keys) == 257 + 300 + 1
+    assert items[-1] == product.encoding and keys[-1] == ((c, 2),)
 
 
 @pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (3, 7), (5, 5), (7, 4)])
@@ -889,9 +926,11 @@ def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
     assert len(built) == 1 and built[0] is ctx  # one ring, however it is used
     fresh = AlgebraContext(f3, from_generators(gens))
     assert ctx == fresh and hash(ctx) == hash(fresh)
-    assert {"ring", "no_split"} <= set(vars(ctx))
+    memos = {"ring", "no_split", "signatures"}
+    assert memos <= set(vars(ctx))
+    assert len(ctx.signatures.sig) > 2  # the scans resolved codes
     copy = pickle.loads(pickle.dumps(ctx))
-    assert not {"ring", "no_split"} & set(vars(copy))  # the memos stay behind
+    assert not memos & set(vars(copy))  # the memos stay behind
     assert copy == fresh and hash(copy) == hash(fresh)
     assert is_irreducible_in_algebra(copy, f) == verdicts[0]
     assert count_classes(copy, 8) == count_classes(fresh, 8)
