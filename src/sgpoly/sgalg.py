@@ -776,7 +776,7 @@ def _scan(ctx, n, lo, hi):
     blocks iterates lists of member codes (`Polynomial.encoding`, the
     bitmask for p = 2) in enumerate_degree's order: the rows of the
     high-digit table, cut to [lo, hi), gathered until a list holds
-    SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^ceil(k/2)
+    SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^floor(k/2)
     codes for p^k members).  sigs is ctx.signatures when the cached factor
     table covers n, else None: the members then go through factor_fq (see
     _factored).  A degree over the guard or a bad degree or range raises
