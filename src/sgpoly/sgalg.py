@@ -30,9 +30,10 @@ enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
 and a cofactor array over codes, read with no division.  A scan on the
 table walks no member's factors: its context keeps one signature id per
-code (AlgebraContext.signatures), resolved at most once, in batches along
-the cofactor chains, and the scan tallies its members' ids and reads each
-id's verdict and shape once.  At degree 16 the 32,768 members of
+code (AlgebraContext.signatures), resolved at most once while the ids are
+kept (SIGNATURE_IDS of them at most), in batches along the cofactor
+chains, and the scan tallies its members' ids and reads each id's verdict
+and shape once.  At degree 16 the 32,768 members of
 F_2[x^2,x^3] have 285 ids.  Only the listing walks the table, for the
 factors of its irreducible members.  A table covers every monic code, not
 only the members, so a scan over any field uses one only when it fits under
@@ -116,11 +117,13 @@ class AlgebraContext:
         mod x^(F(S)+1), x kept in its own slot; 0 marks a code not yet
         resolved.  sig[a] = step(sig[cof[a]], slot of spf[a] or a), with
         the steps memoized in one dict (id, slot) -> id, so a code is
-        resolved at most once per context, in batches along the cofactor
-        chains of the members a scan asks for, and a scan only tallies ids.
-        Each id's verdict (unsplit, m, k) is decided once, through
-        no_split.  The array grows with the table, 4 bytes an entry, and
-        like the ring it is left out of pickles.
+        resolved at most once while its id is kept, in batches along the
+        cofactor chains of the members a scan asks for, and a scan only
+        tallies ids.  Each id's verdict (unsplit, m, k) is decided once,
+        through no_split.  The array grows with the table, 4 bytes an
+        entry; the ids' memos, about 250 bytes an id, are cleared with the
+        array once they hold SIGNATURE_IDS ids, so they stay bounded.  Like
+        the ring, it is left out of pickles.
         """
         return _Signatures(self)
 
@@ -245,8 +248,9 @@ def _residue_ring(ctx):
     otherwise by a convolution of the residues' own digits, cut to w (a
     second memo keeps each residue's digits, so a residue is decoded at
     most once while it stays there).  Each memo keeps
-    its MEMO_SIZE most recently used entries, so a context's memory stays
-    bounded however long it lives and however rarely its products repeat.
+    its MEMO_SIZE most recently used entries, so the ring's memory stays
+    bounded however long the context lives and however rarely its products
+    repeat.
     AlgebraContext.ring builds one per context.
     """
     p = ctx.field.p
@@ -495,6 +499,15 @@ ADD_US = 0.063
 # member codes a table-route scan resolves at once, so that a degree's
 # scan holds its block's cofactor lists rather than a whole degree's
 SCAN_BLOCK = 1 << 12
+
+# signature ids a context keeps (see _Signatures.ids) before it clears them
+# and resolves its codes anew: at 230-270 bytes an id (measured over F_2,
+# F_3 and F_5 scans), about 16 MB.  Of the scans the CLI admits, only
+# F_7[<3,4,5>] to degree 8 (95,805 ids) reaches it; F_3[<3,4,5>] to 14 has
+# 53,785 ids and F_5[<3,4,5>] to 9 has 51,242.  A bound of 2^15 saves at
+# most 12 MB on those and, clearing twice, slows the F_5 scan from 1.0 to
+# 1.6 s (2-vCPU x86-64, Python 3.11)
+SIGNATURE_IDS = 1 << 16
 
 # p -> (degree, (spf, cof)), see prepare_factor_table
 _TABLES: dict = {}
@@ -841,15 +854,34 @@ class _Signatures:
         # so x keeps its own slot even for S = N, where w = 0
         self.slot_mod = p ** max(w, 1)
         self.x_slot = p % self.slot_mod
+        self._clear()
+
+    def _clear(self):
+        # no code resolved and no id but the empty multiset's; the old
+        # array goes before ids() extends the new one to the table.  An id
+        # is stored as an edge of a trie: its multiset less its greatest
+        # slot (parent) and that slot (last), so an id costs a steps entry
+        # and a few array slots, whatever its size
         self.sig = array("i", [0, 1])  # 0: unresolved; 1: the empty multiset, code 1's
         self.steps = {}  # id * slot_mod + slot -> id of that multiset plus the slot
-        self.multisets = [None, ()]  # id -> its slots, sorted
-        self.interned = {(): 1}  # sorted slots -> id
-        self.verdicts = {}  # id -> (unsplit, m, k), decided on first use
+        self.parent = array("i", [0, 0])
+        self.last = array("i", [0, -1])  # -1: the empty multiset's, below every slot
+        self.verdicts = [None, None]  # id -> (unsplit, m, k), decided on first use
+        self.kinds = {}  # each (unsplit, m, k) once, shared by the ids that have it
 
     def ids(self, codes):
-        """The signature id of each code in the list codes, resolving new ones."""
-        sig, table = self.sig, _TABLES[self.p][1]
+        """The signature id of each code in the list codes, resolving new ones.
+
+        The ids are valid until the next call: one that finds more than
+        SIGNATURE_IDS ids first clears every memo and the array, so a
+        caller reads the verdicts of one call's ids before it makes another.
+        """
+        if len(self.last) > SIGNATURE_IDS:
+            self._clear()
+        return self._ids(codes, _TABLES[self.p][1])
+
+    def _ids(self, codes, table):
+        sig = self.sig
         if len(sig) < len(table[1]):  # a new table, or one rebuilt to a higher degree
             sig.frombytes(bytes(sig.itemsize * (len(table[1]) - len(sig))))
         ids = list(map(sig.__getitem__, codes))
@@ -864,28 +896,47 @@ class _Signatures:
         # step's key is id * slot_mod + slot
         spf, cof = table
         sig, step, modulus = self.sig, self.steps.get, self.slot_mod
-        for a, sid in zip(codes, self.ids(list(map(cof.__getitem__, codes)))):
+        for a, sid in zip(codes, self._ids(list(map(cof.__getitem__, codes)), table)):
             slot = (spf[a] or a) % modulus
             key = sid * modulus + slot
             sig[a] = step(key) or self._step(key, sid, slot)
 
     def _step(self, key, sid, slot):
-        multiset = tuple(sorted((*self.multisets[sid], slot)))
-        new = self.interned.get(multiset)
-        if new is None:
-            new = self.interned[multiset] = len(self.multisets)
-            self.multisets.append(multiset)
+        # the id of sid's multiset plus slot, on a miss of steps[key].  A
+        # slot at or above sid's greatest makes a new trie edge; a lower one
+        # goes in below that greatest slot first
+        top = self.last[sid]
+        if slot < top:
+            new = self._step_of(self._step_of(self.parent[sid], slot), top)
+        else:
+            new = len(self.last)
+            self.parent.append(sid)
+            self.last.append(slot)
+            self.verdicts.append(None)
         self.steps[key] = new
         return new
 
+    def _step_of(self, sid, slot):
+        key = sid * self.slot_mod + slot
+        return self.steps.get(key) or self._step(key, sid, slot)
+
+    def slots(self, sid):
+        """The slots of id sid's multiset, greatest first."""
+        out = []
+        while sid != 1:
+            out.append(self.last[sid])
+            sid = self.parent[sid]
+        return out
+
     def verdict(self, sid):
         """(unsplit, m, k) for the members with id sid, decided once by no_split."""
-        verdict = self.verdicts.get(sid)
+        verdict = self.verdicts[sid]
         if verdict is None:
-            multiset = self.multisets[sid]
-            m = multiset.count(self.x_slot)
-            key = _split_key((slot % self.modulus, 1) for slot in multiset)
-            verdict = self.verdicts[sid] = (self.no_split(key), m, len(multiset) - m)
+            slots = self.slots(sid)
+            m = slots.count(self.x_slot)
+            key = _split_key((slot % self.modulus, 1) for slot in slots)
+            verdict = (self.no_split(key), m, len(slots) - m)
+            verdict = self.verdicts[sid] = self.kinds.setdefault(verdict, verdict)
         return verdict
 
 
@@ -912,13 +963,11 @@ def count_classes(ctx, n, lo=0, hi=None):
     if sigs is None:
         shapes.update((m, k) for _, _, m, k in _factored(ctx, blocks))
     else:
-        ids = Counter()
         for codes in blocks:
-            ids.update(sigs.ids(codes))
-        for sid, count in ids.items():
-            unsplit, m, k = sigs.verdict(sid)
-            if unsplit:
-                shapes[m, k] += count
+            for sid, count in Counter(sigs.ids(codes)).items():
+                unsplit, m, k = sigs.verdict(sid)
+                if unsplit:
+                    shapes[m, k] += count
     counts = ClassCounts()
     for (m, k), count in shapes.items():
         counts.add(m, k, count)
@@ -952,7 +1001,8 @@ def _walked(sigs, blocks):
     # equal factors come out in a row, least first
     spf, cof = _TABLES[sigs.p][1]
     for codes in blocks:
-        for f, (unsplit, m, k) in zip(codes, map(sigs.verdict, sigs.ids(codes))):
+        verdicts = list(map(sigs.verdict, sigs.ids(codes)))  # before another scan's ids()
+        for f, (unsplit, m, k) in zip(codes, verdicts):
             if unsplit:
                 factors, a = [], f
                 while a != 1:

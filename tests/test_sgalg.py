@@ -401,32 +401,58 @@ def table_factors(spf, cof, a):
     return list(out.items())
 
 
-def reference_verdict(ctx, ring, f):
-    # (unsplit, m, k) of member code f from factor_fq and a lattice of its
-    # own, on a ring apart from ctx's and with equal residues left unmerged
-    fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
+def reference_verdict(ctx, ring, f, fac=None):
+    # (unsplit, m, k) of member code f from factor_fq (or its result fac)
+    # and a lattice of its own, on a ring apart from ctx's and with equal
+    # residues left unmerged
+    fac = fac or factor_fq(Polynomial.from_encoding(ctx.field, f))
     codes = [(g.encoding, e) for g, e in fac.factors]
     unsplit = next(sgalg._member_splits(codes, ring), None) is None
     return (unsplit, *sgalg._shape_of(fac.factors, Polynomial.x(ctx.field)))
 
 
+def check_ids(ctx, ring, sigs, codes):
+    # each member's id holds the slots of factor_fq's factors, one per
+    # factor and multiplicity, and carries the reference verdict; returns
+    # (member, verdict, factor_fq's factorization) per member
+    decode = partial(Polynomial.from_encoding, ctx.field)
+    out = []
+    for f, sid in zip(codes, sigs.ids(codes)):
+        fac = factor_fq(decode(f))
+        slots = [g.encoding % sigs.slot_mod for g, e in fac.factors for _ in range(e)]
+        assert sorted(sigs.slots(sid)) == sorted(slots)
+        assert sigs.verdict(sid) == reference_verdict(ctx, ring, f, fac)
+        out.append((f, sigs.verdict(sid), fac))
+    return out
+
+
 @pytest.mark.parametrize(
-    "q, gens, top",
-    [(2, (2, 3), 12), (2, (1,), 10), (3, (3, 4, 5), 8), (5, (2, 3), 5), (2, (4, 5, 6, 7), 13)],
+    "q, gens, top, sampled",
+    [
+        (2, (2, 3), 12, 12),
+        (2, (1,), 10, 10),
+        (3, (3, 4, 5), 9, 12),
+        (5, (2, 3), 5, 5),
+        (2, (4, 5, 6, 7), 13, 13),
+    ],
     ids=["f2", "f2-N", "f3", "f5", "f2-4567"],
 )
-def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top):
-    # the table route: every member's signature id carries the (unsplit, m,
-    # k) that factor_fq and a per-member lattice give, and the listing walks
-    # factor_fq's factors for the irreducible ones.  Degrees are scanned in
-    # turn from an empty table cache, so each scan rebuilds the table to a
-    # higher degree and extends the id array the earlier scans filled, and
-    # each degree is scanned in three uneven ranges, as pool chunks cut it.
-    # Over N, w = 0 and every residue is 0: only x's own slot gives m
+def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top, sampled):
+    # the table route: every member's signature id holds its factors'
+    # slots and carries the (unsplit, m, k) that factor_fq and a per-member
+    # lattice give, and the listing gives factor_fq's factors for the
+    # irreducible ones, for every member up to degree top.  Degrees are
+    # scanned in turn from an empty table cache, so each scan rebuilds the
+    # table to a higher degree and extends the id array the earlier scans
+    # filled, and each degree is scanned in three uneven ranges, as pool
+    # chunks cut it.  Over N, w = 0 and every residue is 0: only x's own
+    # slot gives m.  F_3[<3,4,5>] adds 100 seeded single members at each of
+    # degrees 10-12, on a table rebuilt to 12, each listed by the walk
+    # iter_irreducible makes (factor_fq for all 88k members to degree 12
+    # would take 18 s)
     monkeypatch.setattr(sgalg, "_TABLES", {})
     ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
     ring = sgalg._residue_ring(ctx)
-    decode = partial(Polynomial.from_encoding, ctx.field)
     lengths = []
     for n in range(1, top + 1):
         total = member_count(ctx, n)
@@ -436,15 +462,26 @@ def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top):
             blocks, sigs = sgalg._scan(ctx, n, lo, hi)
             for codes in blocks:
                 assert sigs is ctx.signatures
-                seen += zip(codes, map(sigs.verdict, sigs.ids(codes)))
-        assert [f for f, _ in seen] == [g.encoding for g in enumerate_degree(ctx, n)]
-        assert all(verdict == reference_verdict(ctx, ring, f) for f, verdict in seen)
+                seen += check_ids(ctx, ring, sigs, codes)
+        assert [f for f, _, _ in seen] == [g.encoding for g in enumerate_degree(ctx, n)]
         listed = [(f.encoding, fac) for f, fac, _ in iter_irreducible(ctx, n)]
-        assert listed == [(f, factor_fq(decode(f))) for f, (unsplit, _, _) in seen if unsplit]
+        assert listed == [(f, fac) for f, (unsplit, _, _), fac in seen if unsplit]
         if "signatures" in vars(ctx):
             lengths.append(len(ctx.signatures.sig))
     assert lengths == sorted(lengths) and len(set(lengths)) > 1
     assert lengths[-1] == sgalg.table_entries(q, top)
+    if sampled == top:
+        return
+    sgalg.prepare_factor_table(q, sampled)
+    rng = random.Random(16)
+    for n in range(top + 1, sampled + 1):
+        for i in rng.sample(range(member_count(ctx, n)), 100):
+            blocks, sigs = sgalg._scan(ctx, n, i, i + 1)
+            [codes] = blocks
+            [(f, (unsplit, m, k), fac)] = check_ids(ctx, ring, sigs, codes)
+            factors = [(g.encoding, e) for g, e in fac.factors]
+            assert list(sgalg._walked(sigs, [codes])) == ([(f, factors, m, k)] if unsplit else [])
+    assert len(ctx.signatures.sig) == sgalg.table_entries(q, sampled)
 
 
 def test_scan_factor_lists_match_factor_fq_off_the_table():
@@ -950,3 +987,28 @@ def test_residue_memo_keeps_at_most_memo_size_entries(monkeypatch):
     assert [count_classes(fresh, n) for n in degrees] == bounded
     assert fresh.ring[2].cache_info().currsize > 16
     assert fresh.no_split.cache_info().currsize > 16
+
+
+def test_signature_ids_clear_past_their_bound(monkeypatch):
+    # a context that keeps at most 64 signature ids clears them, with the
+    # array, many times over and resolves its codes anew: it counts and
+    # lists as one that keeps them all, also when its counts clear the ids
+    # while a listing of its own waits between two blocks
+    field, gens, degrees = FieldSpec(3), (3, 4, 5), range(2, 9)
+    monkeypatch.setattr(sgalg, "SCAN_BLOCK", 16)
+    kept = AlgebraContext(field, from_generators(gens))
+    counts = [count_classes(kept, n) for n in degrees]
+    listing = list(iter_irreducible(kept, 8))
+    assert len(kept.signatures.last) > 64 * 8
+    monkeypatch.setattr(sgalg, "SIGNATURE_IDS", 64)
+    ctx = AlgebraContext(field, from_generators(gens))
+    clears = []
+    clear = sgalg._Signatures._clear
+    monkeypatch.setattr(sgalg._Signatures, "_clear", lambda sigs: clears.append(1) or clear(sigs))
+    stream = iter_irreducible(ctx, 8)
+    head = [next(stream) for _ in range(5)]
+    before = len(clears)
+    assert [count_classes(ctx, n) for n in degrees] == counts
+    assert len(clears) > before + 8
+    assert head + list(stream) == listing
+    assert len(ctx.signatures.sig) == len(kept.signatures.sig)
