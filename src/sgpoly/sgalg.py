@@ -15,7 +15,8 @@ owns one residue ring (AlgebraContext.ring) whose member, that gap-digit
 test, is the one membership test, is_member's too.  One kernel,
 `_member_splits`, decides every verdict on those residues: the
 per-polynomial API, the counting scan and the listing all call it, and
-only the witness split is ever multiplied out in full.  The ring memoizes
+only a verdict's split halves of the least degree are ever multiplied
+out, on coefficient tuples, to pick its witness.  The ring memoizes
 products in bounded memos, so scans over
 several degrees and repeated verdicts share them.  Since the kernel reads
 a factor only through its residue, whether a member splits depends only
@@ -59,10 +60,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, islice
-from math import prod
 
 from . import _gf2
-from .ffpoly import FieldSpec, FqFactorization, Polynomial, canonical_key, factor_fq
+from .ffpoly import FieldSpec, FqFactorization, Polynomial, _mul_t, factor_fq
 from .numsgp import NumericalSemigroup, from_generators
 
 
@@ -186,9 +186,12 @@ class AlgebraVerdict:
     """Outcome of the algebra irreducibility test.
 
     kind is one of "unit", "not_member", "irreducible", "reducible".
-    A reducible verdict carries a verified witness pair (g, h) with
-    g * h == f and both members of positive degree; an irreducible verdict
-    in F_2[x^2,x^3] carries the classification.
+    A reducible verdict carries a witness pair (g, h) of members of
+    positive degree: g is a monic product of f's own irreducible factors,
+    and h = f // g is an exact quotient that carries f's leading unit, so
+    g * h == f by construction (nothing multiplies them back at run
+    time).  An irreducible verdict in F_2[x^2,x^3] carries the
+    classification.
     """
 
     kind: str
@@ -329,10 +332,11 @@ def _member_splits(factors, ring):
 def is_irreducible_in_algebra(ctx, f):
     """Full verdict for f relative to F_p[S], with a witness when reducible.
 
-    Splits are decided on residues by the kernel the scans use; the
-    witness split, when one exists, is the one whose smaller part g has the
-    least canonical key (bitmask order for p = 2), paired with f // g, which
-    carries the leading unit.
+    Splits are decided on residues by the kernel the scans use.  The
+    witness, when a split exists, is (g, f // g): g is the half with the
+    least canonical key (degree, then integer code order; bitmask order for
+    p = 2) among both halves of every member split, chosen by _least_half,
+    and f // g carries the leading unit.
     """
     if f.field != ctx.field:
         raise ValueError("polynomial field does not match the context")
@@ -355,25 +359,35 @@ def is_irreducible_in_algebra(ctx, f):
 
 
 def _least_half(factors, splits):
-    # Among both halves of every member split, the divisor with the least
-    # canonical key.  That key orders by degree first, so each half's degree
-    # comes from its exponent vector and only the least-degree ones are built.
-    last = prod(e + 1 for _, e in factors) - 1
-    halves = []
-    for j in [*splits, *(last - i for i in splits)]:
-        exps = []
-        for _, e in factors:
+    """The half with the least canonical key among both halves of every split.
+
+    factors holds f's (monic irreducible, multiplicity) pairs and splits the
+    lattice indices `_member_splits` yielded for them.  The key orders by
+    degree first, so the divisor degrees are listed once, level by level in
+    the kernel's mixed-radix order, and only the halves of the least degree
+    are multiplied out, on coefficient tuples.  Among monic divisors of one
+    degree the key is integer code order, the reversed tuples' order; only
+    the winner becomes a Polynomial.
+    """
+    degrees = [0]
+    for g, e in factors:
+        level = degrees
+        for _ in range(e):
+            level = list(map(g.degree.__add__, level))
+            degrees += level
+    last = len(degrees) - 1
+    halves = [*splits, *map(last.__sub__, splits)]
+    low = min(map(degrees.__getitem__, halves))
+    field = factors[0][0].field
+    built = []
+    for j in compress(halves, map(low.__eq__, map(degrees.__getitem__, halves))):
+        half = (1,)
+        for g, e in factors:
             j, a = divmod(j, e + 1)
-            exps.append(a)
-        halves.append((sum(a * g.degree for a, (g, _) in zip(exps, factors)), exps))
-    low = min(degree for degree, _ in halves)
-    one = Polynomial.one(factors[0][0].field)
-    built = [
-        prod((g ** a for a, (g, _) in zip(exps, factors)), start=one)
-        for degree, exps in halves
-        if degree == low
-    ]
-    return min(built, key=canonical_key)
+            for _ in range(a):
+                half = _mul_t(half, g.coeffs, field.p)
+        built.append(half)
+    return Polynomial(field, min(built, key=lambda half: half[::-1]))
 
 
 def _shape_of(factors, x):

@@ -4,8 +4,8 @@ Nothing here touches the production factorization, membership or verdict
 paths: irreducibles come from a multiplication sieve (every composite is
 marked as an explicit product of smaller monic polynomials),
 factorizations from trial division against that sieve, membership from
-the support of a polynomial, and algebra verdicts from a divisor scan
-over all monic member polynomials of smaller degree.
+the support of a polynomial, and algebra verdicts and their witnesses
+from a divisor scan over all monic member polynomials of smaller degree.
 """
 
 from sgpoly import Polynomial, poly_divrem
@@ -100,6 +100,22 @@ def trial_division_factor(f, sieve):
     return unit, factors
 
 
+def divisor_scan_witness(ctx, f):
+    """(g, f // g) for the first monic member g of lower degree that divides
+    the member f with a member cofactor, or None when there is none.
+
+    The scan runs by degree, then in monic_members' order, which for
+    members is integer code order, so g is the least such divisor by
+    canonical key, and f // g carries f's leading unit.
+    """
+    for d in range(1, f.degree):
+        for g in monic_members(ctx, d):
+            q, r = poly_divrem(f, g)
+            if r.is_zero and support_member(ctx, q):
+                return g, q
+    return None
+
+
 def divisor_scan_verdict(ctx, f):
     """Algebra verdict by scanning every monic member divisor of lower degree."""
     if f.is_zero:
@@ -108,12 +124,7 @@ def divisor_scan_verdict(ctx, f):
         return "not_member"
     if f.degree == 0:
         return "unit"
-    for d in range(1, f.degree):
-        for g in monic_members(ctx, d):
-            q, r = poly_divrem(f, g)
-            if r.is_zero and support_member(ctx, q):
-                return "reducible"
-    return "irreducible"
+    return "irreducible" if divisor_scan_witness(ctx, f) is None else "reducible"
 
 
 def is_palindrome(f):

@@ -35,7 +35,7 @@ from sgpoly import (
     tame,
 )
 from sgpoly import sgalg
-from oracles import all_monic, divisor_scan_verdict, support_member
+from oracles import all_monic, divisor_scan_verdict, divisor_scan_witness, support_member
 
 
 def rand_member(rng, ctx, max_degree):
@@ -173,6 +173,20 @@ def test_verdict_non_monic_witness(f3):
     assert [format_poly(w) for w in v.witness] == ["x^2+1", "2*x^2+1"]
 
 
+def test_verdict_witness_among_repeated_factors(f3):
+    # f = x^2 * (x+2)^2 * (x^2+x+2) * (x^3+2*x^2+2*x+2) has three member
+    # halves of the least degree 4: x^4+x^3+x^2 = x^2*(x+2)^2 and
+    # x^4+2*x^3+x^2+2 = (x+2)^2*(x^2+x+2), both from repeated factors, and
+    # x^4+x^3+1 = (x+2)*(x^3+2*x^2+2*x+2).  The last has the least key, and
+    # in the divisor lattice it is only the complement of a split, listed
+    # after the other two
+    ctx = AlgebraContext(f3, from_generators((2, 3)))
+    f = parse_poly("x^9+x^8+x^7+2*x^6+2*x^5+x^3+x^2", f3)
+    v = is_irreducible_in_algebra(ctx, f)
+    assert v.witness == divisor_scan_witness(ctx, f)
+    assert [format_poly(w) for w in v.witness] == ["x^4+x^3+1", "x^5+x^3+x^2"]
+
+
 def test_verdict_units_and_rejects(f2, friendly):
     assert is_irreducible_in_algebra(friendly, Polynomial.one(f2)).kind == "unit"
     assert is_irreducible_in_algebra(friendly, parse_poly("x^4+x", f2)).kind == "not_member"
@@ -193,16 +207,12 @@ def test_verdicts_match_divisor_scan_oracle(friendly, ctx345, f3):
                     continue  # sampled above the exhaustive range
                 if ctx.field.p == 2 and rng.random() < 0.55:
                     continue
+                # the oracle's first divisor is the least by canonical key,
+                # the witness rule, so the whole pair must match
                 v = is_irreducible_in_algebra(ctx, f)
-                assert v.kind in ("irreducible", "reducible")
-                assert (v.kind == "irreducible") == (
-                    divisor_scan_verdict(ctx, f) == "irreducible"
-                )
-                if v.is_reducible:
-                    g, h = v.witness
-                    assert g * h == f
-                    assert g.degree >= 1 and h.degree >= 1
-                    assert is_member(ctx, g) and is_member(ctx, h)
+                witness = divisor_scan_witness(ctx, f)
+                assert v.kind == ("irreducible" if witness is None else "reducible")
+                assert v.witness == witness
 
 
 # members the oracle may divide by for one verdict: keeps each example fast
@@ -213,8 +223,9 @@ ORACLE_DIVISORS = 1500
 @given(st.data())
 def test_verdict_witnesses_property(data):
     # a random member f of degree <= 10, not necessarily monic, over random
-    # (q, S): the verdict is the oracle's, and a reducible one's witness
-    # halves are members of positive degree that multiply back to f
+    # (q, S): the verdict is the oracle's, and a reducible one's witness is
+    # the oracle's (g, f // g), g the least monic member divisor by
+    # canonical key whose cofactor is a member
     q = data.draw(st.sampled_from((2, 3, 5)))
     ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
     contains = ctx.semigroup.contains
@@ -225,14 +236,9 @@ def test_verdict_witnesses_property(data):
     low = [data.draw(st.integers(0, q - 1)) if contains(i) else 0 for i in range(n)]
     f = Polynomial(ctx.field, (*low, data.draw(st.integers(1, q - 1))))
     v = is_irreducible_in_algebra(ctx, f)
-    assert v.kind == divisor_scan_verdict(ctx, f)
-    if v.is_reducible:
-        g, h = v.witness
-        assert g * h == f
-        assert g.degree >= 1 and h.degree >= 1
-        assert is_member(ctx, g) and is_member(ctx, h)
-    else:
-        assert v.witness is None
+    witness = divisor_scan_witness(ctx, f)
+    assert v.kind == ("irreducible" if witness is None else "reducible")
+    assert v.witness == witness
 
 
 def test_degenerate_semigroup_matches_field_irreducibility(f2):
