@@ -3,10 +3,15 @@
 A polynomial is encoded as a nonnegative integer whose bit i is the
 coefficient of x^i, so x^5 + x^3 + 1 is 0b101001 = 41.  The zero
 polynomial is 0 and has degree -1.  Multiplication is a shift-xor loop,
-squaring a byte-spread table lookup.  The package uses two entry points:
-`factor`, which `ffpoly.factor_fq` calls for p = 2 (the coefficient-tuple
-kernel's equal-degree split is for odd p only), and `mul`, the product of
-the p = 2 residue ring in `sgalg`.  The rest serves `factor`.
+squaring a byte-spread table lookup.  Division, remainder and gcd reduce
+by the leading bit: each step xors in the divisor shifted under the
+dividend's top set bit, which clears that bit, so a step is taken per
+set bit met at the top and the zero bits between them cost nothing.
+
+The package uses two entry points: `factor`, which `ffpoly.factor_fq`
+calls for p = 2 (the coefficient-tuple kernel's equal-degree split is for
+odd p only), and `mul`, the product of the p = 2 residue ring in `sgalg`.
+The rest serves `factor`.
 """
 
 import random
@@ -75,18 +80,11 @@ def divrem(a, b):
     """Quotient and remainder of a divided by b, for nonzero b."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    if m < n:
-        return 0, a
-    b <<= m - n
+    n = b.bit_length()
     q = 0
-    for i in range(m - n + 1):
-        q <<= 1
-        if a >> (m - i) & 1:
-            a ^= b
-            q |= 1
-        b >>= 1
+    while (k := a.bit_length() - n) >= 0:
+        a ^= b << k
+        q |= 1 << k
     return q, a
 
 
@@ -94,22 +92,19 @@ def mod(a, b):
     """Remainder of a modulo b, for nonzero b."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    if m < n:
-        return a
-    b <<= m - n
-    for i in range(m - n + 1):
-        if a >> (m - i) & 1:
-            a ^= b
-        b >>= 1
+    n = b.bit_length()
+    while (k := a.bit_length() - n) >= 0:
+        a ^= b << k
     return a
 
 
 def gcd(a, b):
     """Greatest common divisor (monic for free over GF(2))."""
     while b:
-        a, b = b, mod(a, b)
+        n = b.bit_length()
+        while (k := a.bit_length() - n) >= 0:
+            a ^= b << k
+        a, b = b, a
     return a
 
 

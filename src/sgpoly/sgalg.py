@@ -502,9 +502,10 @@ TIME_CAP_US = 15 * MAX_SCAN
 # F_3, F_5, F_7, the most where ids rarely repeat and each takes its own
 # verdict; 8 stays, so no count moves between routes), a
 # member factored by factor_fq (208-450 us over F_3, F_257, F_4099, and
-# 100-180 us over F_2 at degrees 16-30, code conversions included), and,
-# building a factor table, one step of its Gray walks and one entry of its
-# addition tables; see scan_us and table_us
+# 45-90 us over F_2 at degrees 16-30, code conversions included; 300
+# stays, so no scan changes route or admission), and, building a factor
+# table, one step of its Gray walks and one entry of its addition tables;
+# see scan_us and table_us
 SCAN_US = 8
 FACTORED_US = 300
 WALK_US = 0.27

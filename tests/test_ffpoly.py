@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgpoly import _gf2
@@ -212,8 +212,17 @@ def test_irreducible_matches_sieve_f3(f3, f3_sieve):
             assert is_irreducible_fq(f) == (f.encoding in expected)
 
 
+# masks past 2^64 span several machine words
+_WIDE_MASKS = st.integers(1 << 64, (1 << 130) - 1)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, (1 << 33) - 1), st.integers(0, (1 << 17) - 1))
+@given(st.integers(0, (1 << 33) - 1) | _WIDE_MASKS,
+       st.integers(0, (1 << 17) - 1) | _WIDE_MASKS)
+@example(0, 1)
+@example(1, 1)
+@example(0b1011, 1 << 70 | 1)  # deg a < deg b
+@example((1 << 129) | 1, 0)
 def test_f2_arithmetic_agrees_with_gf2_masks(a_mask, b_mask):
     # F_2 polynomials run on the coefficient-tuple kernel; the bit-packed
     # kernel in _gf2 is an independent reference on their masks
@@ -225,6 +234,11 @@ def test_f2_arithmetic_agrees_with_gf2_masks(a_mask, b_mask):
     if b_mask:
         q, r = divmod(a, b)
         assert (q.mask, r.mask) == _gf2.divrem(a_mask, b_mask)
+        assert _gf2.mod(a_mask, b_mask) == r.mask
+    else:
+        for op in (_gf2.divrem, _gf2.mod):
+            with pytest.raises(ZeroDivisionError):
+                op(a_mask, b_mask)
     if a_mask or b_mask:
         assert poly_gcd(a, b).mask == _gf2.gcd(a_mask, b_mask)
     for f in (a, b):
