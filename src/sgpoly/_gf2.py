@@ -188,7 +188,7 @@ def _split_equal_degree(g, d, rng):
         if degree(c) == d:
             out.append(c)
             continue
-        while True:
+        for _ in range(64):  # a valid c fails a draw with chance < 1/2, 64 in a row: < 2^-64
             r = rng.randrange(1, 1 << degree(c))
             t = r
             u = r
@@ -200,4 +200,6 @@ def _split_equal_degree(g, d, rng):
                 stack.append(s)
                 stack.append(divrem(c, s)[0])
                 break
+        else:
+            raise ArithmeticError(f"64 draws found no degree-{d} split of a degree-{degree(c)} factor")
     return out

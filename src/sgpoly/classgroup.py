@@ -49,7 +49,7 @@ class ClassGroup:
         sgp = ctx.semigroup
         self.w = w = max(sgp.frobenius + 1, 1)
         self._nongaps = [j for j in range(1, w) if sgp.contains(j)]
-        _, self._reduce, self._mul, self._member = ctx.ring
+        self._modulus, self._mul, self._member = ctx.ring
         reps = [1]
         for g in sgp.gaps:
             reps = [r + c * p ** g for c in range(p) for r in reps]
@@ -191,8 +191,8 @@ def _membership_sets(group):
     # T[a] for 0 <= a <= max(F + m(S), 1): the classes c with x^a * c a
     # member (S = N has F = -1, and still needs a = 1 for the atom x)
     sgp = group.ctx.semigroup
-    reduce, member = group._reduce, group._member
-    return [frozenset(c for c, rep in enumerate(group.reps) if member(reduce(rep * group.p ** a)))
+    modulus, member = group._modulus, group._member
+    return [frozenset(c for c, rep in enumerate(group.reps) if member(rep * group.p ** a % modulus))
             for a in range(max(sgp.frobenius + sgp.min_generators[0], 1) + 1)]
 
 

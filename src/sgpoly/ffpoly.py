@@ -380,7 +380,7 @@ def _split_t(g, d, p, rng):
         if len(c) - 1 == d:
             out.append(c)
             continue
-        while True:
+        for _ in range(64):  # a valid c fails a draw with chance <= 5/9, 64 in a row: < 1e-16
             r = _trim([rng.randrange(p) for _ in range(len(c) - 1)])
             if not r:
                 continue
@@ -391,6 +391,8 @@ def _split_t(g, d, p, rng):
                 stack.append(s)
                 stack.append(_monic_t(_divrem_t(c, s, p)[0], p))
                 break
+        else:
+            raise ArithmeticError(f"64 draws found no degree-{d} split of a degree-{len(c) - 1} factor")
     return out
 
 

@@ -11,34 +11,32 @@ too), so any algebra split is visible among those divisors.
 Every gap of S lies below w = F(S)+1, so whether a polynomial is a member
 depends only on its residue mod x^w: its digits at the gaps must all be
 zero.  For every p a residue is an integer code mod p^w, and each context
-owns one residue ring (AlgebraContext.ring) whose member, that gap-digit
-test, is the one membership test, is_member's too.  One kernel,
-`_member_splits`, decides every verdict on those residues: the
-per-polynomial API, the counting scan and the listing all call it, and
-only a verdict's split halves of the least degree are ever multiplied
-out, on coefficient tuples, to pick its witness.  The ring memoizes
-products in bounded memos, so scans over
-several degrees and repeated verdicts share them.  Since the kernel reads
-a factor only through its residue, whether a member splits depends only
-on the multiset of its factors' residues (equal residues give the same
-divisor residues and complements, merged or not), so a scan decides each
-verdict once per residue signature, the sorted (residue, multiplicity)
-pairs with equal residues merged, in one more bounded memo
-(AlgebraContext.no_split).  Scans handle members and factors as integer
-codes (`Polynomial.encoding`, which is the bitmask for p = 2) and factor
-members by lookup in a cached factor table where one pays, since
+owns one residue ring (AlgebraContext.ring), which carries that modulus;
+its member, that gap-digit test, is the one membership test, is_member's
+too.  One kernel, `_member_splits`, decides every verdict on those
+residues: the per-polynomial API, the counting scan and the listing all
+call it, and only a verdict's split halves of the least degree are ever
+multiplied out, on coefficient tuples, to pick its witness.  The ring
+memoizes products in bounded memos, so scans over several degrees and
+repeated verdicts share them.  Since the kernel reads a factor only
+through its residue, whether a member splits depends only on the
+multiset of its factors' residues.  Scans handle members and factors as
+integer codes (`Polynomial.encoding`, which is the bitmask for p = 2) and
+factor members by lookup in a cached factor table where one pays, since
 enumerating all coefficient combinations of a degree dominates every
 verification campaign.  Every p has one table format, a smallest-factor
 and a cofactor array over codes, read with no division.  A scan on the
 table walks no member's factors: its context keeps one signature id per
-code (AlgebraContext.signatures), resolved at most once while the ids are
-kept (SIGNATURE_IDS of them at most), in batches along the cofactor
-chains, and the scan tallies its members' ids and reads each id's verdict
-and shape once.  At degree 16 the 32,768 members of
-F_2[x^2,x^3] have 285 ids.  Only the listing walks the table, for the
-factors of its irreducible members.  A table covers every monic code, not
-only the members, so a scan over any field uses one only when it fits under
-MAX_SCAN entries and pays (see table_pays), else factor_fq per member.
+code (AlgebraContext.signatures), the id of that multiset, resolved at
+most once while the ids are kept (SIGNATURE_IDS of them at most), in
+batches along the cofactor chains, and the scan tallies its members' ids
+and decides each id's verdict and shape once, on the lattice of its
+residues.  At degree 16 the 32,768 members of F_2[x^2,x^3] have 285 ids.
+Only the listing walks the table, for the factors of its irreducible
+members.  A table covers every monic code, not only the members, so a
+scan over any field uses one only when it fits under MAX_SCAN entries and
+pays (see table_pays); otherwise it factors each member by factor_fq and
+walks that member's own divisor lattice.
 prepare_scans refuses a degree over MAX_SCAN members and is the scans'
 one builder of tables, called by each scan for its degree and first by a
 caller of several degrees, for one table.  scan_us refuses the same, and
@@ -90,25 +88,6 @@ class AlgebraContext:
         return _residue_ring(self)
 
     @cached_property
-    def no_split(self):
-        """The scans' memoized verdict: key -> True when no member split exists.
-
-        A scan's key (see _split_key) is a member's (residue, multiplicity)
-        pairs, one per distinct residue of its irreducible factors, in
-        increasing residue order; both routes of a scan, signature ids and
-        factor_fq, ask with that one form.  _member_splits reads a factor
-        only through its residue and reduce is idempotent, so it decides on
-        the key itself as on the factors; whether any split exists depends
-        neither on their order nor on merging equal residues, which leaves
-        the set of divisor residues and their complements as it is.  The
-        memo keeps at most MEMO_SIZE entries and, like the ring, is left
-        out of pickles.
-        """
-        ring = self.ring
-        return lru_cache(maxsize=MEMO_SIZE)(
-            lambda key: next(_member_splits(key, ring), None) is None)
-
-    @cached_property
     def signatures(self):
         """The table-route scans' signature ids (a _Signatures), built on first use.
 
@@ -119,21 +98,19 @@ class AlgebraContext:
         the steps memoized in one dict (id, slot) -> id, so a code is
         resolved at most once while its id is kept, in batches along the
         cofactor chains of the members a scan asks for, and a scan only
-        tallies ids.  Each id's verdict (unsplit, m, k) is decided once,
-        through no_split.  The array grows with the table, 4 bytes an
-        entry; the ids' memos, about 250 bytes an id, are cleared with the
-        array once they hold SIGNATURE_IDS ids, so they stay bounded.  Like
-        the ring, it is left out of pickles.
+        tallies ids.  Each id's verdict (unsplit, m, k) is decided once, on
+        the divisor lattice of its residues.  The array grows with the
+        table, 4 bytes an entry; the ids' memos, about 250 bytes an id, are
+        cleared with the array once they hold SIGNATURE_IDS ids, so they
+        stay bounded.  Like the ring, it is left out of pickles.
         """
         return _Signatures(self)
 
     def __getstate__(self):
-        # the ring and the verdict memo hold closures, and the signature
-        # array is as long as the factor table; an unpickled context builds
-        # its own
+        # the ring holds closures, and the signature array is as long as
+        # the factor table; an unpickled context builds its own
         state = dict(self.__dict__)
         state.pop("ring", None)
-        state.pop("no_split", None)
         state.pop("signatures", None)
         return state
 
@@ -211,8 +188,8 @@ def is_member(ctx, f):
     """Whether f lies in F_p[S], by the ring's gap-digit test; ValueError for another field."""
     if f.field != ctx.field:
         raise ValueError("polynomial field does not match the context")
-    _, reduce, _, member = ctx.ring
-    return member(reduce(f.encoding))
+    modulus, _, member = ctx.ring
+    return member(f.encoding % modulus)
 
 
 def enumerate_degree(ctx, n, lo=0, hi=None):
@@ -231,20 +208,20 @@ def enumerate_degree(ctx, n, lo=0, hi=None):
         yield Polynomial.from_encoding(field, base + low[i % size] + high[i // size])
 
 
-# entries each memo of a context keeps: room for the products and residue
-# signatures that recur in small-q scans, and about 1.0 MB for the two
-# memos (mul, digits) of a q = 257 ring over <2,3> when products rarely
-# repeat, plus about 0.7 MB for its scans' verdict memo (no_split)
+# entries each of a residue ring's two memos (mul, digits) keeps: room for
+# the products that recur in small-q scans, and about 1.0 MB for both memos
+# of a q = 257 ring over <2,3> when products rarely repeat
 MEMO_SIZE = 1 << 11
 
 
 def _residue_ring(ctx):
-    """(one, reduce, mul, member) for residues mod x^w, w = F(S)+1.
+    """(modulus, mul, member) for residues mod x^w, w = F(S)+1.
 
     Every gap lies below w, so a polynomial is a member exactly when its
     residue is.  A residue is an integer code for every p: the code
-    (`Polynomial.encoding`) of the low w coefficients, so reduce takes a
-    polynomial's code mod p^w (for p = 2, the mask cut to w bits).  member
+    (`Polynomial.encoding`) of the low w coefficients, which is a
+    polynomial's code mod modulus = p^w (for p = 2, the mask cut to w
+    bits); this is the one place that modulus is decided.  member
     reads the residue's digits at the gaps (one AND with the gap mask for
     p = 2), none of which may be nonzero, until no digits are left.  mul
     is memoized; a miss computes the product by `_gf2.mul` for p = 2 and
@@ -301,22 +278,22 @@ def _residue_ring(ctx):
                     return False
             return True
 
-    return 1 % modulus, lambda code: code % modulus, memo(product), member
+    return modulus, memo(product), member
 
 
 def _member_splits(factors, ring):
     """Yield each index i of a member split, for i up to half the lattice.
 
     factors holds (monic irreducible, multiplicity) pairs, each irreducible
-    as its code.  The divisor lattice lists the residues of every
-    monic divisor in mixed-radix order over the exponent vectors, so
-    entries i and len-1-i are complements; a split is a member split when
-    both are members.
+    as its code or any code with its residue.  The divisor lattice lists
+    the residues of every monic divisor in mixed-radix order over the
+    exponent vectors, so entries i and len-1-i are complements; a split is
+    a member split when both are members.
     """
-    one, reduce, mul, member = ring
-    divs = [one]
+    modulus, mul, member = ring
+    divs = [1 % modulus]  # the residue of 1: 0 when w = 0 (S = N)
     for g, e in factors:
-        r = reduce(g)
+        r = g % modulus
         # divs[0] is one, so the first level starts with r and needs no product
         level = [r, *[mul(d, r) for d in divs[1:]]]
         divs += level
@@ -835,39 +812,28 @@ def _scan(ctx, n, lo, hi):
 
 def _factored(ctx, blocks):
     # (member, factors, m, k) per irreducible member of blocks, each member
-    # factored by factor_fq; its verdict key has the signatures' form
-    p = ctx.field.p
+    # factored by factor_fq and decided on its own divisor lattice
+    p, ring = ctx.field.p, ctx.ring
     decode = partial(Polynomial.from_encoding, ctx.field)
-    modulus = p ** (ctx.semigroup.frobenius + 1)  # the ring's reduce is % modulus
-    no_split = ctx.no_split
     for codes in blocks:
         for f in codes:
             factors = [(g.encoding, e) for g, e in factor_fq(decode(f)).factors]
-            if no_split(_split_key((g % modulus, e) for g, e in factors)):
+            if next(_member_splits(factors, ring), None) is None:
                 g, e = factors[0]
                 m = e if g == p else 0  # p is the code of x, the least irreducible
                 yield f, factors, m, sum(e for _, e in factors) - m
-
-
-def _split_key(pairs):
-    # no_split's key for (residue, multiplicity) pairs: equal residues
-    # merged, in increasing residue order
-    merged = {}
-    for r, e in pairs:
-        merged[r] = merged.get(r, 0) + e
-    return tuple(sorted(merged.items()))
 
 
 class _Signatures:
     """A context's signature ids over the factor table's codes (see AlgebraContext.signatures)."""
 
     def __init__(self, ctx):
-        p, w = ctx.field.p, ctx.semigroup.frobenius + 1
-        self.p, self.modulus, self.no_split = p, p ** w, ctx.no_split
+        p, ring = ctx.field.p, ctx.ring
+        self.p, self.ring, self.modulus = p, ring, ring[0]
         # a slot is a factor's residue mod p^max(w, 1): x's, p % slot_mod,
         # has constant digit 0 and every other irreducible's a nonzero one,
         # so x keeps its own slot even for S = N, where w = 0
-        self.slot_mod = p ** max(w, 1)
+        self.slot_mod = max(self.modulus, p)
         self.x_slot = p % self.slot_mod
         self._clear()
 
@@ -944,13 +910,18 @@ class _Signatures:
         return out
 
     def verdict(self, sid):
-        """(unsplit, m, k) for the members with id sid, decided once by no_split."""
+        """(unsplit, m, k) for the members with id sid, decided once on its lattice.
+
+        Equal residues enter the lattice as one factor, their count its
+        multiplicity: x^k, say, has k equal slots.
+        """
         verdict = self.verdicts[sid]
         if verdict is None:
             slots = self.slots(sid)
             m = slots.count(self.x_slot)
-            key = _split_key((slot % self.modulus, 1) for slot in slots)
-            verdict = (self.no_split(key), m, len(slots) - m)
+            merged = Counter(slot % self.modulus for slot in slots).items()
+            unsplit = next(_member_splits(merged, self.ring), None) is None
+            verdict = (unsplit, m, len(slots) - m)
             verdict = self.verdicts[sid] = self.kinds.setdefault(verdict, verdict)
         return verdict
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgpoly import _gf2
+from sgpoly import _gf2, ffpoly
 from sgpoly import (
     ZERO_DEGREE,
     FieldSpec,
@@ -324,6 +324,19 @@ def test_factor_is_deterministic(f2, f3):
             assert factor_fq(f) == factor_fq(f)
     with pytest.raises(ValueError):
         factor_fq(Polynomial.zero(f2))
+
+
+def test_equal_degree_split_stops_on_an_input_it_cannot_split(f2, f3):
+    # an irreducible quartic is no product of quadratics, so no draw splits
+    # it: both equal-degree kernels raise after their 64 draws instead of
+    # drawing forever
+    g2, g3 = parse_poly("x^4+x+1", f2), parse_poly("x^4+x^3+x^2+1", f3)
+    assert is_irreducible_fq(g2) and is_irreducible_fq(g3)
+    message = "^64 draws found no degree-2 split of a degree-4 factor$"
+    with pytest.raises(ArithmeticError, match=message):
+        _gf2._split_equal_degree(g2.mask, 2, random.Random(g2.mask))
+    with pytest.raises(ArithmeticError, match=message):
+        ffpoly._split_t(g3.coeffs, 2, 3, random.Random(g3.encoding))
 
 
 # -- reciprocal and the doubling transform -----------------------------------

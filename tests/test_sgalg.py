@@ -493,9 +493,10 @@ def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top, sampled):
 def test_scan_factor_lists_match_factor_fq_off_the_table():
     # F_257[x^2,x^3] and F_31[x^2,x^3] at degree 5 scan by factor_fq (a
     # table would pass the cap); each member's factors, shape and verdict
-    # match the reference, and its verdict key merges equal residues into
-    # one pair, as the signatures' keys do: the one F_31 member scanned is
+    # match the reference.  The one F_31 member scanned is
     # (x^2+c)(x^3+b*x^2+c), two irreducibles with the residue c mod x^2
+    # that split it, and x^5 over F_31 splits only as x^2 * x^3, through
+    # its multiplicity
     def irreducible(f):
         return factor_fq(f).factors == ((f, 1),)
 
@@ -504,27 +505,23 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
     b = next(b for b in range(31) if irreducible(parse_poly(f"x^3+{b}*x^2+{c}", f31)))
     product = parse_poly(f"x^2+{c}", f31) * parse_poly(f"x^3+{b}*x^2+{c}", f31)
     i = sum(product.coeff(pos) * 31 ** j for j, pos in enumerate((0, 2, 3, 4)))  # its index
-    items, keys = [], []
-    for q, n, lo, hi in ((257, 2, 0, None), (257, 3, 1000, 1300), (31, 5, i, i + 1)):
+    items = []
+    for q, n, lo, hi in ((257, 2, 0, None), (257, 3, 1000, 1300), (31, 5, 0, 1), (31, 5, i, i + 1)):
         ctx = AlgebraContext(FieldSpec(q), from_generators((2, 3)))
         assert not sgalg.table_pays(ctx, n)
-        ring, reduce, no_split = sgalg._residue_ring(ctx), ctx.ring[1], ctx.no_split
-        vars(ctx)["no_split"] = lambda key, no_split=no_split: keys.append(key) or no_split(key)
+        ring = sgalg._residue_ring(ctx)
         blocks, sigs = sgalg._scan(ctx, n, lo, hi)
         assert sigs is None
         for f in [f for block in blocks for f in block]:
             found = list(sgalg._factored(ctx, [[f]]))
             fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
             factors = [(g.encoding, e) for g, e in fac.factors]
-            pairs = {}
-            for g, e in factors:
-                pairs[reduce(g)] = pairs.get(reduce(g), 0) + e
-            assert keys[-1] == tuple(sorted(pairs.items()))
-            unsplit, m, k = reference_verdict(ctx, ring, f)
+            verdict = reference_verdict(ctx, ring, f)
+            unsplit, m, k = verdict
             assert found == ([(f, factors, m, k)] if unsplit else [])
-            items.append(f)
-    assert len(items) == len(keys) == 257 + 300 + 1
-    assert items[-1] == product.encoding and keys[-1] == ((c, 2),)
+            items.append((f, verdict))
+    assert len(items) == 257 + 300 + 1 + 1
+    assert items[-2:] == [(31 ** 5, (False, 5, 0)), (product.encoding, (False, 0, 2))]
 
 
 @pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (3, 7), (5, 5), (7, 4)])
@@ -842,11 +839,12 @@ def test_residue_ring_matches_polynomial_arithmetic(data):
     ctx = AlgebraContext(FieldSpec(q), from_generators(data.draw(st.sampled_from(RING_SEMIGROUPS))))
     coeffs = st.lists(st.integers(0, q - 1), max_size=12)
     a, b, f = (Polynomial(ctx.field, (*data.draw(coeffs), 1)) for _ in range(3))
-    _, reduce, mul, member = sgalg._residue_ring(ctx)
-    product = reduce((a * b).encoding)
+    modulus, mul, member = sgalg._residue_ring(ctx)
+    assert modulus == q ** (ctx.semigroup.frobenius + 1)
+    product = (a * b).encoding % modulus
     for _ in range(2):  # a memo miss, then a hit
-        assert mul(reduce(a.encoding), reduce(b.encoding)) == product
-        assert member(reduce(f.encoding)) == support_member(ctx, f)
+        assert mul(a.encoding % modulus, b.encoding % modulus) == product
+        assert member(f.encoding % modulus) == support_member(ctx, f)
 
 
 def test_ring_member_matches_the_support_oracle_on_every_residue():
@@ -858,7 +856,8 @@ def test_ring_member_matches_the_support_oracle_on_every_residue():
             size = q ** (ctx.semigroup.frobenius + 1)
             if size > 3 ** 7:
                 continue
-            member = ctx.ring[3]
+            modulus, _, member = ctx.ring
+            assert modulus == size
             for code in range(size):
                 f = Polynomial.from_encoding(ctx.field, code)
                 assert member(code) == support_member(ctx, f), (q, gens, code)
@@ -867,11 +866,11 @@ def test_ring_member_matches_the_support_oracle_on_every_residue():
 def test_ring_work_follows_the_residue_not_the_width(f3):
     # F_3[<999,1000>] has w = 996,002: a product convolves only its
     # operands' digits, and member stops once the residue has none left
-    _, reduce, mul, member = AlgebraContext(f3, from_generators((999, 1000))).ring
+    modulus, mul, member = AlgebraContext(f3, from_generators((999, 1000))).ring
     start = time.perf_counter()
     assert mul(3, 3) == 9  # x * x
-    assert member(reduce(3 ** 999))  # x^999
-    assert not member(reduce(3 ** 998))
+    assert member(3 ** 999 % modulus)  # x^999
+    assert not member(3 ** 998 % modulus)
     assert time.perf_counter() - start < 1
 
 
@@ -880,7 +879,7 @@ def test_member_splits_take_first_levels_without_products(friendly, f3):
     # with no ring product, and the splits stay those of the mixed-radix
     # divisor lattice (first factor's exponent least significant)
     for ctx in (friendly, AlgebraContext(f3, from_generators((3, 4, 5)))):
-        one, reduce, mul, member = ctx.ring
+        modulus, mul, member = ctx.ring
         for f in enumerate_degree(ctx, 8):
             factors = factor_fq(f).factors
             calls = []
@@ -890,7 +889,7 @@ def test_member_splits_take_first_levels_without_products(friendly, f3):
                 return mul(a, b)
 
             codes = [(g.encoding, e) for g, e in factors]
-            splits = list(sgalg._member_splits(codes, (one, reduce, counted, member)))
+            splits = list(sgalg._member_splits(codes, (modulus, counted, member)))
             size = prod(e + 1 for _, e in factors)
             assert len(calls) == size - 1 - len(factors)
             expected = []
@@ -914,11 +913,10 @@ SIGNATURE_SEMIGROUPS = (
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_memoized_verdicts_match_the_lattice_and_the_oracle(data):
-    # a scan decides each member once per sorted residue signature; its
-    # counts equal those of a per-member lattice with no verdict memo and
-    # the divisor-scan oracle's, whether the memo is cold (degrees scanned
-    # in turn) or warm, and a member's sorted and unsorted signatures get
-    # the same verdict
+    # a scan's counts equal those of a per-member lattice and the
+    # divisor-scan oracle's, whether its signature ids are cold (degrees
+    # scanned in turn) or warm, and the lattice of a member's sorted,
+    # unsorted and reversed residue signatures gives one verdict
     q = data.draw(st.sampled_from((2, 3, 5)))
     gens = data.draw(st.sampled_from(SIGNATURE_SEMIGROUPS))
     ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
@@ -929,14 +927,14 @@ def test_memoized_verdicts_match_the_lattice_and_the_oracle(data):
     n = data.draw(st.sampled_from(tops))
     scanned = [count_classes(ctx, d) for d in range(1, n + 1)][-1]
     assert count_classes(ctx, n) == scanned
-    ring = sgalg._residue_ring(ctx)  # apart from ctx's, which the memo reads
+    ring = sgalg._residue_ring(ctx)  # apart from ctx's, which the scans use
     shapes, by_oracle = [], 0
     for f in enumerate_degree(ctx, n):
         factors = [(g.encoding, e) for g, e in factor_fq(f).factors]
         unsplit = next(sgalg._member_splits(factors, ring), None) is None
-        signature = [(ring[1](g), e) for g, e in factors]
+        signature = [(g % ring[0], e) for g, e in factors]
         for key in (sorted(signature), signature, signature[::-1]):
-            assert ctx.no_split(tuple(key)) == unsplit
+            assert (next(sgalg._member_splits(key, ring), None) is None) == unsplit
         if unsplit:
             shapes.append(sgalg._shape_of(factors, q))  # q is the code of x
         by_oracle += divisor_scan_verdict(ctx, f) == "irreducible"
@@ -969,7 +967,7 @@ def test_context_keeps_its_ring_out_of_equality_and_pickles(monkeypatch, f3):
     assert len(built) == 1 and built[0] is ctx  # one ring, however it is used
     fresh = AlgebraContext(f3, from_generators(gens))
     assert ctx == fresh and hash(ctx) == hash(fresh)
-    memos = {"ring", "no_split", "signatures"}
+    memos = {"ring", "signatures"}
     assert memos <= set(vars(ctx))
     assert len(ctx.signatures.sig) > 2  # the scans resolved codes
     copy = pickle.loads(pickle.dumps(ctx))
@@ -986,13 +984,11 @@ def test_residue_memo_keeps_at_most_memo_size_entries(monkeypatch):
     monkeypatch.setattr(sgalg, "MEMO_SIZE", 16)
     ctx = AlgebraContext(field, from_generators(gens))
     bounded = [count_classes(ctx, n) for n in degrees]
-    memos = [ctx.ring[2], ctx.no_split]
-    assert [f.cache_info().currsize for f in memos] == [16, 16]
+    assert ctx.ring[1].cache_info().currsize == 16
     monkeypatch.setattr(sgalg, "MEMO_SIZE", None)
     fresh = AlgebraContext(field, from_generators(gens))
     assert [count_classes(fresh, n) for n in degrees] == bounded
-    assert fresh.ring[2].cache_info().currsize > 16
-    assert fresh.no_split.cache_info().currsize > 16
+    assert fresh.ring[1].cache_info().currsize > 16
 
 
 def test_signature_ids_clear_past_their_bound(monkeypatch):
