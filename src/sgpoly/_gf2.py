@@ -197,8 +197,12 @@ def _split_equal_degree(g, d, rng):
                 t ^= u
             s = gcd(t, c)
             if s != 1 and s != c:
+                q = divrem(c, s)[0]
+                if mul(q, s) != c:  # a wrong quotient would be split forever
+                    raise ArithmeticError(
+                        f"a split of a degree-{degree(c)} factor does not multiply back to it")
                 stack.append(s)
-                stack.append(divrem(c, s)[0])
+                stack.append(q)
                 break
         else:
             raise ArithmeticError(f"64 draws found no degree-{d} split of a degree-{degree(c)} factor")

@@ -388,8 +388,12 @@ def _split_t(g, d, p, rng):
             s = _gcd_t(t, c, p)
             if 1 < len(s) < len(c):
                 s = _monic_t(s, p)
+                q = _monic_t(_divrem_t(c, s, p)[0], p)
+                if _mul_t(q, s, p) != c:  # a wrong quotient would be split forever
+                    raise ArithmeticError(
+                        f"a split of a degree-{len(c) - 1} factor does not multiply back to it")
                 stack.append(s)
-                stack.append(_monic_t(_divrem_t(c, s, p)[0], p))
+                stack.append(q)
                 break
         else:
             raise ArithmeticError(f"64 draws found no degree-{d} split of a degree-{len(c) - 1} factor")

@@ -339,6 +339,34 @@ def test_equal_degree_split_stops_on_an_input_it_cannot_split(f2, f3):
         ffpoly._split_t(g3.coeffs, 2, 3, random.Random(g3.encoding))
 
 
+def test_equal_degree_split_raises_on_a_wrong_quotient(monkeypatch, f2, f3):
+    # a division that returns a wrong quotient (with the right remainder,
+    # so the draws' gcds still find splits) would feed the splitter's stack
+    # cofactors it can never finish; both kernels check that each split
+    # multiplies back to its factor and raise instead
+    c2 = parse_poly("x^3+x+1", f2) * parse_poly("x^3+x^2+1", f2)
+    c3 = parse_poly("x^2+1", f3) * parse_poly("x^2+x+2", f3)
+    assert sorted(_gf2._split_equal_degree(c2.mask, 3, random.Random(1))) == [11, 13]
+    assert len(ffpoly._split_t(c3.coeffs, 2, 3, random.Random(1))) == 2
+    divrem, divrem_t = _gf2.divrem, ffpoly._divrem_t
+
+    def wrong(a, b):
+        q, r = divrem(a, b)
+        return q ^ 2, r
+
+    def wrong_t(a, b, p):
+        q, r = divrem_t(a, b, p)
+        return q + (1,), r
+
+    monkeypatch.setattr(_gf2, "divrem", wrong)
+    monkeypatch.setattr(ffpoly, "_divrem_t", wrong_t)
+    message = "^a split of a degree-\\d+ factor does not multiply back to it$"
+    with pytest.raises(ArithmeticError, match=message):
+        _gf2._split_equal_degree(c2.mask, 3, random.Random(1))
+    with pytest.raises(ArithmeticError, match=message):
+        ffpoly._split_t(c3.coeffs, 2, 3, random.Random(1))
+
+
 # -- reciprocal and the doubling transform -----------------------------------
 
 

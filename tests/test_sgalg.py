@@ -524,14 +524,15 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
     assert items[-2:] == [(31 ** 5, (False, 5, 0)), (product.encoding, (False, 0, 2))]
 
 
-@pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (3, 7), (5, 5), (7, 4)])
+@pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (2, 13), (3, 7), (5, 5), (7, 4)])
 def test_basep_tables_match_a_factor_fq_table(p, top):
     # the reference puts factor_fq's least factor and the quotient at every
     # monic code, (0, 1) at an irreducible and at every other code; a
     # table of any degree D is the reference cut to its 2*p^D entries.  The
     # walks start at a*(x^e + t) for t = 1..p-1 (six starts over F_7), where
     # a*x^e and t*a share digit e when e = deg(a), and degrees up to 2 give
-    # walk arrays of one entry
+    # walk arrays of one entry; over F_2, at degree 13, walks of up to 2^11
+    # xor steps pin the step shift, the start and the closed-form offsets
     field = FieldSpec(p)
     size = sgalg.table_entries(p, top)
     spf, cof = [0] * size, [1] * size
