@@ -146,16 +146,35 @@ def _factor_monic(a, out, rng):
             for m, e in sub.items():
                 out[m] = out.get(m, 0) + 2 * e
             return
-        w = divrem(a, gcd(a, d))[0]  # squarefree, odd-multiplicity factors
+        w = _exact(a, gcd(a, d))  # squarefree, odd-multiplicity factors
         for p in _distinct_factors(w, rng):
             e = 0
             while True:
                 q, r = divrem(a, p)
                 if r:
                     break
-                a = q
+                a = _shrunk(a, p, q)
                 e += 1
             out[p] = out.get(p, 0) + e
+
+
+def _exact(a, b):
+    # a / b for a divisor b of a, checked by its remainder and its degree
+    q, r = divrem(a, b)
+    if r:
+        raise ArithmeticError(
+            f"a degree-{degree(b)} divisor leaves a remainder on a degree-{degree(a)} polynomial")
+    return _shrunk(a, b, q)
+
+
+def _shrunk(a, b, q):
+    # q, the exact quotient a / b, once its degree is checked: a wrong
+    # quotient would keep factor's loops on a polynomial that never shrinks
+    if degree(q) != degree(a) - degree(b):
+        raise ArithmeticError(
+            f"a degree-{degree(q)} quotient of a degree-{degree(a)} polynomial "
+            f"by a degree-{degree(b)} divisor")
+    return q
 
 
 def _distinct_factors(w, rng):
@@ -172,7 +191,7 @@ def _distinct_factors(w, rng):
         g = gcd(h ^ 2, w)
         if g != 1:
             res.extend(_split_equal_degree(g, d, rng))
-            w = divrem(w, g)[0]
+            w = _exact(w, g)
             if degree(w) == 0:
                 break
             h = mod(h, w)

@@ -186,6 +186,11 @@ def _emit(args, fields, rows):
 
 
 POOL_MIN = 4096  # members of the smallest degree worth a worker pool
+# the same where the degree's scan sweeps (sgalg.sweeps): every worker
+# sweeps all codes below its degree for itself, so a pool pays later.  For
+# F_2[x^2,x^3], one process was as fast as two at degrees 16 and 17 and
+# slower from degree 18, of 2^17 members, on (2-vCPU x86-64, Python 3.11)
+DENSE_POOL_MIN = 1 << 17
 CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
 
 _worker_ctx = None  # a pool worker's context, set by _start_worker
@@ -209,16 +214,19 @@ def _count_chunk(task):
 def _scan_counts(args, ctx, degrees):
     # One ClassCounts per degree, from scans sgalg.scan_us admitted; their
     # one factor table is built here, in the parent.  When some degree has
-    # POOL_MIN members and there is more than one worker, one pool scans
-    # every degree: all chunks are submitted at once, highest degree first,
-    # so the small degrees (one chunk each) fill the tail.  Counts merge
-    # additively, so the result is the same for any worker count.
+    # POOL_MIN members (DENSE_POOL_MIN where its scan sweeps) and there is
+    # more than one worker, one pool scans every degree: all chunks are
+    # submitted at once, highest degree first, so the small degrees (one
+    # chunk each) fill the tail.  Counts merge additively, so the result is
+    # the same for any worker count.
     sgalg.prepare_scans(ctx, degrees)
     sizes = [sgalg.member_count(ctx, n) for n in degrees]
     # every pool worker starts at the first submit, so workers beyond the
     # CPUs would only add processes
     workers = min(args.workers, os.cpu_count() or 1)
-    if workers <= 1 or max(sizes, default=0) < POOL_MIN:
+    pays = any(size >= (DENSE_POOL_MIN if sgalg.sweeps(ctx, n) else POOL_MIN)
+               for n, size in zip(degrees, sizes))
+    if workers <= 1 or not pays:
         return [sgalg.count_classes(ctx, n) if size else sgalg.ClassCounts()
                 for n, size in zip(degrees, sizes)]
     tasks = []

@@ -28,10 +28,15 @@ verification campaign.  Every p has one table format, a smallest-factor
 and a cofactor array over codes, read with no division.  A scan on the
 table walks no member's factors: its context keeps one signature id per
 code (AlgebraContext.signatures), the id of that multiset, resolved at
-most once while the ids are kept (SIGNATURE_IDS of them at most), in
-batches along the cofactor chains, and the scan tallies its members' ids
-and decides each id's verdict and shape once, on the lattice of its
-residues.  At degree 16 the 32,768 members of F_2[x^2,x^3] have 285 ids.
+most once while the ids are kept (SIGNATURE_IDS of them at most), and
+the scan tallies its members' ids and decides each id's verdict and
+shape once, on the lattice of its residues.  At degree 16 the 32,768
+members of F_2[x^2,x^3] have 285 ids.  Ids are resolved one of two ways.
+In a dense context (is_dense: p^g <= 2 for g gaps, so F_2[x^2,x^3] and
+every F_p[x]) a degree-n scan sweeps every monic code below n forward,
+degree by degree, and then takes one step per member; elsewhere codes
+are resolved in batches along the members' cofactor chains, which reach
+only a small share of the codes a sweep would.
 Only the listing walks the table, for the factors of its irreducible
 members.  A table covers every monic code, not only the members, so a
 scan over any field uses one only when it fits under MAX_SCAN entries and
@@ -96,13 +101,31 @@ class AlgebraContext:
         mod x^(F(S)+1), x kept in its own slot; 0 marks a code not yet
         resolved.  sig[a] = step(sig[cof[a]], slot of spf[a] or a), with
         the steps memoized in one dict (id, slot) -> id, so a code is
-        resolved at most once while its id is kept, in batches along the
-        cofactor chains of the members a scan asks for, and a scan only
+        resolved at most once while its id is kept, and a scan only
         tallies ids.  Each id's verdict (unsplit, m, k) is decided once, on
         the divisor lattice of its residues.  The array grows with the
         table, 4 bytes an entry; the ids' memos, about 250 bytes an id, are
         cleared with the array once they hold SIGNATURE_IDS ids, so they
         stay bounded.  Like the ring, it is left out of pickles.
+
+        The codes a scan asks for are resolved one of two ways, and the
+        counts and listings are the same either way.  In a dense context
+        (is_dense) a degree-n scan first sweeps the monic codes [p^k, 2p^k)
+        of each degree k below n in one forward pass, whose cofactors, of
+        lower degree, are all resolved, and then takes one step per member.
+        Elsewhere the chain resolver resolves the codes a scan asks for in
+        batches, each batch's unresolved cofactors first.  In a dense
+        context a scan of degrees 2..n reaches every monic code h below n
+        along its members' cofactor chains anyway, so the sweep resolves
+        the same codes, only faster: when deg h < n-1, x^(n-deg h)*h has
+        no x^1 term, so it is a member, and since x is the least
+        irreducible its chain strips x down to h; at degree n-1, h lies on
+        the chain of x*h or (x+1)*h when either is a member, and otherwise
+        (over F_2, h = 1 + x^2*g) is itself a member of degree n-1.  In a
+        sparse context the chains reach a small share of the codes:
+        F_7[<3,5,7>] to degree 8 resolves 49,712 codes to 41,463 ids by
+        chains, where a sweep would resolve 961,143 codes to 750,083 ids
+        and more than double the peak memory.
         """
         return _Signatures(self)
 
@@ -688,6 +711,25 @@ class ClassCounts:
         return (self.classic, self.tame, self.wild, self.total)
 
 
+def is_dense(ctx):
+    """Whether members are at least half of each degree's monic codes: p^g <= 2 for g gaps.
+
+    True for F_2[x^2,x^3] and every F_p[x]; their table-route scans
+    resolve signature ids by a sweep (see AlgebraContext.signatures).
+    """
+    gaps = len(ctx.semigroup.gaps)
+    return gaps < 2 and ctx.field.p ** gaps <= 2
+
+
+def sweeps(ctx, n):
+    """Whether degree-n scans of ctx resolve their ids by the sweep.
+
+    They do when ctx is dense and the cached factor table covers n; each
+    process that scans sweeps for itself (see AlgebraContext.signatures).
+    """
+    return is_dense(ctx) and _TABLES.get(ctx.field.p, (0,))[0] >= n
+
+
 def _free_positions(ctx, n):
     contains = ctx.semigroup.contains
     return [i for i in range(n) if contains(i)]
@@ -849,7 +891,12 @@ def _factored(ctx, blocks):
 
 
 class _Signatures:
-    """A context's signature ids over the factor table's codes (see AlgebraContext.signatures)."""
+    """A context's signature ids over the factor table's codes (see AlgebraContext.signatures).
+
+    dense picks the resolver once, by is_dense; swept, the sweep mark, is
+    the degree below which every monic code is resolved, and a clear of
+    the ids resets it with the array.
+    """
 
     def __init__(self, ctx):
         p, ring = ctx.field.p, ctx.ring
@@ -859,6 +906,7 @@ class _Signatures:
         # so x keeps its own slot even for S = N, where w = 0
         self.slot_mod = max(self.modulus, p)
         self.x_slot = p % self.slot_mod
+        self.dense = is_dense(ctx)
         self._clear()
 
     def _clear(self):
@@ -868,6 +916,7 @@ class _Signatures:
         # slot (parent) and that slot (last), so an id costs a steps entry
         # and a few array slots, whatever its size
         self.sig = array("i", [0, 1])  # 0: unresolved; 1: the empty multiset, code 1's
+        self.swept = 1  # the sweep mark: code 1, of degree 0, is resolved
         self.steps = {}  # id * slot_mod + slot -> id of that multiset plus the slot
         self.parent = array("i", [0, 0])
         self.last = array("i", [0, -1])  # -1: the empty multiset's, below every slot
@@ -883,12 +932,61 @@ class _Signatures:
         """
         if len(self.last) > SIGNATURE_IDS:
             self._clear()
-        return self._ids(codes, _TABLES[self.p][1])
-
-    def _ids(self, codes, table):
-        sig = self.sig
+        table, sig = _TABLES[self.p][1], self.sig
         if len(sig) < len(table[1]):  # a new table, or one rebuilt to a higher degree
             sig.frombytes(bytes(sig.itemsize * (len(table[1]) - len(sig))))
+        if not self.dense:
+            return self._ids(codes, table)
+        self._sweep(max(codes, default=1), table)
+        ids = [sig[a] for a in codes]
+        if 0 in ids:  # one step each, from cofactors the sweep resolved
+            ids = self._steps(self._keys(codes, table))
+            for a, sid in zip(codes, ids):
+                sig[a] = sid
+        return ids
+
+    def _sweep(self, top, table):
+        # resolve every monic code of a degree below top's that the sweep
+        # mark has not passed, one degree k at a time and p * SCAN_BLOCK
+        # codes at once: the cofactors of the codes [p^k, 2p^k) lie below
+        # p^k, resolved already.  x, the least irreducible, is the least
+        # factor of each code p*h, whose cofactor is h, so those take
+        # their keys from one slice of degree k-1
+        p, k, sig = self.p, self.swept, self.sig
+        modulus, x_slot = self.slot_mod, self.x_slot
+        while p ** (k + 1) <= top:
+            end = 2 * p ** k
+            for lo in range(p ** k, end, p * SCAN_BLOCK):
+                hi = min(lo + p * SCAN_BLOCK, end)
+                keys = [sid * modulus + x_slot for sid in sig[lo // p:hi // p]]
+                sig[lo:hi:p] = array("i", self._steps(keys))
+                for t in range(1, p):  # the codes with constant term t
+                    keys = self._keys(range(lo + t, hi, p), table)
+                    sig[lo + t:hi:p] = array("i", self._steps(keys))
+            k += 1
+        self.swept = k
+
+    def _keys(self, codes, table):
+        # the step key of each code a whose cofactor is resolved:
+        # sig[cof[a]] * slot_mod + the slot of a's least factor (a's own
+        # when spf[a] is 0)
+        spf, cof = table
+        sig, modulus = self.sig, self.slot_mod
+        return [sig[cof[a]] * modulus + (spf[a] or a) % modulus for a in codes]
+
+    def _steps(self, keys):
+        # the id of each step key, a new one on a miss of steps
+        step, modulus = self.steps.get, self.slot_mod
+        ids = list(map(step, keys))
+        if None in ids:
+            for i in compress(range(len(ids)), map(operator.not_, ids)):
+                ids[i] = step(keys[i]) or self._step(keys[i], *divmod(keys[i], modulus))
+        return ids
+
+    def _ids(self, codes, table):
+        # the chain resolver: unresolved codes are resolved in batches
+        # along their cofactor chains
+        sig = self.sig
         ids = list(map(sig.__getitem__, codes))
         if 0 in ids:
             self._resolve(list(dict.fromkeys(compress(codes, map(operator.not_, ids)))), table)

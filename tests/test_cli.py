@@ -576,7 +576,12 @@ def test_count_builds_the_table_once(monkeypatch, capsys):
 def test_each_command_builds_its_table_once_in_the_parent(monkeypatch, capsys):
     # _scan_counts builds the table a command's scans share before any
     # pool opens, and enumerate's scan builds its own: one build each, and
-    # none in a worker (a forked worker that built one fails its chunk)
+    # none in a worker (a forked worker that built one fails its chunk).
+    # Both pool thresholds are lowered, so that verify on dense
+    # F_2[x^2,x^3] and count to degree 19 scan on a pool (F_2[<3,5,7>]
+    # has 32 members at degree 9)
+    from concurrent.futures import ProcessPoolExecutor
+
     from sgpoly import cli, sgalg
 
     parent, builds = os.getpid(), []
@@ -589,18 +594,28 @@ def test_each_command_builds_its_table_once_in_the_parent(monkeypatch, capsys):
 
     monkeypatch.setattr(sgalg, "_basep_tables", build)
     monkeypatch.setattr(cli, "POOL_MIN", 256)  # a pool at these small degrees
+    monkeypatch.setattr(cli, "DENSE_POOL_MIN", 256)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for argv, table in (
-        (["verify", "--max-degree", "12", "--workers", "2"], (2, 12)),
-        (["count", "--sgp", "3,5,7", "--max-degree", "9", "--workers", "2"], (2, 9)),
+    pools = []
+
+    def counted_pool(**kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", counted_pool)
+    for argv, table, pooled in (
+        (["verify", "--max-degree", "12", "--workers", "2"], (2, 12), [2]),
+        (["count", "--sgp", "3,5,7", "--max-degree", "9", "--workers", "2"], (2, 9), []),
         # past degree 15 the table stops paying: workers factor with factor_fq
-        (["count", "--sgp", "5,7", "--max-degree", "19", "--workers", "2"], (2, 15)),
-        (["enumerate", "--degree", "12"], (2, 12)),
+        (["count", "--sgp", "5,7", "--max-degree", "19", "--workers", "2"], (2, 15), [2]),
+        (["enumerate", "--degree", "12"], (2, 12), []),
     ):
         monkeypatch.setattr(sgalg, "_TABLES", {})
         builds.clear()
+        pools.clear()
         assert cli.main(argv) == 0
         assert builds == [table], argv
+        assert pools == pooled, argv
     capsys.readouterr()
 
 
@@ -816,9 +831,13 @@ def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
         return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
+    # a pool for dense F_2[x^2,x^3] from degree 13 on, whose spawned
+    # workers each sweep the codes below their degrees for themselves
+    monkeypatch.setattr(cli, "DENSE_POOL_MIN", cli.POOL_MIN)
     for argv in (
         ["verify", "--sgp", "3,4,5", "--max-degree", "15"],  # degrees 14 and 15 pooled
         ["verify", "--q", "3", "--sgp", "3,4,5", "--max-degree", "11"],  # 10 and 11
+        ["verify", "--max-degree", "14"],  # 13 and 14
     ):
         with monkeypatch.context() as m:
             assert cli.main(argv + ["--workers", "1"]) == 0

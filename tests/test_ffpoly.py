@@ -1,6 +1,7 @@
 """Polynomial arithmetic, irreducibility, and factorization over F_p."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -365,6 +366,36 @@ def test_equal_degree_split_raises_on_a_wrong_quotient(monkeypatch, f2, f3):
         _gf2._split_equal_degree(c2.mask, 3, random.Random(1))
     with pytest.raises(ArithmeticError, match=message):
         ffpoly._split_t(c3.coeffs, 2, 3, random.Random(1))
+
+
+def test_gf2_factor_raises_on_a_wrong_quotient(monkeypatch):
+    # a division that sets each quotient bit one place too high (the
+    # remainders stay right) would leave factor's loops on a polynomial
+    # that never shrinks; the exact quotients they take are checked by
+    # degree and remainder, so factor raises at once.  An alarm turns a
+    # hang past a second into a failure of this test
+    def wrong(a, b):
+        n, q = b.bit_length(), 0
+        while (k := a.bit_length() - n) >= 0:
+            a ^= b << k
+            q |= 1 << (k + 1)
+        return q, a
+
+    def hung(signum, frame):
+        raise TimeoutError("factor ran past a second")
+
+    assert _gf2.factor(0b111) == [(0b111, 1)]
+    monkeypatch.setattr(_gf2, "divrem", wrong)
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for mask in (0b111, 0b1110):
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(ArithmeticError, match="^a degree-\\d+ quotient of a degree-"):
+                _gf2.factor(mask)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- reciprocal and the doubling transform -----------------------------------

@@ -996,22 +996,54 @@ def test_signature_ids_clear_past_their_bound(monkeypatch):
     # a context that keeps at most 64 signature ids clears them, with the
     # array, many times over and resolves its codes anew: it counts and
     # lists as one that keeps them all, also when its counts clear the ids
-    # while a listing of its own waits between two blocks
-    field, gens, degrees = FieldSpec(3), (3, 4, 5), range(2, 9)
+    # while a listing of its own waits between two blocks.  F_2[x^2,x^3]
+    # is dense: its clears come mid-scan, between blocks of one degree,
+    # and each resets the sweep mark, so the next block sweeps again
     monkeypatch.setattr(sgalg, "SCAN_BLOCK", 16)
-    kept = AlgebraContext(field, from_generators(gens))
-    counts = [count_classes(kept, n) for n in degrees]
-    listing = list(iter_irreducible(kept, 8))
-    assert len(kept.signatures.last) > 64 * 8
-    monkeypatch.setattr(sgalg, "SIGNATURE_IDS", 64)
-    ctx = AlgebraContext(field, from_generators(gens))
-    clears = []
-    clear = sgalg._Signatures._clear
-    monkeypatch.setattr(sgalg._Signatures, "_clear", lambda sigs: clears.append(1) or clear(sigs))
-    stream = iter_irreducible(ctx, 8)
-    head = [next(stream) for _ in range(5)]
-    before = len(clears)
-    assert [count_classes(ctx, n) for n in degrees] == counts
-    assert len(clears) > before + 8
-    assert head + list(stream) == listing
-    assert len(ctx.signatures.sig) == len(kept.signatures.sig)
+    for q, gens, top, kept_ids in ((3, (3, 4, 5), 8, 64 * 8), (2, (2, 3), 12, 64 * 2)):
+        field, degrees = FieldSpec(q), range(2, top + 1)
+        kept = AlgebraContext(field, from_generators(gens))
+        counts = [count_classes(kept, n) for n in degrees]
+        listing = list(iter_irreducible(kept, top))
+        assert len(kept.signatures.last) > kept_ids
+        with monkeypatch.context() as m:
+            m.setattr(sgalg, "SIGNATURE_IDS", 64)
+            ctx = AlgebraContext(field, from_generators(gens))
+            assert ctx.signatures.dense == (q == 2)
+            clears = []
+            clear = sgalg._Signatures._clear
+            m.setattr(sgalg._Signatures, "_clear", lambda sigs: clears.append(1) or clear(sigs))
+            stream = iter_irreducible(ctx, top)
+            head = [next(stream) for _ in range(5)]
+            before = len(clears)
+            assert [count_classes(ctx, n) for n in degrees] == counts
+            assert len(clears) > before + 8
+            assert head + list(stream) == listing
+            assert len(ctx.signatures.sig) == len(kept.signatures.sig)
+
+
+@pytest.mark.parametrize(
+    "q, gens, top",
+    [(2, (2, 3), 14), (2, (1,), 12), (3, (1,), 8)],
+    ids=["f2-23", "f2-N", "f3-N"],
+)
+def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
+    # the dense contexts, scanned degree by degree to top on each resolver
+    # in turn (the density rule patched to pick it): the sweep and the
+    # chains give the same counts and listings, and resolve the same codes
+    # to ids of the same multisets of slots
+    sgalg.prepare_factor_table(q, top)
+    runs = []
+    for dense in (True, False):
+        monkeypatch.setattr(sgalg, "is_dense", lambda ctx, dense=dense: dense)
+        ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
+        sigs = ctx.signatures
+        assert sigs.dense is dense
+        counts, listings = [], []
+        for n in range(1, top + 1):
+            counts.append(count_classes(ctx, n))
+            listings.append(list(iter_irreducible(ctx, n)))
+        resolved = {a: sigs.slots(sid) for a, sid in enumerate(sigs.sig) if sid}
+        runs.append((counts, listings, resolved))
+    assert runs[0] == runs[1]
+    assert sum(map(len, runs[0][1])) == sum(c.total for c in runs[0][0]) > 0
