@@ -170,7 +170,7 @@ def _exact(a, b):
 def _shrunk(a, b, q):
     # q, the exact quotient a / b, once its degree is checked: a wrong
     # quotient would keep factor's loops on a polynomial that never shrinks
-    if degree(q) != degree(a) - degree(b):
+    if q.bit_length() + b.bit_length() != a.bit_length() + 1:
         raise ArithmeticError(
             f"a degree-{degree(q)} quotient of a degree-{degree(a)} polynomial "
             f"by a degree-{degree(b)} divisor")

@@ -187,10 +187,15 @@ def _emit(args, fields, rows):
 
 POOL_MIN = 4096  # members of the smallest degree worth a worker pool
 # the same where the degree's scan sweeps (sgalg.sweeps): every worker
-# sweeps all codes below its degree for itself, so a pool pays later.  For
-# F_2[x^2,x^3], one process was as fast as two at degrees 16 and 17 and
-# slower from degree 18, of 2^17 members, on (2-vCPU x86-64, Python 3.11)
-DENSE_POOL_MIN = 1 << 17
+# sweeps all codes below its degree for itself, so only the members' steps
+# split and a pool pays later.  _scan_counts alone, two workers against one
+# process (2-vCPU x86-64, Python 3.11): the pool lost on F_2[x] to degree
+# 16 (65,536 members) and F_3[x] to 10 (59,049), saved at most 12% on
+# F_2[x^2,x^3] to 17 (65,536) and F_5[x] to 7 (78,125), and a quarter or
+# more on F_7[x] to 6 (117,649) and from 131,072 members on each.  More
+# workers split the steps further, so there the bound errs towards one
+# process (not measured past 2 CPUs)
+DENSE_POOL_MIN = 100_000
 CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
 
 _worker_ctx = None  # a pool worker's context, set by _start_worker

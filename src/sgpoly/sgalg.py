@@ -717,8 +717,7 @@ def is_dense(ctx):
     True for F_2[x^2,x^3] and every F_p[x]; their table-route scans
     resolve signature ids by a sweep (see AlgebraContext.signatures).
     """
-    gaps = len(ctx.semigroup.gaps)
-    return gaps < 2 and ctx.field.p ** gaps <= 2
+    return ctx.field.p ** len(ctx.semigroup.gaps) <= 2
 
 
 def sweeps(ctx, n):
@@ -727,7 +726,12 @@ def sweeps(ctx, n):
     They do when ctx is dense and the cached factor table covers n; each
     process that scans sweeps for itself (see AlgebraContext.signatures).
     """
-    return is_dense(ctx) and _TABLES.get(ctx.field.p, (0,))[0] >= n
+    return is_dense(ctx) and _table_covers(ctx.field.p, n)
+
+
+def _table_covers(p, n):
+    # whether the cached factor table over F_p covers degree n
+    return _TABLES.get(p, (0,))[0] >= n
 
 
 def _free_positions(ctx, n):
@@ -872,8 +876,7 @@ def _scan(ctx, n, lo, hi):
         if block:
             yield block
 
-    covered = _TABLES.get(p, (0,))[0]
-    return blocks(), ctx.signatures if covered >= n else None
+    return blocks(), ctx.signatures if _table_covers(p, n) else None
 
 
 def _factored(ctx, blocks):
@@ -940,9 +943,7 @@ class _Signatures:
         self._sweep(max(codes, default=1), table)
         ids = [sig[a] for a in codes]
         if 0 in ids:  # one step each, from cofactors the sweep resolved
-            ids = self._steps(self._keys(codes, table))
-            for a, sid in zip(codes, ids):
-                sig[a] = sid
+            ids = self._stepped(codes, table)
         return ids
 
     def _sweep(self, top, table):
@@ -965,6 +966,14 @@ class _Signatures:
                     sig[lo + t:hi:p] = array("i", self._steps(keys))
             k += 1
         self.swept = k
+
+    def _stepped(self, codes, table):
+        # resolve codes whose cofactors are resolved, one step each, and
+        # return their ids
+        ids, sig = self._steps(self._keys(codes, table)), self.sig
+        for a, sid in zip(codes, ids):
+            sig[a] = sid
+        return ids
 
     def _keys(self, codes, table):
         # the step key of each code a whose cofactor is resolved:
@@ -995,14 +1004,9 @@ class _Signatures:
 
     def _resolve(self, codes, table):
         # sig[a] = step(sig[cof[a]], slot of a's least factor) for the
-        # distinct unresolved codes, their unresolved cofactors first; a
-        # step's key is id * slot_mod + slot
-        spf, cof = table
-        sig, step, modulus = self.sig, self.steps.get, self.slot_mod
-        for a, sid in zip(codes, self._ids(list(map(cof.__getitem__, codes)), table)):
-            slot = (spf[a] or a) % modulus
-            key = sid * modulus + slot
-            sig[a] = step(key) or self._step(key, sid, slot)
+        # distinct unresolved codes, their unresolved cofactors first
+        self._ids(list(map(table[1].__getitem__, codes)), table)
+        self._stepped(codes, table)
 
     def _step(self, key, sid, slot):
         # the id of sid's multiset plus slot, on a miss of steps[key].  A
