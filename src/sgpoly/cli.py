@@ -186,29 +186,30 @@ def _emit(args, fields, rows):
 
 
 POOL_MIN = 4096  # members of the smallest degree worth a worker pool
-# the same where the degree's scan sweeps (sgalg.sweeps): every worker
-# sweeps all codes below its degree for itself, so only the members' steps
-# split and a pool pays later.  _scan_counts alone, two workers against one
-# process (2-vCPU x86-64, Python 3.11): the pool lost on F_2[x] to degree
-# 16 (65,536 members) and F_3[x] to 10 (59,049), saved at most 12% on
-# F_2[x^2,x^3] to 17 (65,536) and F_5[x] to 7 (78,125), and a quarter or
-# more on F_7[x] to 6 (117,649) and from 131,072 members on each.  More
-# workers split the steps further, so there the bound errs towards one
-# process (not measured past 2 CPUs)
+# the same in a dense context (sgalg.is_dense): each of its degrees with
+# POOL_MIN members that a scan admits pays for a table, so its scans sweep,
+# and every worker sweeps all codes below its degree for itself; only the
+# members' steps split and a pool pays later.  _scan_counts alone, two
+# workers against one process (2-vCPU x86-64, Python 3.11): the pool lost
+# on F_2[x] to degree 16 (65,536 members) and F_3[x] to 10 (59,049), saved
+# at most 12% on F_2[x^2,x^3] to 17 (65,536) and F_5[x] to 7 (78,125), and
+# a quarter or more on F_7[x] to 6 (117,649) and from 131,072 members on
+# each.  More workers split the steps further, so there the bound errs
+# towards one process (not measured past 2 CPUs)
 DENSE_POOL_MIN = 100_000
 CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
 
 _worker_ctx = None  # a pool worker's context, set by _start_worker
 
 
-def _start_worker(ctx, table):
+def _start_worker(ctx, entry):
     # pool initializer: the worker keeps the run's context for its life and
-    # caches the parent's factor table, so under any start method no task
-    # rebuilds either
+    # caches the table entry the parent's scans read, so under any start
+    # method no task rebuilds either
     global _worker_ctx
     _worker_ctx = ctx
-    if table is not None:
-        sgalg.install_factor_table(ctx.field.p, table)
+    if entry is not None:
+        sgalg.install_factor_table(ctx.field.p, entry)
 
 
 def _count_chunk(task):
@@ -218,20 +219,19 @@ def _count_chunk(task):
 
 def _scan_counts(args, ctx, degrees):
     # One ClassCounts per degree, from scans sgalg.scan_us admitted; their
-    # one factor table is built here, in the parent.  When some degree has
-    # POOL_MIN members (DENSE_POOL_MIN where its scan sweeps) and there is
-    # more than one worker, one pool scans every degree: all chunks are
-    # submitted at once, highest degree first, so the small degrees (one
-    # chunk each) fill the tail.  Counts merge additively, so the result is
-    # the same for any worker count.
-    sgalg.prepare_scans(ctx, degrees)
+    # one factor table is built here, in the parent, and its entry handed to
+    # the workers.  When some degree has POOL_MIN members (DENSE_POOL_MIN in
+    # a dense context) and there is more than one worker, one pool scans
+    # every degree: all chunks are submitted at once, highest degree first,
+    # so the small degrees (one chunk each) fill the tail.  Counts merge
+    # additively, so the result is the same for any worker count.
+    entry = sgalg.prepare_scans(ctx, degrees)
     sizes = [sgalg.member_count(ctx, n) for n in degrees]
     # every pool worker starts at the first submit, so workers beyond the
     # CPUs would only add processes
     workers = min(args.workers, os.cpu_count() or 1)
-    pays = any(size >= (DENSE_POOL_MIN if sgalg.sweeps(ctx, n) else POOL_MIN)
-               for n, size in zip(degrees, sizes))
-    if workers <= 1 or not pays:
+    bound = DENSE_POOL_MIN if sgalg.is_dense(ctx) else POOL_MIN
+    if workers <= 1 or max(sizes) < bound:
         return [sgalg.count_classes(ctx, n) if size else sgalg.ClassCounts()
                 for n, size in zip(degrees, sizes)]
     tasks = []
@@ -240,9 +240,8 @@ def _scan_counts(args, ctx, degrees):
             step = -(-size // (workers * CHUNKS_PER_WORKER)) if size >= POOL_MIN else size
             tasks += [(n, lo, min(lo + step, size)) for lo in range(0, size, step)]
     counts = {n: sgalg.ClassCounts() for n in degrees}
-    table = sgalg.cached_factor_table(ctx.field.p)
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                               initargs=(ctx, table))
+                               initargs=(ctx, entry))
     try:
         futures = [(task[0], pool.submit(_count_chunk, task)) for task in tasks]
         for n, future in futures:

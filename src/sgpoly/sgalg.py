@@ -31,20 +31,17 @@ code (AlgebraContext.signatures), the id of that multiset, resolved at
 most once while the ids are kept (SIGNATURE_IDS of them at most), and
 the scan tallies its members' ids and decides each id's verdict and
 shape once, on the lattice of its residues.  At degree 16 the 32,768
-members of F_2[x^2,x^3] have 285 ids.  Ids are resolved one of two ways.
-In a dense context (is_dense: p^g <= 2 for g gaps, so F_2[x^2,x^3] and
-every F_p[x]) a degree-n scan sweeps every monic code below n forward,
-degree by degree, and then takes one step per member; elsewhere codes
-are resolved in batches along the members' cofactor chains, which reach
-only a small share of the codes a sweep would.
+members of F_2[x^2,x^3] have 285 ids, resolved by a sweep or along
+cofactor chains by the rule AlgebraContext.signatures gives.
 Only the listing walks the table, for the factors of its irreducible
 members.  A table covers every monic code, not only the members, so a
 scan over any field uses one only when it fits under MAX_SCAN entries and
 pays (see table_pays); otherwise it factors each member by factor_fq and
 walks that member's own divisor lattice.
 prepare_scans refuses a degree over MAX_SCAN members and is the scans'
-one builder of tables, called by each scan for its degree and first by a
-caller of several degrees, for one table.  scan_us refuses the same, and
+one door to the table cache: it builds their table and returns the entry
+they read, which each scan takes for its degree and a caller of several
+degrees hands its pool's workers.  scan_us refuses the same, and
 estimates over TIME_CAP_US, before any work: the CLI's one scan admission.
 
 Scans are brute force and never consult the class group of `classgroup`,
@@ -575,17 +572,12 @@ def prepare_factor_table(p, max_degree):
     return _TABLES[p][1]
 
 
-def cached_factor_table(p):
-    """The cached table entry (degree, (spf, cof)) for F_p, or None.
-
-    Scans in a process that installs it (install_factor_table) factor
-    exactly as scans here do, and build no table up to that degree.
-    """
-    return _TABLES.get(p)
-
-
 def install_factor_table(p, entry):
-    """Cache an entry taken from cached_factor_table in another process."""
+    """Cache an entry prepare_scans returned in another process.
+
+    Scans here then factor exactly as scans there do, and build no table
+    up to that degree.
+    """
     _TABLES[p] = entry
 
 
@@ -714,24 +706,10 @@ class ClassCounts:
 def is_dense(ctx):
     """Whether members are at least half of each degree's monic codes: p^g <= 2 for g gaps.
 
-    True for F_2[x^2,x^3] and every F_p[x]; their table-route scans
-    resolve signature ids by a sweep (see AlgebraContext.signatures).
+    True for F_2[x^2,x^3] and every F_p[x]: the contexts whose table-route
+    scans sweep (see AlgebraContext.signatures).
     """
     return ctx.field.p ** len(ctx.semigroup.gaps) <= 2
-
-
-def sweeps(ctx, n):
-    """Whether degree-n scans of ctx resolve their ids by the sweep.
-
-    They do when ctx is dense and the cached factor table covers n; each
-    process that scans sweeps for itself (see AlgebraContext.signatures).
-    """
-    return is_dense(ctx) and _table_covers(ctx.field.p, n)
-
-
-def _table_covers(p, n):
-    # whether the cached factor table over F_p covers degree n
-    return _TABLES.get(p, (0,))[0] >= n
 
 
 def _free_positions(ctx, n):
@@ -774,17 +752,25 @@ def _table_degree(ctx, degrees):
 
 
 def prepare_scans(ctx, degrees):
-    """Refuse oversized scans of ctx at degrees, else build their one table.
+    """Refuse oversized scans of ctx at degrees, else the table entry they read.
 
     Raises ValueError for the first degree with more than MAX_SCAN monic
     members, before any work.  Then builds the factor table once, for the
     highest member degree whose scan uses one (see table_pays, which never
-    picks a table over the cap).  Each scan calls it for its own degree;
-    it sets no time cap (see scan_us).
+    picks a table over the cap), and returns the cached entry (degree,
+    (spf, cof)) when it covers a member degree of degrees, else None:
+    those scans factor by factor_fq.  Each scan calls it for its own
+    degree, and a process that installs the entry (install_factor_table)
+    scans as this one does; it sets no time cap (see scan_us).
     """
+    p = ctx.field.p
     top = _table_degree(ctx, degrees)
     if top:
-        prepare_factor_table(ctx.field.p, top)
+        prepare_factor_table(p, top)
+    entry = _TABLES.get(p)
+    if entry is not None and any(n <= entry[0] and member_count(ctx, n) for n in degrees):
+        return entry
+    return None
 
 
 def table_us(p, degree):
@@ -846,24 +832,23 @@ def _member_tables(ctx, n, lo, hi):
 
 
 def _scan(ctx, n, lo, hi):
-    """(blocks, sigs) for the members with index in [lo, hi) of degree n.
+    """(blocks, table) for the members with index in [lo, hi) of degree n.
 
     blocks iterates lists of member codes (`Polynomial.encoding`, the
     bitmask for p = 2) in enumerate_degree's order: the rows of the
     high-digit table, cut to [lo, hi), gathered until a list holds
     SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^floor(k/2)
-    codes for p^k members).  sigs is ctx.signatures when the cached factor
-    table covers n, else None: the members then go through factor_fq (see
-    _factored).  A degree over the guard or a bad degree or range raises
-    ValueError here rather than at the first block.  An empty range or a
-    gap degree builds no table.
+    codes for p^k members).  table is the factor table (spf, cof) that
+    prepare_scans hands the scan, or None: the members then go through
+    factor_fq (see _factored).  A degree over the guard or a bad degree or
+    range raises ValueError here rather than at the first block.  An empty
+    range or a gap degree builds no table.
     """
     lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
         return iter(()), None
-    prepare_scans(ctx, (n,))
-    p = ctx.field.p
-    base, size = p ** n, len(lo_tab)
+    entry = prepare_scans(ctx, (n,))
+    base, size = ctx.field.p ** n, len(lo_tab)
 
     def blocks():
         block = []
@@ -876,7 +861,7 @@ def _scan(ctx, n, lo, hi):
         if block:
             yield block
 
-    return blocks(), ctx.signatures if _table_covers(p, n) else None
+    return blocks(), None if entry is None else entry[1]
 
 
 def _factored(ctx, blocks):
@@ -926,16 +911,18 @@ class _Signatures:
         self.verdicts = [None, None]  # id -> (unsplit, m, k), decided on first use
         self.kinds = {}  # each (unsplit, m, k) once, shared by the ids that have it
 
-    def ids(self, codes):
+    def ids(self, codes, table):
         """The signature id of each code in the list codes, resolving new ones.
 
-        The ids are valid until the next call: one that finds more than
-        SIGNATURE_IDS ids first clears every memo and the array, so a
+        table is the factor table (spf, cof) the scan reads; any table
+        prepare_factor_table built over the field agrees on every code it
+        covers.  The ids are valid until the next call: one that finds more
+        than SIGNATURE_IDS ids first clears every memo and the array, so a
         caller reads the verdicts of one call's ids before it makes another.
         """
         if len(self.last) > SIGNATURE_IDS:
             self._clear()
-        table, sig = _TABLES[self.p][1], self.sig
+        sig = self.sig
         if len(sig) < len(table[1]):  # a new table, or one rebuilt to a higher degree
             sig.frombytes(bytes(sig.itemsize * (len(table[1]) - len(sig))))
         if not self.dense:
@@ -1070,13 +1057,14 @@ def count_classes(ctx, n, lo=0, hi=None):
     route members are tallied by signature id, and each id's verdict is
     read once.
     """
-    blocks, sigs = _scan(ctx, n, lo, hi)
+    blocks, table = _scan(ctx, n, lo, hi)
     shapes = Counter()
-    if sigs is None:
+    if table is None:
         shapes.update((m, k) for _, _, m, k in _factored(ctx, blocks))
     else:
+        sigs = ctx.signatures
         for codes in blocks:
-            for sid, count in Counter(sigs.ids(codes)).items():
+            for sid, count in Counter(sigs.ids(codes, table)).items():
                 unsplit, m, k = sigs.verdict(sid)
                 if unsplit:
                     shapes[m, k] += count
@@ -1093,7 +1081,7 @@ def iter_irreducible(ctx, n):
     Like count_classes, it raises ValueError at the call, before any item,
     for a degree over MAX_SCAN members or a negative degree.
     """
-    blocks, sigs = _scan(ctx, n, 0, None)
+    blocks, table = _scan(ctx, n, 0, None)
     field = ctx.field
     friendly = ctx.is_friendly
     decode = partial(Polynomial.from_encoding, field)
@@ -1103,17 +1091,18 @@ def iter_irreducible(ctx, n):
             FqFactorization(field, 1, tuple((decode(g), e) for g, e in factors)),
             _friendly_class_of(m, k) if friendly else None,
         )
-        for f, factors, m, k in (_factored(ctx, blocks) if sigs is None else _walked(sigs, blocks))
+        for f, factors, m, k in (_factored(ctx, blocks) if table is None
+                                 else _walked(ctx.signatures, blocks, table))
     )
 
 
-def _walked(sigs, blocks):
+def _walked(sigs, blocks, table):
     # (member, factors, m, k) per irreducible member of blocks, its verdict
     # read from its signature id and its factors walked from the table:
     # equal factors come out in a row, least first
-    spf, cof = _TABLES[sigs.p][1]
+    spf, cof = table
     for codes in blocks:
-        verdicts = list(map(sigs.verdict, sigs.ids(codes)))  # before another scan's ids()
+        verdicts = list(map(sigs.verdict, sigs.ids(codes, table)))  # before another scan's ids()
         for f, (unsplit, m, k) in zip(codes, verdicts):
             if unsplit:
                 factors, a = [], f

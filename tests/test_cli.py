@@ -619,6 +619,37 @@ def test_each_command_builds_its_table_once_in_the_parent(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "q, gens",
+    [(2, (2, 3)), *((p, (1,)) for p in (2, 3, 5, 7, 257, 1031, 4093))],
+    ids=["f2-23", *(f"f{p}-N" for p in (2, 3, 5, 7, 257, 1031, 4093))],
+)
+def test_dense_degrees_worth_a_pool_pay_for_a_table(monkeypatch, q, gens):
+    # _scan_counts picks DENSE_POOL_MIN for every degree of a dense context
+    # without asking whether its scan sweeps: every dense degree with
+    # POOL_MIN members is refused (by the member guard or scan_us, from an
+    # empty table cache) or pays for a table, so its scan does sweep
+    from sgpoly import cli, sgalg
+    from sgpoly.ffpoly import FieldSpec
+    from sgpoly.numsgp import from_generators
+
+    def refuse(*args):
+        raise AssertionError("a price built a table")
+
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    monkeypatch.setattr(sgalg, "_basep_tables", refuse)
+    ctx = sgalg.AlgebraContext(FieldSpec(q), from_generators(gens))
+    assert sgalg.is_dense(ctx)
+    big = [n for n in range(1, 64) if sgalg.member_count(ctx, n) >= cli.POOL_MIN]
+    assert big
+    for n in big:
+        try:
+            sgalg.scan_us(ctx, (n,))
+        except ValueError:
+            continue  # refused, by the guard or the time cap
+        assert sgalg.table_pays(ctx, n), n
+
+
 def test_each_command_takes_only_its_own_options(monkeypatch, capsys, tmp_path):
     # cyclotomic reads no --q, --sgp or --workers and enumerate no
     # --workers, so argparse refuses them (exit 2); every argv of the
@@ -863,9 +894,10 @@ def test_pool_worker_scans_with_the_parent_table(monkeypatch):
 
     for q, gens, degrees in ((2, (2, 3), (11, 12)), (3, (3, 4, 5), (7, 8))):
         ctx = sgalg.AlgebraContext(FieldSpec(q), from_generators(gens))
-        sgalg.prepare_factor_table(q, max(degrees))
+        entry = sgalg.prepare_scans(ctx, degrees)
+        assert entry is not None and entry[0] >= max(degrees)
         serial = [sgalg.count_classes(ctx, n) for n in degrees]
-        handed = pickle.loads(pickle.dumps((ctx, sgalg.cached_factor_table(q))))
+        handed = pickle.loads(pickle.dumps((ctx, entry)))
         with monkeypatch.context() as m:
             m.setattr(sgalg, "_TABLES", {})
             m.setattr(sgalg, "_basep_tables", refuse)

@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 from functools import partial
+from itertools import islice
 from math import prod
 
 import pytest
@@ -417,13 +418,15 @@ def reference_verdict(ctx, ring, f, fac=None):
     return (unsplit, *sgalg._shape_of(fac.factors, Polynomial.x(ctx.field)))
 
 
-def check_ids(ctx, ring, sigs, codes):
-    # each member's id holds the slots of factor_fq's factors, one per
-    # factor and multiplicity, and carries the reference verdict; returns
-    # (member, verdict, factor_fq's factorization) per member
+def check_ids(ctx, ring, table, codes):
+    # each member's id, resolved on the scan's table, holds the slots of
+    # factor_fq's factors, one per factor and multiplicity, and carries the
+    # reference verdict; returns (member, verdict, factor_fq's
+    # factorization) per member
     decode = partial(Polynomial.from_encoding, ctx.field)
+    sigs = ctx.signatures
     out = []
-    for f, sid in zip(codes, sigs.ids(codes)):
+    for f, sid in zip(codes, sigs.ids(codes, table)):
         fac = factor_fq(decode(f))
         slots = [g.encoding % sigs.slot_mod for g, e in fac.factors for _ in range(e)]
         assert sorted(sigs.slots(sid)) == sorted(slots)
@@ -465,10 +468,10 @@ def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top, sampled):
         cuts = [0, total // 3, min(2 * total // 3 + 1, total), total]
         seen = []
         for lo, hi in zip(cuts, cuts[1:]):
-            blocks, sigs = sgalg._scan(ctx, n, lo, hi)
+            blocks, table = sgalg._scan(ctx, n, lo, hi)
             for codes in blocks:
-                assert sigs is ctx.signatures
-                seen += check_ids(ctx, ring, sigs, codes)
+                assert table is sgalg._TABLES[q][1]
+                seen += check_ids(ctx, ring, table, codes)
         assert [f for f, _, _ in seen] == [g.encoding for g in enumerate_degree(ctx, n)]
         listed = [(f.encoding, fac) for f, fac, _ in iter_irreducible(ctx, n)]
         assert listed == [(f, fac) for f, (unsplit, _, _), fac in seen if unsplit]
@@ -482,11 +485,12 @@ def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top, sampled):
     rng = random.Random(16)
     for n in range(top + 1, sampled + 1):
         for i in rng.sample(range(member_count(ctx, n)), 100):
-            blocks, sigs = sgalg._scan(ctx, n, i, i + 1)
+            blocks, table = sgalg._scan(ctx, n, i, i + 1)
             [codes] = blocks
-            [(f, (unsplit, m, k), fac)] = check_ids(ctx, ring, sigs, codes)
+            [(f, (unsplit, m, k), fac)] = check_ids(ctx, ring, table, codes)
             factors = [(g.encoding, e) for g, e in fac.factors]
-            assert list(sgalg._walked(sigs, [codes])) == ([(f, factors, m, k)] if unsplit else [])
+            walked = sgalg._walked(ctx.signatures, [codes], table)
+            assert list(walked) == ([(f, factors, m, k)] if unsplit else [])
     assert len(ctx.signatures.sig) == sgalg.table_entries(q, sampled)
 
 
@@ -510,8 +514,8 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
         ctx = AlgebraContext(FieldSpec(q), from_generators((2, 3)))
         assert not sgalg.table_pays(ctx, n)
         ring = sgalg._residue_ring(ctx)
-        blocks, sigs = sgalg._scan(ctx, n, lo, hi)
-        assert sigs is None
+        blocks, table = sgalg._scan(ctx, n, lo, hi)
+        assert table is None
         for f in [f for block in blocks for f in block]:
             found = list(sgalg._factored(ctx, [[f]]))
             fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
@@ -1020,6 +1024,50 @@ def test_signature_ids_clear_past_their_bound(monkeypatch):
             assert len(clears) > before + 8
             assert head + list(stream) == listing
             assert len(ctx.signatures.sig) == len(kept.signatures.sig)
+
+
+def test_prepare_scans_returns_the_entry_its_scans_read(monkeypatch, f2, friendly, ctx345):
+    # the entry is the cached table when it covers a member degree of the
+    # scans, built by prepare_scans or cached before it, else None
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    sparse = AlgebraContext(f2, from_generators(range(11, 22)))  # gaps 1..10
+    assert not sgalg.table_pays(sparse, 11)
+    assert sgalg.prepare_scans(sparse, range(11, 14)) is None
+    assert sgalg._TABLES == {}
+    entry = sgalg.prepare_scans(friendly, range(2, 11))
+    assert entry is sgalg._TABLES[2] and entry[0] == 10
+    assert sgalg.prepare_scans(ctx345, (7,)) is entry  # covered, no build
+    assert sgalg.prepare_scans(sparse, (11,)) is None  # past the cached table
+    assert sgalg.prepare_scans(sparse, range(2, 11)) is None  # gaps only
+    blocks, table = sgalg._scan(sparse, 11, 0, None)
+    assert table is None and sum(map(len, blocks)) == member_count(sparse, 11)
+
+
+@pytest.mark.parametrize(
+    "q, gens, n, rebuilt",
+    [(2, (2, 3), 12, 14), (3, (3, 4, 5), 8, 9)],
+    ids=["f2-23", "f3-345"],
+)
+def test_listing_resumes_across_a_rebuilt_table(monkeypatch, q, gens, n, rebuilt):
+    # a listing paused partway through its degree, while the field's table
+    # is rebuilt to a higher degree and a count on the same context resolves
+    # ids on the new table, resumes to the uninterrupted listing.  Small
+    # blocks make the resumed listing resolve ids after the rebuild
+    monkeypatch.setattr(sgalg, "SCAN_BLOCK", 16)
+    field = FieldSpec(q)
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    whole = list(iter_irreducible(AlgebraContext(field, from_generators(gens)), n))
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    ctx = AlgebraContext(field, from_generators(gens))
+    stream = iter_irreducible(ctx, n)
+    assert sgalg._TABLES[q][0] == n  # the listing reads its own table
+    head = list(islice(stream, len(whole) // 2))
+    sgalg.prepare_factor_table(q, rebuilt)
+    assert sgalg._TABLES[q][0] == rebuilt
+    counted = count_classes(ctx, rebuilt)
+    assert len(ctx.signatures.sig) == sgalg.table_entries(q, rebuilt)
+    assert head + list(stream) == whole
+    assert counted == count_classes(AlgebraContext(field, from_generators(gens)), rebuilt)
 
 
 @pytest.mark.parametrize(
