@@ -8,10 +8,12 @@ by the leading bit: each step xors in the divisor shifted under the
 dividend's top set bit, which clears that bit, so a step is taken per
 set bit met at the top and the zero bits between them cost nothing.
 
-The package uses two entry points: `factor`, which `ffpoly.factor_fq`
-calls for p = 2 (the coefficient-tuple kernel's equal-degree split is for
-odd p only), and `mul`, the product of the p = 2 residue ring in `sgalg`.
-The rest serves `factor`.
+The package uses three entry points: `factor`, which `ffpoly.factor_fq`
+and, on member codes, `sgalg`'s verdicts and factor-route scans call for
+p = 2 (the coefficient-tuple kernel's equal-degree split is for odd p
+only); `mul`, the product of the p = 2 residue ring in `sgalg` and of a
+verdict's witness half; and `divrem`, which divides a member by that half
+for its cofactor.  The rest serves `factor`.
 """
 
 import random
@@ -119,35 +121,36 @@ def factor(a):
 
     Returns a list of (irreducible mask, multiplicity) pairs whose
     product reproduces a.  Squarefree split via gcd with the derivative,
-    then distinct-degree splitting and randomized equal-degree splitting
-    seeded from the input mask, so output is reproducible.
+    then distinct-degree splitting and randomized equal-degree splitting.
+    Only a product of two or more equal-degree factors draws, from a
+    generator seeded with that product's mask, so output is reproducible
+    and a factorization with no such product seeds nothing.
     """
     if a == 0:
         raise ZeroDivisionError("cannot factor the zero polynomial")
-    rng = random.Random(a)
     out = {}
     tz = (a & -a).bit_length() - 1
     if tz:
         out[2] = tz
         a >>= tz
     if a > 1:
-        _factor_monic(a, out, rng)
+        _factor_monic(a, out)
     return sorted(out.items())
 
 
-def _factor_monic(a, out, rng):
+def _factor_monic(a, out):
     # a has nonzero constant term
     while degree(a) >= 1:
         d = derivative(a)
         if d == 0:
             # perfect square: factor the root at doubled multiplicity
             sub = {}
-            _factor_monic(sqrt_even(a), sub, rng)
+            _factor_monic(sqrt_even(a), sub)
             for m, e in sub.items():
                 out[m] = out.get(m, 0) + 2 * e
             return
         w = _exact(a, gcd(a, d))  # squarefree, odd-multiplicity factors
-        for p in _distinct_factors(w, rng):
+        for p in _distinct_factors(w):
             e = 0
             while True:
                 q, r = divrem(a, p)
@@ -177,7 +180,7 @@ def _shrunk(a, b, q):
     return q
 
 
-def _distinct_factors(w, rng):
+def _distinct_factors(w):
     # distinct irreducible factors of squarefree w with w(0) != 0
     res = []
     h = 2  # x
@@ -190,7 +193,8 @@ def _distinct_factors(w, rng):
         h = mod(square(h), w)
         g = gcd(h ^ 2, w)
         if g != 1:
-            res.extend(_split_equal_degree(g, d, rng))
+            # g has degree d exactly when it is one irreducible: no split, no draws
+            res.extend(_split_equal_degree(g, d, random.Random(g)) if degree(g) > d else (g,))
             w = _exact(w, g)
             if degree(w) == 0:
                 break

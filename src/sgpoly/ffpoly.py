@@ -161,10 +161,7 @@ class Polynomial:
     @property
     def encoding(self):
         """Canonical integer encoding: sum of coeffs[i] * p^i."""
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.field.p + c
-        return e
+        return _code_t(self.coeffs, self.field.p)
 
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -230,6 +227,14 @@ def _check_fields(a, b):
 
 
 # -- coefficient-tuple kernel ----------------------------------------------
+
+
+def _code_t(a, p):
+    # the canonical integer encoding of coefficient tuple a
+    e = 0
+    for c in reversed(a):
+        e = e * p + c
+    return e
 
 
 def _trim(seq):
@@ -326,18 +331,18 @@ def _is_irreducible_t(a, p):
     return True
 
 
-def _factor_monic_t(a, p, out, rng):
+def _factor_monic_t(a, p, out):
     # a monic with nonzero constant term
     while len(a) - 1 >= 1:
         d = _deriv_t(a, p)
         if not d:
             sub = {}
-            _factor_monic_t(_trim(a[::p]), p, sub, rng)
+            _factor_monic_t(_trim(a[::p]), p, sub)
             for k, e in sub.items():
                 out[k] = out.get(k, 0) + p * e
             return
         w = _divrem_t(a, _gcd_t(a, d, p), p)[0]
-        for f in _distinct_t(_monic_t(w, p), p, rng):
+        for f in _distinct_t(_monic_t(w, p), p):
             e = 0
             while True:
                 q, r = _divrem_t(a, f, p)
@@ -348,7 +353,7 @@ def _factor_monic_t(a, p, out, rng):
             out[f] = out.get(f, 0) + e
 
 
-def _distinct_t(w, p, rng):
+def _distinct_t(w, p):
     res = []
     x = (0, 1)
     h = x
@@ -362,7 +367,8 @@ def _distinct_t(w, p, rng):
         g = _gcd_t(_add_t(h, _neg_t(x, p), p), w, p)
         if len(g) > 1:
             g = _monic_t(g, p)
-            res.extend(_split_t(g, d, p, rng))
+            # g has degree d exactly when it is one irreducible: no split, no draws
+            res.extend(_split_t(g, d, p, random.Random(_code_t(g, p))) if len(g) - 1 > d else (g,))
             w = _monic_t(_divrem_t(w, g, p)[0], p)
             if len(w) == 1:
                 break
@@ -527,8 +533,10 @@ def factor_fq(f):
     """Complete factorization into monic irreducibles over F_p.
 
     Squarefree split by gcd with the derivative, distinct-degree split,
-    then randomized equal-degree split seeded from the input's canonical
-    integer encoding, so repeated runs give identical output.
+    then randomized equal-degree split.  Only a product of two or more
+    equal-degree factors draws, from a generator seeded with that
+    product's canonical integer encoding, so repeated runs give identical
+    output and a factorization with no such product seeds nothing.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -541,7 +549,6 @@ def factor_fq(f):
     monic = f.monic()
     out: dict[tuple, int] = {}
     if len(monic.coeffs) > 1:
-        rng = random.Random(f.encoding)
         coeffs = monic.coeffs
         tz = 0
         while coeffs and coeffs[0] == 0:
@@ -550,7 +557,7 @@ def factor_fq(f):
         if tz:
             out[(0, 1)] = tz
         if len(coeffs) > 1:
-            _factor_monic_t(coeffs, field.p, out, rng)
+            _factor_monic_t(coeffs, field.p, out)
     factors = sorted((Polynomial(field, c) for c in out), key=canonical_key)
     return FqFactorization(field, unit, tuple((g, out[g.coeffs]) for g in factors))
 

@@ -16,7 +16,8 @@ its member, that gap-digit test, is the one membership test, is_member's
 too.  One kernel, `_member_splits`, decides every verdict on those
 residues: the per-polynomial API, the counting scan and the listing all
 call it, and only a verdict's split halves of the least degree are ever
-multiplied out, on coefficient tuples, to pick its witness.  The ring
+multiplied out, on bitmasks for p = 2 and on coefficient tuples
+otherwise, to pick its witness.  The ring
 memoizes products in bounded memos, so scans over several degrees and
 repeated verdicts share them.  Since the kernel reads a factor only
 through its residue, whether a member splits depends only on the
@@ -36,8 +37,9 @@ cofactor chains by the rule AlgebraContext.signatures gives.
 Only the listing walks the table, for the factors of its irreducible
 members.  A table covers every monic code, not only the members, so a
 scan over any field uses one only when it fits under MAX_SCAN entries and
-pays (see table_pays); otherwise it factors each member by factor_fq and
-walks that member's own divisor lattice.
+pays (see table_pays); otherwise it factors each member (by
+`_gf2.factor` on its code for p = 2, by factor_fq otherwise) and walks
+that member's own divisor lattice.
 prepare_scans refuses a degree over MAX_SCAN members and is the scans'
 one door to the table cache: it builds their table and returns the entry
 they read, which each scan takes for its degree and a caller of several
@@ -62,7 +64,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import compress, islice
 
 from . import _gf2
-from .ffpoly import FieldSpec, FqFactorization, Polynomial, _mul_t, factor_fq
+from .ffpoly import FieldSpec, FqFactorization, Polynomial, _divrem_t, _mul_t, factor_fq
 from .numsgp import NumericalSemigroup, from_generators
 
 
@@ -329,62 +331,84 @@ def _member_splits(factors, ring):
 def is_irreducible_in_algebra(ctx, f):
     """Full verdict for f relative to F_p[S], with a witness when reducible.
 
-    Splits are decided on residues by the kernel the scans use.  The
-    witness, when a split exists, is (g, f // g): g is the half with the
-    least canonical key (degree, then integer code order; bitmask order for
-    p = 2) among both halves of every member split, chosen by _least_half,
-    and f // g carries the leading unit.
+    Membership and splits are decided on residues by the kernel the scans
+    use, from f's code, computed once.  The witness, when a split exists,
+    is (g, f // g): g is the half with the least canonical key (degree,
+    then integer code order; bitmask order for p = 2) among both halves of
+    every member split, chosen by _least_half, and f // g, an exact
+    quotient (ArithmeticError otherwise), carries the leading unit.  For
+    p = 2 the work runs on the code: `_gf2.factor` factors it, g is
+    multiplied out by `_gf2.mul` and f // g taken by `_gf2.divrem`;
+    otherwise factor_fq factors f and both halves are coefficient tuples.
+    Only the two halves become Polynomials.
     """
-    if f.field != ctx.field:
+    field = ctx.field
+    if f.field != field:
         raise ValueError("polynomial field does not match the context")
     if f.is_zero:
         raise ValueError("the zero polynomial has no verdict")
-    if not is_member(ctx, f):
+    modulus, _, member = ctx.ring
+    code = f.encoding
+    if not member(code % modulus):
         return AlgebraVerdict("not_member")
     if f.degree == 0:
         return AlgebraVerdict("unit")
-    fac = factor_fq(f)
-    codes = [(g.encoding, e) for g, e in fac.factors]
+    p = field.p
+    if p == 2:
+        codes = factors = _gf2.factor(code)
+    else:
+        fq_factors = factor_fq(f).factors
+        codes = [(g.encoding, e) for g, e in fq_factors]
+        factors = [(g.coeffs, e) for g, e in fq_factors]
     splits = list(_member_splits(codes, ctx.ring))
     if splits:
-        g = _least_half(fac.factors, splits)
-        return AlgebraVerdict("reducible", witness=(g, f // g))
+        g = _least_half(factors, splits, p)
+        h, r = _gf2.divrem(code, g) if p == 2 else _divrem_t(f.coeffs, g, p)
+        if r:
+            raise ArithmeticError("a member split's half leaves a remainder on the member")
+        half = partial(Polynomial.from_mask if p == 2 else Polynomial, field)
+        return AlgebraVerdict("reducible", witness=(half(g), half(h)))
     classification = None
     if ctx.is_friendly:
-        classification = _friendly_class_of(*_shape_of(fac.factors, Polynomial.x(f.field)))
+        classification = _friendly_class_of(*_shape_of(codes, p))  # p is the code of x
     return AlgebraVerdict("irreducible", classification=classification)
 
 
-def _least_half(factors, splits):
+def _least_half(factors, splits, p):
     """The half with the least canonical key among both halves of every split.
 
-    factors holds f's (monic irreducible, multiplicity) pairs and splits the
-    lattice indices `_member_splits` yielded for them.  The key orders by
-    degree first, so the divisor degrees are listed once, level by level in
-    the kernel's mixed-radix order, and only the halves of the least degree
-    are multiplied out, on coefficient tuples.  Among monic divisors of one
-    degree the key is integer code order, the reversed tuples' order; only
-    the winner becomes a Polynomial.
+    factors holds f's (monic irreducible, multiplicity) pairs over F_p,
+    each irreducible as its bitmask for p = 2 and as its coefficient tuple
+    otherwise, and splits the lattice indices `_member_splits` yielded for
+    them.  The key orders by degree first, so the divisor degrees are
+    listed once, level by level in the kernel's mixed-radix order, and
+    only the halves of the least degree are multiplied out, by `_gf2.mul`
+    or on coefficient tuples.  Among monic divisors of one degree the key
+    is integer code order: the masks' own order, the reversed tuples'
+    order.  The winner comes back in its factors' form.
     """
+    if p == 2:
+        size, half_one, mul, key = int.bit_length, 1, _gf2.mul, None
+    else:
+        size, half_one, mul, key = len, (1,), partial(_mul_t, p=p), lambda half: half[::-1]
     degrees = [0]
     for g, e in factors:
         level = degrees
         for _ in range(e):
-            level = list(map(g.degree.__add__, level))
+            level = list(map((size(g) - 1).__add__, level))
             degrees += level
     last = len(degrees) - 1
     halves = [*splits, *map(last.__sub__, splits)]
     low = min(map(degrees.__getitem__, halves))
-    field = factors[0][0].field
     built = []
     for j in compress(halves, map(low.__eq__, map(degrees.__getitem__, halves))):
-        half = (1,)
+        half = half_one
         for g, e in factors:
             j, a = divmod(j, e + 1)
             for _ in range(a):
-                half = _mul_t(half, g.coeffs, field.p)
+                half = mul(half, g)
         built.append(half)
-    return Polynomial(field, min(built, key=lambda half: half[::-1]))
+    return min(built, key=key)
 
 
 def _shape_of(factors, x):
@@ -498,8 +522,9 @@ TIME_CAP_US = 15 * MAX_SCAN
 # a member on the factor table, tallied by signature id (1-12 us over F_2,
 # F_3, F_5, F_7, the most where ids rarely repeat and each takes its own
 # verdict; 8 stays, so no count moves between routes), a
-# member factored by factor_fq (208-450 us over F_3, F_257, F_4099, and
-# 45-90 us over F_2 at degrees 16-30, code conversions included; 300
+# member factored by factor_fq (208-450 us over F_3, F_257, F_4099,
+# code conversions included, and 25-90 us over F_2 at degrees 16-26,
+# where _gf2.factor takes the member's code with no conversion; 300
 # stays, so no scan changes route or admission), and, building a factor
 # table, one step of its Gray walks and one entry of its addition tables;
 # see scan_us and table_us.  The F_2 walks step by one xor and build no
@@ -839,10 +864,10 @@ def _scan(ctx, n, lo, hi):
     high-digit table, cut to [lo, hi), gathered until a list holds
     SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^floor(k/2)
     codes for p^k members).  table is the factor table (spf, cof) that
-    prepare_scans hands the scan, or None: the members then go through
-    factor_fq (see _factored).  A degree over the guard or a bad degree or
-    range raises ValueError here rather than at the first block.  An empty
-    range or a gap degree builds no table.
+    prepare_scans hands the scan, or None: the members are then factored
+    one by one (see _factored).  A degree over the guard or a bad degree
+    or range raises ValueError here rather than at the first block.  An
+    empty range or a gap degree builds no table.
     """
     lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
@@ -866,12 +891,14 @@ def _scan(ctx, n, lo, hi):
 
 def _factored(ctx, blocks):
     # (member, factors, m, k) per irreducible member of blocks, each member
-    # factored by factor_fq and decided on its own divisor lattice
+    # factored (its code by _gf2.factor for p = 2, by factor_fq otherwise)
+    # and decided on its own divisor lattice
     p, ring = ctx.field.p, ctx.ring
     decode = partial(Polynomial.from_encoding, ctx.field)
     for codes in blocks:
         for f in codes:
-            factors = [(g.encoding, e) for g, e in factor_fq(decode(f)).factors]
+            factors = (_gf2.factor(f) if p == 2
+                       else [(g.encoding, e) for g, e in factor_fq(decode(f)).factors])
             if next(_member_splits(factors, ring), None) is None:
                 g, e = factors[0]
                 m = e if g == p else 0  # p is the code of x, the least irreducible

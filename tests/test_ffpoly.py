@@ -295,9 +295,19 @@ def test_factor_f3_vs_trial_division(f3, f3_sieve):
         assert list(fac.factors) == sorted(expected, key=lambda ge: (ge[0].degree, tuple(reversed(ge[0].coeffs))))
 
 
-def test_factor_high_degree_products(f2, f3, f2_sieve, f3_sieve):
+def test_factor_high_degree_products(monkeypatch, f2, f3, f2_sieve, f3_sieve):
     # build polynomials of degree ~25-45 out of known irreducibles and
-    # demand exact recovery of the multiset
+    # demand exact recovery of the multiset; both equal-degree splitters
+    # are called only on products of two or more factors, the only ones
+    # that draw
+    splits = []
+    for module, name, size in ((_gf2, "_split_equal_degree", lambda g: g.bit_length() - 1),
+                               (ffpoly, "_split_t", lambda g: len(g) - 1)):
+        def recorded(g, d, *rest, split=getattr(module, name), size=size):
+            splits.append((size(g), d))
+            return split(g, d, *rest)
+
+        monkeypatch.setattr(module, name, recorded)
     rng = random.Random(90210)
     for field, sieve, target, rounds in ((f2, f2_sieve, 40, 12), (f3, f3_sieve, 24, 6)):
         pool = [g for n in sieve for g in sieve[n]]
@@ -315,6 +325,7 @@ def test_factor_high_degree_products(f2, f3, f2_sieve, f3_sieve):
             assert fac.unit == unit
             assert dict(fac.factors) == expected
             assert fac.expand() == f
+    assert splits and all(size > d for size, d in splits)
 
 
 def test_factor_is_deterministic(f2, f3):

@@ -216,6 +216,81 @@ def test_verdicts_match_divisor_scan_oracle(friendly, ctx345, f3):
                 assert v.witness == witness
 
 
+def test_f2_verdicts_past_the_oracle_match_a_factor_fq_reference(monkeypatch, f2, friendly):
+    # F_2[x^2,x^3] at degrees 20-30, where the divisor scan would take
+    # minutes: kind, classification and witness equal a reference built
+    # from factor_fq's factors, the splitting kernel on their codes, and
+    # the least canonical-key half multiplied out from every member split.
+    # Inputs are seeded members, x^k * g^2, and products of two distinct
+    # irreducibles of one degree, whose distinct-degree step leaves a
+    # product that the equal-degree split must cut
+    from sgpoly.ffpoly import canonical_key
+
+    def reference(f):
+        factors = factor_fq(f).factors
+        codes = [(g.encoding, e) for g, e in factors]
+        splits = list(sgalg._member_splits(codes, sgalg._residue_ring(friendly)))
+        if not splits:
+            m, k = sgalg._shape_of(factors, Polynomial.x(f2))
+            return "irreducible", sgalg._friendly_class_of(m, k), None
+        sizes = [e + 1 for _, e in factors]
+        last = prod(sizes) - 1
+
+        def half(j):
+            out = Polynomial.one(f2)
+            for (g, _), size in zip(factors, sizes):
+                j, a = divmod(j, size)
+                out = out * g ** a
+            return out
+
+        g = min((half(j) for i in splits for j in (i, last - i)), key=canonical_key)
+        return "reducible", None, (g, f // g)
+
+    def irreducibles(rng, d, x_coeff):
+        # distinct irreducibles of degree d with the given x coefficient
+        out = set()
+        while len(out) < 2:
+            low = [1, x_coeff, *(rng.randrange(2) for _ in range(d - 2))]
+            g = Polynomial(f2, (*low, 1))
+            if factor_fq(g).factors == ((g, 1),):
+                out.add(g)
+        return out
+
+    split_degrees = []
+    split = sgalg._gf2._split_equal_degree
+
+    def counted(g, d, rng):
+        split_degrees.append((g.bit_length() - 1, d))
+        return split(g, d, rng)
+
+    rng = random.Random(29)
+    inputs = []
+    for n in range(20, 31):
+        low = [1, 0, *(rng.randrange(2) for _ in range(n - 2))]
+        inputs.append((Polynomial(f2, (*low, 1)), None))
+        k = rng.choice([k for k in (0, 2, 3, 4) if (n - k) % 2 == 0])
+        d = (n - k) // 2
+        g = Polynomial(f2, (1, *(rng.randrange(2) for _ in range(d - 1)), 1))
+        inputs.append((Polynomial.monomial(f2, k) * g * g, None))
+    for d in range(10, 16):
+        a, b = irreducibles(rng, d, d % 2)  # equal x coefficients: the product is a member
+        inputs.append((a * b, d))
+    monkeypatch.setattr(sgalg._gf2, "_split_equal_degree", counted)
+    kinds = set()
+    for f, d in inputs:
+        assert is_member(friendly, f) and f.degree in range(20, 31)
+        split_degrees.clear()
+        v = is_irreducible_in_algebra(friendly, f)
+        if d is not None:
+            assert split_degrees == [(2 * d, d)]
+            kinds.add(v.kind)
+        assert (v.kind, v.classification, v.witness) == reference(f)
+        if v.witness is not None:
+            g, h = v.witness
+            assert g * h == f
+    assert kinds == {"irreducible", "reducible"}
+
+
 # members the oracle may divide by for one verdict: keeps each example fast
 ORACLE_DIVISORS = 1500
 
@@ -494,13 +569,16 @@ def test_scan_factor_lists_match_factor_fq(monkeypatch, q, gens, top, sampled):
     assert len(ctx.signatures.sig) == sgalg.table_entries(q, sampled)
 
 
-def test_scan_factor_lists_match_factor_fq_off_the_table():
+def test_scan_factor_lists_match_factor_fq_off_the_table(monkeypatch):
     # F_257[x^2,x^3] and F_31[x^2,x^3] at degree 5 scan by factor_fq (a
-    # table would pass the cap); each member's factors, shape and verdict
-    # match the reference.  The one F_31 member scanned is
+    # table would pass the cap), and 100 seeded members each of F_2[<4,7>]
+    # at degree 18 and F_2[<5,7>] at 17, where a table does not pay, by
+    # _gf2.factor on their codes; each member's factors, shape and verdict
+    # match factor_fq's reference.  The one F_31 member scanned is
     # (x^2+c)(x^3+b*x^2+c), two irreducibles with the residue c mod x^2
     # that split it, and x^5 over F_31 splits only as x^2 * x^3, through
-    # its multiplicity
+    # its multiplicity.  An empty table cache keeps an F_2 table that
+    # other scans built from covering the F_2 degrees
     def irreducible(f):
         return factor_fq(f).factors == ((f, 1),)
 
@@ -509,14 +587,24 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
     b = next(b for b in range(31) if irreducible(parse_poly(f"x^3+{b}*x^2+{c}", f31)))
     product = parse_poly(f"x^2+{c}", f31) * parse_poly(f"x^3+{b}*x^2+{c}", f31)
     i = sum(product.coeff(pos) * 31 ** j for j, pos in enumerate((0, 2, 3, 4)))  # its index
+    monkeypatch.setattr(sgalg, "_TABLES", {})
+    rng = random.Random(29)
+    scans = [(257, (2, 3), 2, [(0, None)]), (257, (2, 3), 3, [(1000, 1300)]),
+             (31, (2, 3), 5, [(0, 1)]), (31, (2, 3), 5, [(i, i + 1)])]
+    for gens, n in (((4, 7), 18), ((5, 7), 17)):
+        ctx = AlgebraContext(FieldSpec(2), from_generators(gens))
+        scans.append((2, gens, n, [(j, j + 1) for j in rng.sample(range(member_count(ctx, n)), 100)]))
     items = []
-    for q, n, lo, hi in ((257, 2, 0, None), (257, 3, 1000, 1300), (31, 5, 0, 1), (31, 5, i, i + 1)):
-        ctx = AlgebraContext(FieldSpec(q), from_generators((2, 3)))
+    for q, gens, n, ranges in scans:
+        ctx = AlgebraContext(FieldSpec(q), from_generators(gens))
         assert not sgalg.table_pays(ctx, n)
         ring = sgalg._residue_ring(ctx)
-        blocks, table = sgalg._scan(ctx, n, lo, hi)
-        assert table is None
-        for f in [f for block in blocks for f in block]:
+        codes = []
+        for lo, hi in ranges:
+            blocks, table = sgalg._scan(ctx, n, lo, hi)
+            assert table is None
+            codes += [f for block in blocks for f in block]
+        for f in codes:
             found = list(sgalg._factored(ctx, [[f]]))
             fac = factor_fq(Polynomial.from_encoding(ctx.field, f))
             factors = [(g.encoding, e) for g, e in fac.factors]
@@ -524,8 +612,9 @@ def test_scan_factor_lists_match_factor_fq_off_the_table():
             unsplit, m, k = verdict
             assert found == ([(f, factors, m, k)] if unsplit else [])
             items.append((f, verdict))
-    assert len(items) == 257 + 300 + 1 + 1
-    assert items[-2:] == [(31 ** 5, (False, 5, 0)), (product.encoding, (False, 0, 2))]
+    assert len(items) == 257 + 300 + 1 + 1 + 200
+    assert items[557:559] == [(31 ** 5, (False, 5, 0)), (product.encoding, (False, 0, 2))]
+    assert {unsplit for _, (unsplit, _, _) in items[559:]} == {False, True}
 
 
 @pytest.mark.parametrize("p, top", [(2, 8), (2, 11), (2, 13), (3, 7), (5, 5), (7, 4)])
