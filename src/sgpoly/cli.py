@@ -189,14 +189,17 @@ POOL_MIN = 4096  # members of the smallest degree worth a worker pool
 # the same in a dense context (sgalg.is_dense): each of its degrees with
 # POOL_MIN members that a scan admits pays for a table, so its scans sweep,
 # and every worker sweeps all codes below its degree for itself; only the
-# members' steps split and a pool pays later.  _scan_counts alone, two
-# workers against one process (2-vCPU x86-64, Python 3.11): the pool lost
-# on F_2[x] to degree 16 (65,536 members) and F_3[x] to 10 (59,049), saved
-# at most 12% on F_2[x^2,x^3] to 17 (65,536) and F_5[x] to 7 (78,125), and
-# a quarter or more on F_7[x] to 6 (117,649) and from 131,072 members on
-# each.  More workers split the steps further, so there the bound errs
-# towards one process (not measured past 2 CPUs)
-DENSE_POOL_MIN = 100_000
+# top degrees' code ranges split, and one process tallies whole degrees
+# from the swept ids, so a pool pays later.  _scan_counts alone, two
+# workers against one process, medians of 11 alternating runs (2-vCPU
+# x86-64, Python 3.11): the pool lost on F_7[x] to degree 6 (117,649
+# members, +9%), F_2[x^2,x^3] to 18 (131,072, +8%) and F_3[x] to 11
+# (177,147, +30%), and saved 7-21% from 262,144 members on (F_2[x^2,x^3]
+# to 19, F_2[x] to 18 and 19, F_5[x] to 8, F_7[x] to 7), except F_3[x] to
+# 12 (531,441, +6%, inside the runs' spread).  More workers split the
+# ranges further, so there the bound errs towards one process (not
+# measured past 2 CPUs)
+DENSE_POOL_MIN = 200_000
 CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
 
 _worker_ctx = None  # a pool worker's context, set by _start_worker

@@ -32,8 +32,10 @@ code (AlgebraContext.signatures), the id of that multiset, resolved at
 most once while the ids are kept (SIGNATURE_IDS of them at most), and
 the scan tallies its members' ids and decides each id's verdict and
 shape once, on the lattice of its residues.  At degree 16 the 32,768
-members of F_2[x^2,x^3] have 285 ids, resolved by a sweep or along
-cofactor chains by the rule AlgebraContext.signatures gives.
+members of F_2[x^2,x^3] have 285 ids, resolved by a sweep of whole code
+ranges, whose ids a dense scan tallies from strided slices with no member
+list, or along cofactor chains, by the rule AlgebraContext.signatures
+gives.
 Only the listing walks the table, for the factors of its irreducible
 members.  A table covers every monic code, not only the members, so a
 scan over any field uses one only when it fits under MAX_SCAN entries and
@@ -61,7 +63,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress, islice
+from itertools import compress, cycle, islice
 
 from . import _gf2
 from .ffpoly import FieldSpec, FqFactorization, Polynomial, _divrem_t, _mul_t, factor_fq
@@ -109,22 +111,30 @@ class AlgebraContext:
 
         The codes a scan asks for are resolved one of two ways, and the
         counts and listings are the same either way.  In a dense context
-        (is_dense) a degree-n scan first sweeps the monic codes [p^k, 2p^k)
-        of each degree k below n in one forward pass, whose cofactors, of
-        lower degree, are all resolved, and then takes one step per member.
+        (is_dense) a degree-n scan sweeps the monic codes [p^k, 2p^k) of
+        each degree k below n that the sweep mark has not passed, in one
+        forward pass whose cofactors, of lower degree, are all resolved,
+        and then sweeps its own members' code range by the same routine:
+        the whole degree for a whole-degree count or listing, which moves
+        the mark past n, so each code is resolved once, and from its first
+        member's code to its last for a pool chunk.  A count tallies the
+        ids from strided slices of the array, one per member residue mod
+        p^w (one over N, two for <2,3>), and builds no member list.
         Elsewhere the chain resolver resolves the codes a scan asks for in
         batches, each batch's unresolved cofactors first.  In a dense
         context a scan of degrees 2..n reaches every monic code h below n
-        along its members' cofactor chains anyway, so the sweep resolves
-        the same codes, only faster: when deg h < n-1, x^(n-deg h)*h has
-        no x^1 term, so it is a member, and since x is the least
-        irreducible its chain strips x down to h; at degree n-1, h lies on
-        the chain of x*h or (x+1)*h when either is a member, and otherwise
-        (over F_2, h = 1 + x^2*g) is itself a member of degree n-1.  In a
-        sparse context the chains reach a small share of the codes:
-        F_7[<3,5,7>] to degree 8 resolves 49,712 codes to 41,463 ids by
-        chains, where a sweep would resolve 961,143 codes to 750,083 ids
-        and more than double the peak memory.
+        along its members' cofactor chains anyway: when deg h < n-1,
+        x^(n-deg h)*h has no x^1 term, so it is a member, and since x is
+        the least irreducible its chain strips x down to h; at degree n-1,
+        h lies on the chain of x*h or (x+1)*h when either is a member, and
+        otherwise (over F_2, h = 1 + x^2*g) is itself a member of degree
+        n-1.  So below n the sweep resolves the same codes, only faster;
+        at n it also resolves the codes no member has (over F_2[x^2,x^3],
+        those with an x^1 term), which the tally skips.  In a sparse
+        context the chains reach a small share of the codes: F_7[<3,5,7>]
+        to degree 8 resolves 49,712 codes to 41,463 ids by chains, where a
+        sweep would resolve 961,143 codes to 750,083 ids and more than
+        double the peak memory.
         """
         return _Signatures(self)
 
@@ -536,8 +546,9 @@ FACTORED_US = 300
 WALK_US = 0.27
 ADD_US = 0.063
 
-# member codes a table-route scan resolves at once, so that a degree's
-# scan holds its block's cofactor lists rather than a whole degree's
+# member codes a chain-route scan resolves at once, and codes of each
+# residue mod p a dense sweep resolves at once, so that a degree's scan
+# holds one block's key lists rather than a whole degree's
 SCAN_BLOCK = 1 << 12
 
 # signature ids a context keeps (see _Signatures.ids) before it clears them
@@ -865,9 +876,10 @@ def _scan(ctx, n, lo, hi):
     SCAN_BLOCK codes, so no list passes SCAN_BLOCK by a row (p^floor(k/2)
     codes for p^k members).  table is the factor table (spf, cof) that
     prepare_scans hands the scan, or None: the members are then factored
-    one by one (see _factored).  A degree over the guard or a bad degree
-    or range raises ValueError here rather than at the first block.  An
-    empty range or a gap degree builds no table.
+    one by one (see _factored).  A dense scan on a table reads no block:
+    it sweeps a code range instead (see _Signatures.sweep).  A degree over
+    the guard or a bad degree or range raises ValueError here rather than
+    at the first block.  An empty range or a gap degree builds no table.
     """
     lo, hi, lo_tab, hi_tab = _member_tables(ctx, n, lo, hi)
     if n == 0 or lo == hi:
@@ -908,9 +920,10 @@ def _factored(ctx, blocks):
 class _Signatures:
     """A context's signature ids over the factor table's codes (see AlgebraContext.signatures).
 
-    dense picks the resolver once, by is_dense; swept, the sweep mark, is
-    the degree below which every monic code is resolved, and a clear of
-    the ids resets it with the array.
+    dense picks the resolver once, by is_dense: a dense context's scans
+    read their ids from sweep, every other context's from ids.  swept, the
+    sweep mark, is the degree below which every monic code is resolved,
+    and a clear of the ids resets it with the array.
     """
 
     def __init__(self, ctx):
@@ -922,11 +935,13 @@ class _Signatures:
         self.slot_mod = max(self.modulus, p)
         self.x_slot = p % self.slot_mod
         self.dense = is_dense(ctx)
+        # a dense context's member residues mod p^w: 0 over N, 0 and 1 for <2,3>
+        self.residues = [r for r in range(self.modulus) if ring[2](r)] if self.dense else None
         self._clear()
 
     def _clear(self):
         # no code resolved and no id but the empty multiset's; the old
-        # array goes before ids() extends the new one to the table.  An id
+        # array goes before _fit extends the new one to the table.  An id
         # is stored as an edge of a trie: its multiset less its greatest
         # slot (parent) and that slot (last), so an id costs a steps entry
         # and a few array slots, whatever its size
@@ -938,56 +953,95 @@ class _Signatures:
         self.verdicts = [None, None]  # id -> (unsplit, m, k), decided on first use
         self.kinds = {}  # each (unsplit, m, k) once, shared by the ids that have it
 
-    def ids(self, codes, table):
-        """The signature id of each code in the list codes, resolving new ones.
-
-        table is the factor table (spf, cof) the scan reads; any table
-        prepare_factor_table built over the field agrees on every code it
-        covers.  The ids are valid until the next call: one that finds more
-        than SIGNATURE_IDS ids first clears every memo and the array, so a
-        caller reads the verdicts of one call's ids before it makes another.
-        """
+    def _fit(self, table):
+        # clear the ids once they pass SIGNATURE_IDS, and extend the array
+        # to the table (a new one, or one rebuilt to a higher degree); any
+        # table prepare_factor_table built over the field agrees on every
+        # code it covers
         if len(self.last) > SIGNATURE_IDS:
             self._clear()
         sig = self.sig
-        if len(sig) < len(table[1]):  # a new table, or one rebuilt to a higher degree
+        if len(sig) < len(table[1]):
             sig.frombytes(bytes(sig.itemsize * (len(table[1]) - len(sig))))
-        if not self.dense:
-            return self._ids(codes, table)
-        self._sweep(max(codes, default=1), table)
-        ids = [sig[a] for a in codes]
-        if 0 in ids:  # one step each, from cofactors the sweep resolved
-            ids = self._stepped(codes, table)
-        return ids
 
-    def _sweep(self, top, table):
-        # resolve every monic code of a degree below top's that the sweep
-        # mark has not passed, one degree k at a time and p * SCAN_BLOCK
-        # codes at once: the cofactors of the codes [p^k, 2p^k) lie below
-        # p^k, resolved already.  x, the least irreducible, is the least
-        # factor of each code p*h, whose cofactor is h, so those take
-        # their keys from one slice of degree k-1
-        p, k, sig = self.p, self.swept, self.sig
+    def ids(self, codes, table):
+        """The signature id of each code in the list codes, resolved along cofactor chains.
+
+        table is the factor table (spf, cof) the scan reads.  The ids are
+        valid until the next call: one that finds more than SIGNATURE_IDS
+        ids first clears every memo and the array, so a caller reads the
+        verdicts of one call's ids before it makes another.
+        """
+        self._fit(table)
+        return self._ids(codes, table)
+
+    def sweep(self, n, lo, hi, table):
+        """Resolve the codes [lo, hi) of degree n by blocks, yielding each block's (start, end).
+
+        A block holds p * SCAN_BLOCK codes.  Before each, the ids are
+        cleared once they pass SIGNATURE_IDS, and every degree below n that
+        the sweep mark has not passed is swept; the block's ids stay valid
+        until the generator resumes, so a caller reads their verdicts
+        first.  Codes the mark has passed are read as they are.  A sweep of
+        the whole degree that no clear cut after its first block advances
+        the mark past n, so no code is resolved twice.
+        """
+        p, first = self.p, None
+        for start, end in self._blocks(lo, hi):
+            self._fit(table)
+            if self.swept <= n:
+                self._sweep_below(n, table)
+                self._sweep_codes(start, end, table)
+            if first is None:
+                first = self.sig
+            yield start, end
+        if (lo, hi) == (p ** n, 2 * p ** n) and self.sig is first and self.swept == n:
+            self.swept = n + 1
+
+    def tally(self, start, end):
+        """A Counter of the ids of the member codes in [start, end), in a dense context.
+
+        The members are the codes with a member's residue mod p^w, one
+        strided slice of sig per residue.
+        """
+        modulus, sig, tally = self.modulus, self.sig, Counter()
+        for r in self.residues:
+            tally.update(sig[start + (r - start) % modulus:end:modulus])
+        return tally
+
+    def members(self, start, end):
+        """The member codes in [start, end), in increasing order, in a dense context."""
+        modulus = self.modulus
+        flags = [(start + i) % modulus in self.residues for i in range(modulus)]
+        return list(compress(range(start, end), cycle(flags)))
+
+    def _blocks(self, lo, hi):
+        # [lo, hi) cut into (start, end) blocks of p * SCAN_BLOCK codes
+        size = self.p * SCAN_BLOCK
+        return [(start, min(start + size, hi)) for start in range(lo, hi, size)]
+
+    def _sweep_below(self, n, table):
+        # resolve every monic code of each degree from the sweep mark to n - 1
+        p = self.p
+        for k in range(self.swept, n):
+            for start, end in self._blocks(p ** k, 2 * p ** k):
+                self._sweep_codes(start, end, table)
+            self.swept = k + 1
+
+    def _sweep_codes(self, lo, hi, table):
+        # resolve the codes [lo, hi) of one degree, whose cofactors, of
+        # lower degree, are all resolved, one residue t mod p at a time.
+        # x, the least irreducible, is the least factor of each code p*h,
+        # whose cofactor is h, so those take their keys from one slice
+        p, sig = self.p, self.sig
         modulus, x_slot = self.slot_mod, self.x_slot
-        while p ** (k + 1) <= top:
-            end = 2 * p ** k
-            for lo in range(p ** k, end, p * SCAN_BLOCK):
-                hi = min(lo + p * SCAN_BLOCK, end)
-                keys = [sid * modulus + x_slot for sid in sig[lo // p:hi // p]]
-                sig[lo:hi:p] = array("i", self._steps(keys))
-                for t in range(1, p):  # the codes with constant term t
-                    keys = self._keys(range(lo + t, hi, p), table)
-                    sig[lo + t:hi:p] = array("i", self._steps(keys))
-            k += 1
-        self.swept = k
-
-    def _stepped(self, codes, table):
-        # resolve codes whose cofactors are resolved, one step each, and
-        # return their ids
-        ids, sig = self._steps(self._keys(codes, table)), self.sig
-        for a, sid in zip(codes, ids):
-            sig[a] = sid
-        return ids
+        start = lo + -lo % p
+        keys = [sid * modulus + x_slot for sid in sig[start // p:-(-hi // p)]]
+        sig[start:hi:p] = array("i", self._steps(keys))
+        for t in range(1, p):  # the codes with constant term t
+            start = lo + (t - lo) % p
+            keys = self._keys(range(start, hi, p), table)
+            sig[start:hi:p] = array("i", self._steps(keys))
 
     def _keys(self, codes, table):
         # the step key of each code a whose cofactor is resolved:
@@ -1020,7 +1074,9 @@ class _Signatures:
         # sig[a] = step(sig[cof[a]], slot of a's least factor) for the
         # distinct unresolved codes, their unresolved cofactors first
         self._ids(list(map(table[1].__getitem__, codes)), table)
-        self._stepped(codes, table)
+        sig = self.sig
+        for a, sid in zip(codes, self._steps(self._keys(codes, table))):
+            sig[a] = sid
 
     def _step(self, key, sid, slot):
         # the id of sid's multiset plus slot, on a miss of steps[key].  A
@@ -1082,7 +1138,9 @@ def count_classes(ctx, n, lo=0, hi=None):
     enumerate_degree, so disjoint ranges can run on separate workers and
     their ClassCounts absorb into the full-degree answer.  On the table
     route members are tallied by signature id, and each id's verdict is
-    read once.
+    read once: a dense context (is_dense) sweeps the codes from its first
+    member's to its last and tallies strided slices of the ids, every other
+    context resolves its members' ids block by block.
     """
     blocks, table = _scan(ctx, n, lo, hi)
     shapes = Counter()
@@ -1090,8 +1148,13 @@ def count_classes(ctx, n, lo=0, hi=None):
         shapes.update((m, k) for _, _, m, k in _factored(ctx, blocks))
     else:
         sigs = ctx.signatures
-        for codes in blocks:
-            for sid, count in Counter(sigs.ids(codes, table)).items():
+        if sigs.dense:
+            ranges = sigs.sweep(n, *_span(ctx, n, lo, hi), table)
+            tallies = (sigs.tally(start, end) for start, end in ranges)
+        else:
+            tallies = (Counter(sigs.ids(codes, table)) for codes in blocks)
+        for tally in tallies:
+            for sid, count in tally.items():
                 unsplit, m, k = sigs.verdict(sid)
                 if unsplit:
                     shapes[m, k] += count
@@ -1099,6 +1162,20 @@ def count_classes(ctx, n, lo=0, hi=None):
     for (m, k), count in shapes.items():
         counts.add(m, k, count)
     return counts
+
+
+def _span(ctx, n, lo, hi):
+    # the code range a dense scan of the members with index in [lo, hi) of
+    # degree n sweeps: the whole degree, [p^n, 2p^n), for all its members,
+    # else [first, last + 1) for the codes first and last of members lo and
+    # hi - 1.  Members run in increasing code order, so a member lies
+    # between them exactly when its index lies in [lo, hi)
+    lo, hi, low, high = _member_tables(ctx, n, lo, hi)
+    base, size = ctx.field.p ** n, len(low)
+    if hi - lo == size * len(high):
+        return base, 2 * base
+    first, last = (base + low[i % size] + high[i // size] for i in (lo, hi - 1))
+    return first, last + 1
 
 
 def iter_irreducible(ctx, n):
@@ -1112,24 +1189,45 @@ def iter_irreducible(ctx, n):
     field = ctx.field
     friendly = ctx.is_friendly
     decode = partial(Polynomial.from_encoding, field)
+    if table is None:
+        items = _factored(ctx, blocks)
+    elif ctx.signatures.dense:
+        items = _walk(_dense_blocks(ctx.signatures, n, table), table)
+    else:
+        items = _walked(ctx.signatures, blocks, table)
     return (
         (
             decode(f),
             FqFactorization(field, 1, tuple((decode(g), e) for g, e in factors)),
             _friendly_class_of(m, k) if friendly else None,
         )
-        for f, factors, m, k in (_factored(ctx, blocks) if table is None
-                                 else _walked(ctx.signatures, blocks, table))
+        for f, factors, m, k in items
     )
 
 
+def _dense_blocks(sigs, n, table):
+    # (members, verdicts) per block of a dense context's sweep of degree n,
+    # each block's verdicts read before the sweep resumes, once an id
+    p = sigs.p
+    for start, end in sigs.sweep(n, p ** n, 2 * p ** n, table):
+        codes, sig = sigs.members(start, end), sigs.sig
+        verdicts = {sid: sigs.verdict(sid) for sid in sigs.tally(start, end)}
+        yield codes, list(map(verdicts.__getitem__, map(sig.__getitem__, codes)))
+
+
 def _walked(sigs, blocks, table):
-    # (member, factors, m, k) per irreducible member of blocks, its verdict
-    # read from its signature id and its factors walked from the table:
+    # _walk over blocks of member codes, each block's verdicts read from
+    # ids resolved along cofactor chains before another scan's ids()
+    for codes in blocks:
+        yield from _walk([(codes, list(map(sigs.verdict, sigs.ids(codes, table))))], table)
+
+
+def _walk(blocks, table):
+    # (member, factors, m, k) per irreducible member of blocks, pairs of
+    # member codes and their verdicts, its factors walked from the table:
     # equal factors come out in a row, least first
     spf, cof = table
-    for codes in blocks:
-        verdicts = list(map(sigs.verdict, sigs.ids(codes, table)))  # before another scan's ids()
+    for codes, verdicts in blocks:
         for f, (unsplit, m, k) in zip(codes, verdicts):
             if unsplit:
                 factors, a = [], f

@@ -1167,8 +1167,10 @@ def test_listing_resumes_across_a_rebuilt_table(monkeypatch, q, gens, n, rebuilt
 def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
     # the dense contexts, scanned degree by degree to top on each resolver
     # in turn (the density rule patched to pick it): the sweep and the
-    # chains give the same counts and listings, and resolve the same codes
-    # to ids of the same multisets of slots
+    # chains give the same counts and listings, and the sweep resolves
+    # every code the chains resolve to an id of the same multiset of slots.
+    # The sweep also resolves the codes of the top degree that no member
+    # has (those with an x^1 term in F_2[x^2,x^3]), which no chain reaches
     sgalg.prepare_factor_table(q, top)
     runs = []
     for dense in (True, False):
@@ -1182,5 +1184,68 @@ def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
             listings.append(list(iter_irreducible(ctx, n)))
         resolved = {a: sigs.slots(sid) for a, sid in enumerate(sigs.sig) if sid}
         runs.append((counts, listings, resolved))
-    assert runs[0] == runs[1]
-    assert sum(map(len, runs[0][1])) == sum(c.total for c in runs[0][0]) > 0
+    (counts, listings, swept), (chained_counts, chained_listings, chained) = runs
+    assert counts == chained_counts and listings == chained_listings
+    assert {a: swept.get(a) for a in chained} == chained
+    members = {f.encoding for f in enumerate_degree(ctx, top)}
+    assert swept.keys() - chained.keys() == set(range(q ** top, 2 * q ** top)) - members
+    assert sum(map(len, listings)) == sum(c.total for c in counts) > 0
+
+
+@pytest.mark.parametrize(
+    "q, gens, n",
+    [(2, (2, 3), 11), (2, (1,), 9), (3, (1,), 6)],
+    ids=["f2-23", "f2-N", "f3-N"],
+)
+def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
+    # a dense scan of the members with index in [lo, hi) sweeps the codes
+    # from member lo's to member hi-1's, and the whole degree for all its
+    # members.  Ranges cut inside a p-block (the p codes that differ only
+    # in their constant term), single members, the first and the last
+    # member absorb into the whole-degree counts, each on a fresh context
+    # and all on one context that counts them, then the whole degree, then
+    # lists.  The sweep mark passes n only once a whole degree is swept, by
+    # a count or a listing run to its end.  Blocks of 3p codes cut the
+    # ranges further
+    monkeypatch.setattr(sgalg, "SCAN_BLOCK", 3)
+    field, semigroup = FieldSpec(q), from_generators(gens)
+
+    def fresh():
+        return AlgebraContext(field, semigroup)
+
+    whole, listing = count_classes(fresh(), n), list(iter_irreducible(fresh(), n))
+    assert whole.total == len(listing) > 0
+    ctx = fresh()
+    codes = [f.encoding for f in enumerate_degree(ctx, n)]
+    total = len(codes)
+    cuts = [0, 1, 2, q + 2, 2 * q + 3, total // 2 + 1, total - q - 2, total - 1, total]
+    assert cuts == sorted(set(cuts)) and total - 1 in cuts
+    assert [codes[c] % q for c in cuts[1:3]] == [1, 2 % q]  # inside a p-block, or just past one
+    ranges = list(zip(cuts, cuts[1:]))
+    for lo, hi in ranges:
+        alone = fresh()
+        part = count_classes(alone, n, lo, hi)
+        assert part == count_classes(ctx, n, lo, hi)
+        sig = alone.signatures.sig
+        resolved = [a for a in range(q ** n, 2 * q ** n) if sig[a]]
+        assert resolved == list(range(codes[lo], codes[hi - 1] + 1))
+        assert alone.signatures.swept == n
+    merged = ClassCounts()
+    for lo, hi in ranges:
+        merged.absorb(count_classes(fresh(), n, lo, hi))
+    assert merged == whole
+    assert ctx.signatures.swept == n
+    assert count_classes(ctx, n) == whole
+    assert ctx.signatures.swept == n + 1
+    assert list(iter_irreducible(ctx, n)) == listing
+    merged = ClassCounts()
+    for lo, hi in ranges:
+        merged.absorb(count_classes(ctx, n, lo, hi))
+    assert merged == whole and ctx.signatures.swept == n + 1
+    # a listing stopped partway leaves the mark below its degree
+    ctx = fresh()
+    stream = iter_irreducible(ctx, n)
+    head = [next(stream) for _ in range(3)]
+    assert ctx.signatures.swept == n
+    assert head + list(stream) == listing
+    assert ctx.signatures.swept == n + 1
