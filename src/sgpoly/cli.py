@@ -188,18 +188,19 @@ def _emit(args, fields, rows):
 POOL_MIN = 4096  # members of the smallest degree worth a worker pool
 # the same in a dense context (sgalg.is_dense): each of its degrees with
 # POOL_MIN members that a scan admits pays for a table, so its scans sweep,
-# and every worker sweeps all codes below its degree for itself; only the
-# top degrees' code ranges split, and one process tallies whole degrees
-# from the swept ids, so a pool pays later.  _scan_counts alone, two
-# workers against one process, medians of 11 alternating runs (2-vCPU
-# x86-64, Python 3.11): the pool lost on F_7[x] to degree 6 (117,649
-# members, +9%), F_2[x^2,x^3] to 18 (131,072, +8%) and F_3[x] to 11
-# (177,147, +30%), and saved 7-21% from 262,144 members on (F_2[x^2,x^3]
-# to 19, F_2[x] to 18 and 19, F_5[x] to 8, F_7[x] to 7), except F_3[x] to
-# 12 (531,441, +6%, inside the runs' spread).  More workers split the
-# ranges further, so there the bound errs towards one process (not
-# measured past 2 CPUs)
-DENSE_POOL_MIN = 200_000
+# and every worker sweeps the codes with a nonzero constant term below its
+# degree for itself; only the top degrees' code ranges split, and one
+# process tallies whole degrees from the swept ids, so a pool pays later.
+# _scan_counts alone, two workers against one process, medians of 11
+# alternating runs (2-vCPU x86-64, Python 3.11), while both vCPUs ran two
+# processes at full speed: the pool lost at 262,144 members (F_2[x] to
+# 18, +26%), broke even at 524,288 over F_2 (F_2[x^2,x^3] to 20, +2%;
+# F_2[x] to 19, -5%) and saved 13-32% from 390,625 members over F_3, F_5
+# and F_7 (F_5[x] to 8, F_3[x] to 12, F_7[x] to 7).  While the host gave
+# the two vCPUs one CPU's worth, every pool lost 26-124%.  More workers
+# split the ranges further, so there the bound errs towards one process
+# (not measured past 2 CPUs)
+DENSE_POOL_MIN = 300_000
 CHUNKS_PER_WORKER = 4  # chunks of each such degree per worker, for balance
 
 _worker_ctx = None  # a pool worker's context, set by _start_worker

@@ -32,10 +32,12 @@ code (AlgebraContext.signatures), the id of that multiset, resolved at
 most once while the ids are kept (SIGNATURE_IDS of them at most), and
 the scan tallies its members' ids and decides each id's verdict and
 shape once, on the lattice of its residues.  At degree 16 the 32,768
-members of F_2[x^2,x^3] have 285 ids, resolved by a sweep of whole code
-ranges, whose ids a dense scan tallies from strided slices with no member
-list, or along cofactor chains, by the rule AlgebraContext.signatures
-gives.
+members of F_2[x^2,x^3] have 285 ids.  They are resolved either by a
+sweep over the codes with a nonzero constant term (49,152 of them: all
+such codes below degree 16 and the 16,384 members among degree 16's),
+from which a dense scan tallies each member x^m*u through u's id in
+strided slices with no member list, or along cofactor chains, by the
+rule AlgebraContext.signatures gives.
 Only the listing walks the table, for the factors of its irreducible
 members.  A table covers every monic code, not only the members, so a
 scan over any field uses one only when it fits under MAX_SCAN entries and
@@ -63,7 +65,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import compress, cycle, islice
+from itertools import compress, islice
 
 from . import _gf2
 from .ffpoly import FieldSpec, FqFactorization, Polynomial, _divrem_t, _mul_t, factor_fq
@@ -111,30 +113,35 @@ class AlgebraContext:
 
         The codes a scan asks for are resolved one of two ways, and the
         counts and listings are the same either way.  In a dense context
-        (is_dense) a degree-n scan sweeps the monic codes [p^k, 2p^k) of
-        each degree k below n that the sweep mark has not passed, in one
-        forward pass whose cofactors, of lower degree, are all resolved,
-        and then sweeps its own members' code range by the same routine:
-        the whole degree for a whole-degree count or listing, which moves
-        the mark past n, so each code is resolved once, and from its first
-        member's code to its last for a pool chunk.  A count tallies the
-        ids from strided slices of the array, one per member residue mod
-        p^w (one over N, two for <2,3>), and builds no member list.
-        Elsewhere the chain resolver resolves the codes a scan asks for in
-        batches, each batch's unresolved cofactors first.  In a dense
-        context a scan of degrees 2..n reaches every monic code h below n
-        along its members' cofactor chains anyway: when deg h < n-1,
-        x^(n-deg h)*h has no x^1 term, so it is a member, and since x is
-        the least irreducible its chain strips x down to h; at degree n-1,
-        h lies on the chain of x*h or (x+1)*h when either is a member, and
-        otherwise (over F_2, h = 1 + x^2*g) is itself a member of degree
-        n-1.  So below n the sweep resolves the same codes, only faster;
-        at n it also resolves the codes no member has (over F_2[x^2,x^3],
-        those with an x^1 term), which the tally skips.  In a sparse
-        context the chains reach a small share of the codes: F_7[<3,5,7>]
-        to degree 8 resolves 49,712 codes to 41,463 ids by chains, where a
-        sweep would resolve 961,143 codes to 750,083 ids and more than
-        double the peak memory.
+        (is_dense) a scan sweeps only x-free codes, those with a nonzero
+        constant term: every factor of one, and its cofactor, is x-free
+        too, so they need only each other, and the codes x divides stay 0.
+        A degree-n scan sweeps the x-free codes [p^k, 2p^k) of each degree
+        k below n that the sweep mark has not passed, in one forward pass
+        whose cofactors, of lower degree, are all resolved, and then, in
+        its members' code range (the whole degree, or from its first
+        member's code to its last for a pool chunk), the x-free codes with
+        a member residue, its members x^0*u.  A member x^m*u has the id of
+        u's multiset plus m x-slots, so a count tallies strided slices of
+        the array over the u of each member residue and moves each id met
+        by m, once per (id, m), with no member list.  A whole degree's
+        scan leaves n open: its other x-free codes (over F_2[x^2,x^3],
+        those with an x^1 term) are swept when a higher scan passes n, so
+        no x-free code is stepped twice while the ids are kept.  Elsewhere
+        the chain resolver resolves the codes a scan asks for in batches,
+        each batch's unresolved cofactors first.  In a dense context a
+        scan of degrees 2..n reaches every monic code h below n along its
+        members' cofactor chains anyway: when deg h < n-1, x^(n-deg h)*h
+        has no x^1 term, so it is a member, and since x is the least
+        irreducible its chain strips x down to h; at degree n-1, h lies on
+        the chain of x*h or (x+1)*h when either is a member, and otherwise
+        (over F_2, h = 1 + x^2*g) is itself a member of degree n-1.  So
+        the sweep resolves exactly the x-free codes the chains resolve,
+        only faster, and reads the others through their x-free parts.  In
+        a sparse context the chains reach a small share of the codes:
+        F_7[<3,5,7>] to degree 8 resolves 49,712 codes to 41,463 ids by
+        chains, where a sweep of every code would resolve 961,143 codes to
+        750,083 ids and more than double the peak memory.
         """
         return _Signatures(self)
 
@@ -547,8 +554,8 @@ WALK_US = 0.27
 ADD_US = 0.063
 
 # member codes a chain-route scan resolves at once, and codes of each
-# residue mod p a dense sweep resolves at once, so that a degree's scan
-# holds one block's key lists rather than a whole degree's
+# residue mod max(p^w, p) a dense sweep reads at once, so that a degree's
+# scan holds one block's key lists rather than a whole degree's
 SCAN_BLOCK = 1 << 12
 
 # signature ids a context keeps (see _Signatures.ids) before it clears them
@@ -921,9 +928,12 @@ class _Signatures:
     """A context's signature ids over the factor table's codes (see AlgebraContext.signatures).
 
     dense picks the resolver once, by is_dense: a dense context's scans
-    read their ids from sweep, every other context's from ids.  swept, the
-    sweep mark, is the degree below which every monic code is resolved,
-    and a clear of the ids resets it with the array.
+    read their ids from sweep, every other context's from ids.  A sweep
+    resolves only x-free codes (those with a nonzero constant term), and
+    its mark is two degrees: every x-free code of degree below swept is
+    resolved, and open, when it equals swept, is a degree whose member
+    residues are all resolved while its other residues are not.  A clear
+    of the ids resets both with the array.
     """
 
     def __init__(self, ctx):
@@ -935,8 +945,19 @@ class _Signatures:
         self.slot_mod = max(self.modulus, p)
         self.x_slot = p % self.slot_mod
         self.dense = is_dense(ctx)
-        # a dense context's member residues mod p^w: 0 over N, 0 and 1 for <2,3>
-        self.residues = [r for r in range(self.modulus) if ring[2](r)] if self.dense else None
+        # residue classes (stride, residues) of x-free codes: x_free holds
+        # them all, mod p.  In a dense context residues[min(m, w)] holds the
+        # classes of the u that make x^m*u a member, mod p^w below w (over
+        # <2,3>: [1] mod 4, then none) and x_free from w on; others holds
+        # the x-free classes residues[0] leaves out
+        self.x_free = (p, range(1, p))
+        self.residues = self.others = None
+        if self.dense:
+            w, modulus, member = ctx.semigroup.frobenius + 1, self.modulus, ring[2]
+            free = [r for r in range(modulus) if r % p]
+            self.residues = [(modulus, [r for r in free if member(p ** m * r % modulus)])
+                             for m in range(w)] + [self.x_free]
+            self.others = (self.slot_mod, [r for r in free if r not in self.residues[0][1]])
         self._clear()
 
     def _clear(self):
@@ -947,7 +968,9 @@ class _Signatures:
         # and a few array slots, whatever its size
         self.sig = array("i", [0, 1])  # 0: unresolved; 1: the empty multiset, code 1's
         self.swept = 1  # the sweep mark: code 1, of degree 0, is resolved
+        self.open = 0  # no degree's member residues resolved apart from the rest
         self.steps = {}  # id * slot_mod + slot -> id of that multiset plus the slot
+        self.powers = {}  # (id, m) -> id of that multiset plus m x-slots
         self.parent = array("i", [0, 0])
         self.last = array("i", [0, -1])  # -1: the empty multiset's, below every slot
         self.verdicts = [None, None]  # id -> (unsplit, m, k), decided on first use
@@ -976,84 +999,121 @@ class _Signatures:
         return self._ids(codes, table)
 
     def sweep(self, n, lo, hi, table):
-        """Resolve the codes [lo, hi) of degree n by blocks, yielding each block's (start, end).
+        """Resolve what the members in codes [lo, hi) of degree n read, block by block.
 
-        A block holds p * SCAN_BLOCK codes.  Before each, the ids are
-        cleared once they pass SIGNATURE_IDS, and every degree below n that
-        the sweep mark has not passed is swept; the block's ids stay valid
-        until the generator resumes, so a caller reads their verdicts
-        first.  Codes the mark has passed are read as they are.  A sweep of
-        the whole degree that no clear cut after its first block advances
-        the mark past n, so no code is resolved twice.
+        It yields each block's (start, end); a block holds slot_mod *
+        SCAN_BLOCK codes.  Before each, the ids are cleared once they pass
+        SIGNATURE_IDS, every degree below n that the sweep mark has not
+        passed is swept, and the block's x-free codes with a member
+        residue (those of the members x^0*u) are resolved; its other
+        members x^m*u, m > 0, are read through u, of lower degree.  The
+        block's ids stay valid until the generator resumes, so a caller
+        reads their verdicts first.  A sweep of the whole degree that no
+        clear cut after its first block marks n open, or passes it when
+        every x-free residue is a member residue (over N), so no code is
+        resolved twice.
         """
         p, first = self.p, None
         for start, end in self._blocks(lo, hi):
             self._fit(table)
-            if self.swept <= n:
+            if self.swept <= n and self.open != n:
                 self._sweep_below(n, table)
-                self._sweep_codes(start, end, table)
+                self._sweep_codes(start, end, self.residues[0], table)
             if first is None:
                 first = self.sig
             yield start, end
         if (lo, hi) == (p ** n, 2 * p ** n) and self.sig is first and self.swept == n:
-            self.swept = n + 1
+            self.open = n
+            if not self.others[1]:
+                self.swept = n + 1
 
     def tally(self, start, end):
         """A Counter of the ids of the member codes in [start, end), in a dense context.
 
-        The members are the codes with a member's residue mod p^w, one
-        strided slice of sig per residue.
+        Each strided slice of sig over the u of one member residue is
+        counted (see _pieces), and each id met moved by its m x-slots.
         """
-        modulus, sig, tally = self.modulus, self.sig, Counter()
-        for r in self.residues:
-            tally.update(sig[start + (r - start) % modulus:end:modulus])
+        tally = Counter()
+        for m, _, ids in self._pieces(start, end):
+            if m:
+                for sid, count in Counter(ids).items():
+                    tally[self._power(sid, m)] += count
+            else:
+                tally.update(ids)
         return tally
 
-    def members(self, start, end):
-        """The member codes in [start, end), in increasing order, in a dense context."""
-        modulus = self.modulus
-        flags = [(start + i) % modulus in self.residues for i in range(modulus)]
-        return list(compress(range(start, end), cycle(flags)))
+    def block_ids(self, start, end):
+        """The id of each code in [start, end) in a dense context, 0 for a non-member."""
+        out = array("i", [0]) * (end - start)
+        for m, codes, ids in self._pieces(start, end):
+            if m:
+                powers = {sid: self._power(sid, m) for sid in set(ids)}
+                ids = array("i", map(powers.__getitem__, ids))
+            out[codes.start - start:codes.stop - start:codes.step] = ids
+        return out
+
+    def _pieces(self, start, end):
+        # (m, codes, ids) for the members x^m*u in [start, end) whose u, of
+        # degree n - m, has one member residue: codes is the range of their
+        # codes, ids the slice of sig over their u, which lie in
+        # [ceil(start / p^m), ceil(end / p^m))
+        sig, residues = self.sig, self.residues
+        m, power = 0, 1
+        while power < end:
+            u, stop = -(-start // power), -(-end // power)
+            stride, rs = residues[min(m, len(residues) - 1)]
+            for r in rs:
+                first = u + (r - u) % stride
+                yield m, range(first * power, end, stride * power), sig[first:stop:stride]
+            m, power = m + 1, power * self.p
+
+    def _power(self, sid, m):
+        # the id of sid's multiset plus m x-slots, stepped once per (sid, m)
+        new = self.powers.get((sid, m))
+        if new is None:
+            new = self.powers[sid, m] = self._step_of(
+                self._power(sid, m - 1) if m > 1 else sid, self.x_slot)
+        return new
 
     def _blocks(self, lo, hi):
-        # [lo, hi) cut into (start, end) blocks of p * SCAN_BLOCK codes
-        size = self.p * SCAN_BLOCK
+        # [lo, hi) cut into (start, end) blocks of slot_mod * SCAN_BLOCK codes
+        size = self.slot_mod * SCAN_BLOCK
         return [(start, min(start + size, hi)) for start in range(lo, hi, size)]
 
     def _sweep_below(self, n, table):
-        # resolve every monic code of each degree from the sweep mark to n - 1
+        # resolve every x-free code of each degree from the sweep mark to
+        # n - 1, but for the member residues of an open degree
         p = self.p
         for k in range(self.swept, n):
+            residues = self.others if self.open == k else self.x_free
             for start, end in self._blocks(p ** k, 2 * p ** k):
-                self._sweep_codes(start, end, table)
+                self._sweep_codes(start, end, residues, table)
             self.swept = k + 1
 
-    def _sweep_codes(self, lo, hi, table):
-        # resolve the codes [lo, hi) of one degree, whose cofactors, of
-        # lower degree, are all resolved, one residue t mod p at a time.
-        # x, the least irreducible, is the least factor of each code p*h,
-        # whose cofactor is h, so those take their keys from one slice
-        p, sig = self.p, self.sig
-        modulus, x_slot = self.slot_mod, self.x_slot
-        start = lo + -lo % p
-        keys = [sid * modulus + x_slot for sid in sig[start // p:-(-hi // p)]]
-        sig[start:hi:p] = array("i", self._steps(keys))
-        for t in range(1, p):  # the codes with constant term t
-            start = lo + (t - lo) % p
-            keys = self._keys(range(start, hi, p), table)
-            sig[start:hi:p] = array("i", self._steps(keys))
+    def _sweep_codes(self, lo, hi, classes, table):
+        # resolve the unresolved codes [lo, hi) of one degree in the
+        # residue classes (stride, residues), all x-free: their cofactors,
+        # x-free and of lower degree, are all resolved.  A slice with no
+        # code resolved is stepped whole, else only its unresolved codes
+        sig, (stride, residues) = self.sig, classes
+        for r in residues:
+            start = lo + (r - lo) % stride
+            codes = range(start, hi, stride)
+            if any(sig[start:hi:stride]):
+                codes = list(compress(codes, map(operator.not_, sig[start:hi:stride])))
+                for a, sid in zip(codes, self._steps(codes, table)):
+                    sig[a] = sid
+            else:
+                sig[start:hi:stride] = array("i", self._steps(codes, table))
 
-    def _keys(self, codes, table):
-        # the step key of each code a whose cofactor is resolved:
-        # sig[cof[a]] * slot_mod + the slot of a's least factor (a's own
-        # when spf[a] is 0)
+    def _steps(self, codes, table):
+        # the id of each code a whose cofactor is resolved: the step from
+        # sig[cof[a]] by the slot of a's least factor (a's own when spf[a]
+        # is 0), a new id on a miss of steps
         spf, cof = table
         sig, modulus = self.sig, self.slot_mod
-        return [sig[cof[a]] * modulus + (spf[a] or a) % modulus for a in codes]
-
-    def _steps(self, keys):
-        # the id of each step key, a new one on a miss of steps
-        step, modulus = self.steps.get, self.slot_mod
+        keys = [sig[cof[a]] * modulus + (spf[a] or a) % modulus for a in codes]
+        step = self.steps.get
         ids = list(map(step, keys))
         if None in ids:
             for i in compress(range(len(ids)), map(operator.not_, ids)):
@@ -1075,7 +1135,7 @@ class _Signatures:
         # distinct unresolved codes, their unresolved cofactors first
         self._ids(list(map(table[1].__getitem__, codes)), table)
         sig = self.sig
-        for a, sid in zip(codes, self._steps(self._keys(codes, table))):
+        for a, sid in zip(codes, self._steps(codes, table)):
             sig[a] = sid
 
     def _step(self, key, sid, slot):
@@ -1138,9 +1198,10 @@ def count_classes(ctx, n, lo=0, hi=None):
     enumerate_degree, so disjoint ranges can run on separate workers and
     their ClassCounts absorb into the full-degree answer.  On the table
     route members are tallied by signature id, and each id's verdict is
-    read once: a dense context (is_dense) sweeps the codes from its first
-    member's to its last and tallies strided slices of the ids, every other
-    context resolves its members' ids block by block.
+    read once: a dense context (is_dense) sweeps the x-free codes below n
+    and those of its members' code range, and tallies strided slices of
+    the ids, each member x^m*u through u's; every other context resolves
+    its members' ids block by block.
     """
     blocks, table = _scan(ctx, n, lo, hi)
     shapes = Counter()
@@ -1166,7 +1227,7 @@ def count_classes(ctx, n, lo=0, hi=None):
 
 def _span(ctx, n, lo, hi):
     # the code range a dense scan of the members with index in [lo, hi) of
-    # degree n sweeps: the whole degree, [p^n, 2p^n), for all its members,
+    # degree n reads: the whole degree, [p^n, 2p^n), for all its members,
     # else [first, last + 1) for the codes first and last of members lo and
     # hi - 1.  Members run in increasing code order, so a member lies
     # between them exactly when its index lies in [lo, hi)
@@ -1210,9 +1271,11 @@ def _dense_blocks(sigs, n, table):
     # each block's verdicts read before the sweep resumes, once an id
     p = sigs.p
     for start, end in sigs.sweep(n, p ** n, 2 * p ** n, table):
-        codes, sig = sigs.members(start, end), sigs.sig
-        verdicts = {sid: sigs.verdict(sid) for sid in sigs.tally(start, end)}
-        yield codes, list(map(verdicts.__getitem__, map(sig.__getitem__, codes)))
+        ids = sigs.block_ids(start, end)
+        codes = list(compress(range(start, end), ids))
+        ids = list(filter(None, ids))
+        verdicts = {sid: sigs.verdict(sid) for sid in set(ids)}
+        yield codes, list(map(verdicts.__getitem__, ids))
 
 
 def _walked(sigs, blocks, table):

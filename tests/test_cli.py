@@ -863,7 +863,8 @@ def test_scan_output_does_not_depend_on_the_start_method(monkeypatch, capsys):
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool on any host
     # a pool for dense F_2[x^2,x^3] from degree 13 on, whose spawned
-    # workers each sweep the codes below their degrees for themselves
+    # workers each sweep the codes with a nonzero constant term below
+    # their degrees for themselves
     monkeypatch.setattr(cli, "DENSE_POOL_MIN", cli.POOL_MIN)
     for argv in (
         ["verify", "--sgp", "3,4,5", "--max-degree", "15"],  # degrees 14 and 15 pooled

@@ -1159,6 +1159,11 @@ def test_listing_resumes_across_a_rebuilt_table(monkeypatch, q, gens, n, rebuilt
     assert counted == count_classes(AlgebraContext(field, from_generators(gens)), rebuilt)
 
 
+def x_free_codes(q, n):
+    # the monic codes of degree below n with a nonzero constant term
+    return {a for k in range(n) for a in range(q ** k, 2 * q ** k) if a % q}
+
+
 @pytest.mark.parametrize(
     "q, gens, top",
     [(2, (2, 3), 14), (2, (1,), 12), (3, (1,), 8)],
@@ -1167,10 +1172,11 @@ def test_listing_resumes_across_a_rebuilt_table(monkeypatch, q, gens, n, rebuilt
 def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
     # the dense contexts, scanned degree by degree to top on each resolver
     # in turn (the density rule patched to pick it): the sweep and the
-    # chains give the same counts and listings, and the sweep resolves
-    # every code the chains resolve to an id of the same multiset of slots.
-    # The sweep also resolves the codes of the top degree that no member
-    # has (those with an x^1 term in F_2[x^2,x^3]), which no chain reaches
+    # chains give the same counts and listings.  The sweep resolves every
+    # code with a nonzero constant term below top and the members among
+    # top's that have one, each to an id of the slots the chains give it;
+    # the chains resolve those and the codes x divides, which the sweep
+    # reads through their x-free parts and leaves at 0
     sgalg.prepare_factor_table(q, top)
     runs = []
     for dense in (True, False):
@@ -1186,9 +1192,11 @@ def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
         runs.append((counts, listings, resolved))
     (counts, listings, swept), (chained_counts, chained_listings, chained) = runs
     assert counts == chained_counts and listings == chained_listings
-    assert {a: swept.get(a) for a in chained} == chained
     members = {f.encoding for f in enumerate_degree(ctx, top)}
-    assert swept.keys() - chained.keys() == set(range(q ** top, 2 * q ** top)) - members
+    x_free = x_free_codes(q, top) | {a for a in members if a % q}
+    assert swept.keys() == x_free
+    assert swept == {a: chained[a] for a in x_free}
+    assert any(a % q == 0 for a in chained)
     assert sum(map(len, listings)) == sum(c.total for c in counts) > 0
 
 
@@ -1198,20 +1206,25 @@ def test_sweep_and_chains_resolve_alike(monkeypatch, q, gens, top):
     ids=["f2-23", "f2-N", "f3-N"],
 )
 def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
-    # a dense scan of the members with index in [lo, hi) sweeps the codes
-    # from member lo's to member hi-1's, and the whole degree for all its
-    # members.  Ranges cut inside a p-block (the p codes that differ only
-    # in their constant term), single members, the first and the last
-    # member absorb into the whole-degree counts, each on a fresh context
-    # and all on one context that counts them, then the whole degree, then
-    # lists.  The sweep mark passes n only once a whole degree is swept, by
-    # a count or a listing run to its end.  Blocks of 3p codes cut the
-    # ranges further
+    # a dense scan of the members with index in [lo, hi) sweeps, at degree
+    # n, the codes with a nonzero constant term among those members, and
+    # the whole degree's for all its members.  Ranges cut inside a p-block
+    # (the p codes that differ only in their constant term), single
+    # members, the first and the last member absorb into the whole-degree
+    # counts, each on a fresh context and all on one context that counts
+    # them, then the whole degree, then lists.  Only a whole degree, by a
+    # count or a listing run to its end, marks its member residues swept:
+    # open reaches n, and over N, where every such code is a member, the
+    # mark passes n.  Blocks of 3p codes cut the ranges further
     monkeypatch.setattr(sgalg, "SCAN_BLOCK", 3)
     field, semigroup = FieldSpec(q), from_generators(gens)
+    whole_mark = (n + 1, n) if gens == (1,) else (n, n)
 
     def fresh():
         return AlgebraContext(field, semigroup)
+
+    def mark(ctx):
+        return ctx.signatures.swept, ctx.signatures.open
 
     whole, listing = count_classes(fresh(), n), list(iter_irreducible(fresh(), n))
     assert whole.total == len(listing) > 0
@@ -1228,24 +1241,128 @@ def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
         assert part == count_classes(ctx, n, lo, hi)
         sig = alone.signatures.sig
         resolved = [a for a in range(q ** n, 2 * q ** n) if sig[a]]
-        assert resolved == list(range(codes[lo], codes[hi - 1] + 1))
-        assert alone.signatures.swept == n
+        assert resolved == [a for a in codes[lo:hi] if a % q]
+        assert mark(alone) == (n, 0)
     merged = ClassCounts()
     for lo, hi in ranges:
         merged.absorb(count_classes(fresh(), n, lo, hi))
     assert merged == whole
-    assert ctx.signatures.swept == n
+    assert mark(ctx) == (n, 0)
     assert count_classes(ctx, n) == whole
-    assert ctx.signatures.swept == n + 1
+    assert mark(ctx) == whole_mark
     assert list(iter_irreducible(ctx, n)) == listing
     merged = ClassCounts()
     for lo, hi in ranges:
         merged.absorb(count_classes(ctx, n, lo, hi))
-    assert merged == whole and ctx.signatures.swept == n + 1
-    # a listing stopped partway leaves the mark below its degree
+    assert merged == whole and mark(ctx) == whole_mark
+    # a listing stopped partway leaves its degree's member residues open
     ctx = fresh()
     stream = iter_irreducible(ctx, n)
     head = [next(stream) for _ in range(3)]
-    assert ctx.signatures.swept == n
+    assert mark(ctx) == (n, 0)
     assert head + list(stream) == listing
-    assert ctx.signatures.swept == n + 1
+    assert mark(ctx) == whole_mark
+    # the next degree's scan sweeps at n only the residues n left open
+    swept = []
+    sweep_codes = sgalg._Signatures._sweep_codes
+
+    def spy(sigs, lo, hi, classes, table):
+        swept.append((lo, classes))
+        return sweep_codes(sigs, lo, hi, classes, table)
+
+    monkeypatch.setattr(sgalg._Signatures, "_sweep_codes", spy)
+    count_classes(ctx, n + 1)
+    at_n = [classes for lo, classes in swept if lo < q ** (n + 1)]
+    assert at_n == ([] if gens == (1,) else [ctx.signatures.others] * len(at_n)) and swept
+    assert mark(ctx) == ((n + 2, n + 1) if gens == (1,) else (n + 1, n + 1))
+
+
+def x_power_cuts(codes, q):
+    # member indices whose codes x^m*u, and the members just past them,
+    # start or end a range whose code ends fall between the codes of
+    # x^m*u and x^m*(u+1) for m = 1..3, with the first and last members
+    cuts = {0, 1, len(codes) - 1, len(codes)}
+    for m in (1, 2, 3):
+        power = q ** m
+        middle = [i for i, a in enumerate(codes) if a % power == 0 and a // power % q]
+        if middle:
+            i = middle[len(middle) // 2]
+            cuts |= {i, i + 1}
+    return sorted(c for c in cuts if 0 <= c <= len(codes))
+
+
+@pytest.mark.parametrize(
+    "q, gens, top",
+    [(2, (2, 3), 12), (2, (1,), 10), (3, (1,), 7), (5, (1,), 4)],
+    ids=["f2-23", "f2-N", "f3-N", "f5-N"],
+)
+def test_dense_scans_match_chains_and_factoring(monkeypatch, q, gens, top):
+    # in every dense context, degree by degree to top: the sweep's counts
+    # over index ranges (ends between the codes x^m*u of one u among them)
+    # and whole degrees, and its listings, equal the chain resolver's and
+    # those of factoring each member (_factored).  One context counts
+    # only the ranges, so the next degree's sweep passes a degree its
+    # ranges left ragged; another counts the ranges, the whole degree,
+    # lists it and counts the ranges again.  Neither ever resolves a code
+    # x divides, and _steps is handed each x-free code at most once
+    # between clears.  Blocks of 3 * max(q^w, q) codes cut the ranges
+    monkeypatch.setattr(sgalg, "SCAN_BLOCK", 3)
+    field, semigroup = FieldSpec(q), from_generators(gens)
+    sgalg.prepare_factor_table(q, top)
+    handed = {}  # one dense _Signatures -> the codes handed to _steps since its last clear
+    steps, clear = sgalg._Signatures._steps, sgalg._Signatures._clear
+
+    def spy_steps(sigs, codes, table):
+        if sigs.dense:
+            codes = list(codes)
+            seen = handed[sigs]
+            assert all(a % q for a in codes) and seen.isdisjoint(codes)
+            seen.update(codes)
+        return steps(sigs, codes, table)
+
+    def spy_clear(sigs):
+        handed[sigs] = set()
+        clear(sigs)
+
+    monkeypatch.setattr(sgalg._Signatures, "_steps", spy_steps)
+    monkeypatch.setattr(sgalg._Signatures, "_clear", spy_clear)
+    ragged, whole_ctx = (AlgebraContext(field, semigroup) for _ in range(2))
+    with monkeypatch.context() as m:
+        m.setattr(sgalg, "is_dense", lambda ctx: False)
+        chained = AlgebraContext(field, semigroup)
+        assert not chained.signatures.dense
+    assert ragged.signatures.dense and whole_ctx.signatures.dense
+
+    def listed(items):
+        return [(f, sorted(factors), m, k) for f, factors, m, k in items]
+
+    for n in range(1, top + 1):
+        codes = [f.encoding for f in enumerate_degree(ragged, n)]
+        if not codes:
+            continue
+        cuts = x_power_cuts(codes, q)
+        ranges = list(zip(cuts, cuts[1:]))
+        factored = [ClassCounts() for _ in ranges]
+        for (lo, hi), counts in zip(ranges, factored):
+            for _, _, m, k in sgalg._factored(ragged, sgalg._scan(ragged, n, lo, hi)[0]):
+                counts.add(m, k)
+            assert count_classes(ragged, n, lo, hi) == counts
+            assert count_classes(chained, n, lo, hi) == counts
+            assert count_classes(AlgebraContext(field, semigroup), n, lo, hi) == counts
+            assert count_classes(whole_ctx, n, lo, hi) == counts
+        whole = ClassCounts()
+        for counts in factored:
+            whole.absorb(counts)
+        assert count_classes(whole_ctx, n) == whole == count_classes(chained, n)
+        listing = listed(sgalg._factored(ragged, sgalg._scan(ragged, n, 0, None)[0]))
+        assert len(listing) == whole.total
+        table = sgalg._TABLES[q][1]
+        swept = sgalg._dense_blocks(whole_ctx.signatures, n, table)
+        assert listed(sgalg._walk(swept, table)) == listing
+        chains = sgalg._scan(chained, n, 0, None)[0]
+        assert listed(sgalg._walked(chained.signatures, chains, table)) == listing
+        assert [count_classes(whole_ctx, n, lo, hi) for lo, hi in ranges] == factored
+    for ctx in (ragged, whole_ctx):
+        assert not any(ctx.signatures.sig[::q])  # no code x divides resolved
+        assert handed[ctx.signatures]
+    assert any(chained.signatures.sig[::q])
