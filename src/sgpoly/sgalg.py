@@ -123,11 +123,13 @@ class AlgebraContext:
         member's code to its last for a pool chunk), the x-free codes with
         a member residue, its members x^0*u.  A member x^m*u has the id of
         u's multiset plus m x-slots, so a count tallies strided slices of
-        the array over the u of each member residue and moves each id met
-        by m, once per (id, m), with no member list.  A whole degree's
-        scan leaves n open: its other x-free codes (over F_2[x^2,x^3],
-        those with an x^1 term) are swept when a higher scan passes n, so
-        no x-free code is stepped twice while the ids are kept.  Elsewhere
+        the array over the u of each member residue (over F_p[x], p > 2,
+        one slice over every u, whose codes x divides read 0) and moves
+        each id met by m, once per (id, m), with no member list.  A
+        degree's other x-free codes (over F_2[x^2,x^3], those with an x^1
+        term) are swept when a higher scan passes it; a sweep steps only
+        the codes it finds unresolved, so no x-free code is stepped twice
+        while the ids are kept.  Elsewhere
         the chain resolver resolves the codes a scan asks for in batches,
         each batch's unresolved cofactors first.  In a dense context a
         scan of degrees 2..n reaches every monic code h below n along its
@@ -930,10 +932,8 @@ class _Signatures:
     dense picks the resolver once, by is_dense: a dense context's scans
     read their ids from sweep, every other context's from ids.  A sweep
     resolves only x-free codes (those with a nonzero constant term), and
-    its mark is two degrees: every x-free code of degree below swept is
-    resolved, and open, when it equals swept, is a degree whose member
-    residues are all resolved while its other residues are not.  A clear
-    of the ids resets both with the array.
+    every x-free code of degree below its mark, swept, is resolved; a
+    clear of the ids resets the mark with the array.
     """
 
     def __init__(self, ctx):
@@ -945,19 +945,20 @@ class _Signatures:
         self.slot_mod = max(self.modulus, p)
         self.x_slot = p % self.slot_mod
         self.dense = is_dense(ctx)
-        # residue classes (stride, residues) of x-free codes: x_free holds
-        # them all, mod p.  In a dense context residues[min(m, w)] holds the
-        # classes of the u that make x^m*u a member, mod p^w below w (over
-        # <2,3>: [1] mod 4, then none) and x_free from w on; others holds
-        # the x-free classes residues[0] leaves out
-        self.x_free = (p, range(1, p))
-        self.residues = self.others = None
+        self.residues = self.x_free = self.members = None
         if self.dense:
+            # residue classes (stride, residues): x_free holds every x-free
+            # code, members the x-free members x^0*u (over <2,3>: 1 mod 4).
+            # residues[min(m, w)] holds the u whose x^m*u is a member, mod
+            # p^w below w (over <2,3>: [1] mod 4, then none); from w on, one
+            # class over every x-free u, which for p > 2 is the whole range:
+            # its codes x divides read 0, never resolved in a dense context
             w, modulus, member = ctx.semigroup.frobenius + 1, self.modulus, ring[2]
-            free = [r for r in range(modulus) if r % p]
+            free = [r for r in range(self.slot_mod) if r % p]
+            self.x_free = (self.slot_mod, free)
+            self.members = (self.slot_mod, [r for r in free if member(r % modulus)])
             self.residues = [(modulus, [r for r in free if member(p ** m * r % modulus)])
-                             for m in range(w)] + [self.x_free]
-            self.others = (self.slot_mod, [r for r in free if r not in self.residues[0][1]])
+                             for m in range(w)] + [(2, [1]) if p == 2 else (1, [0])]
         self._clear()
 
     def _clear(self):
@@ -968,7 +969,6 @@ class _Signatures:
         # and a few array slots, whatever its size
         self.sig = array("i", [0, 1])  # 0: unresolved; 1: the empty multiset, code 1's
         self.swept = 1  # the sweep mark: code 1, of degree 0, is resolved
-        self.open = 0  # no degree's member residues resolved apart from the rest
         self.steps = {}  # id * slot_mod + slot -> id of that multiset plus the slot
         self.powers = {}  # (id, m) -> id of that multiset plus m x-slots
         self.parent = array("i", [0, 0])
@@ -993,10 +993,17 @@ class _Signatures:
         table is the factor table (spf, cof) the scan reads.  The ids are
         valid until the next call: one that finds more than SIGNATURE_IDS
         ids first clears every memo and the array, so a caller reads the
-        verdicts of one call's ids before it makes another.
+        verdicts of one call's ids before it makes another.  A dense
+        context's scans read their ids from sweep instead, and its tallies
+        read the codes x divides as unresolved, so there the chains' ids of
+        those codes are not kept.
         """
         self._fit(table)
-        return self._ids(codes, table)
+        ids = self._ids(codes, table)
+        if self.dense:
+            sig = self.sig
+            sig[::self.p] = array("i", [0]) * len(range(0, len(sig), self.p))
+        return ids
 
     def sweep(self, n, lo, hi, table):
         """Resolve what the members in codes [lo, hi) of degree n read, block by block.
@@ -1004,28 +1011,25 @@ class _Signatures:
         It yields each block's (start, end); a block holds slot_mod *
         SCAN_BLOCK codes.  Before each, the ids are cleared once they pass
         SIGNATURE_IDS, every degree below n that the sweep mark has not
-        passed is swept, and the block's x-free codes with a member
-        residue (those of the members x^0*u) are resolved; its other
-        members x^m*u, m > 0, are read through u, of lower degree.  The
-        block's ids stay valid until the generator resumes, so a caller
-        reads their verdicts first.  A sweep of the whole degree that no
-        clear cut after its first block marks n open, or passes it when
-        every x-free residue is a member residue (over N), so no code is
-        resolved twice.
+        passed is swept, and the block's x-free members x^0*u are resolved;
+        its other members x^m*u, m > 0, are read through u, of lower
+        degree.  The block's ids stay valid until the generator resumes, so
+        a caller reads their verdicts first.  A sweep of the whole degree
+        that no clear cut after its first block passes n when every x-free
+        code is a member (over N).
         """
         p, first = self.p, None
         for start, end in self._blocks(lo, hi):
             self._fit(table)
-            if self.swept <= n and self.open != n:
+            if self.swept <= n:
                 self._sweep_below(n, table)
-                self._sweep_codes(start, end, self.residues[0], table)
+                self._sweep_codes(start, end, self.members, table)
             if first is None:
                 first = self.sig
             yield start, end
-        if (lo, hi) == (p ** n, 2 * p ** n) and self.sig is first and self.swept == n:
-            self.open = n
-            if not self.others[1]:
-                self.swept = n + 1
+        whole = (lo, hi) == (p ** n, 2 * p ** n) and self.sig is first
+        if whole and self.swept == n and self.members == self.x_free:
+            self.swept = n + 1
 
     def tally(self, start, end):
         """A Counter of the ids of the member codes in [start, end), in a dense context.
@@ -1037,9 +1041,11 @@ class _Signatures:
         for m, _, ids in self._pieces(start, end):
             if m:
                 for sid, count in Counter(ids).items():
-                    tally[self._power(sid, m)] += count
+                    if sid:
+                        tally[self._power(sid, m)] += count
             else:
                 tally.update(ids)
+        tally.pop(0, None)  # codes x divides, counted through their x-free parts
         return tally
 
     def block_ids(self, start, end):
@@ -1047,16 +1053,18 @@ class _Signatures:
         out = array("i", [0]) * (end - start)
         for m, codes, ids in self._pieces(start, end):
             if m:
-                powers = {sid: self._power(sid, m) for sid in set(ids)}
+                powers = {sid: sid and self._power(sid, m) for sid in set(ids)}
                 ids = array("i", map(powers.__getitem__, ids))
             out[codes.start - start:codes.stop - start:codes.step] = ids
         return out
 
     def _pieces(self, start, end):
         # (m, codes, ids) for the members x^m*u in [start, end) whose u, of
-        # degree n - m, has one member residue: codes is the range of their
-        # codes, ids the slice of sig over their u, which lie in
-        # [ceil(start / p^m), ceil(end / p^m))
+        # degree n - m, lies in one class of residues[min(m, w)]: codes is
+        # the range of their codes, ids the slice of sig over their u, which
+        # lie in [ceil(start / p^m), ceil(end / p^m)).  A slice over every u
+        # (p > 2, m >= w) reads 0 at the u x divides, whose codes come
+        # again, with their ids, at a higher m
         sig, residues = self.sig, self.residues
         m, power = 0, 1
         while power < end:
@@ -1068,7 +1076,9 @@ class _Signatures:
             m, power = m + 1, power * self.p
 
     def _power(self, sid, m):
-        # the id of sid's multiset plus m x-slots, stepped once per (sid, m)
+        # the id of sid's multiset plus m x-slots, stepped once per (sid, m):
+        # a tally meets the same (sid, m) in block after block and degree
+        # after degree, and the memo's one lookup replaces m steps
         new = self.powers.get((sid, m))
         if new is None:
             new = self.powers[sid, m] = self._step_of(
@@ -1081,30 +1091,29 @@ class _Signatures:
         return [(start, min(start + size, hi)) for start in range(lo, hi, size)]
 
     def _sweep_below(self, n, table):
-        # resolve every x-free code of each degree from the sweep mark to
-        # n - 1, but for the member residues of an open degree
+        # resolve every x-free code of each degree from the sweep mark to n - 1
         p = self.p
         for k in range(self.swept, n):
-            residues = self.others if self.open == k else self.x_free
             for start, end in self._blocks(p ** k, 2 * p ** k):
-                self._sweep_codes(start, end, residues, table)
+                self._sweep_codes(start, end, self.x_free, table)
             self.swept = k + 1
 
     def _sweep_codes(self, lo, hi, classes, table):
         # resolve the unresolved codes [lo, hi) of one degree in the
         # residue classes (stride, residues), all x-free: their cofactors,
         # x-free and of lower degree, are all resolved.  A slice with no
-        # code resolved is stepped whole, else only its unresolved codes
+        # code resolved is stepped whole, one with some only at its
+        # unresolved codes, and one with all of them not at all
         sig, (stride, residues) = self.sig, classes
         for r in residues:
             start = lo + (r - lo) % stride
-            codes = range(start, hi, stride)
-            if any(sig[start:hi:stride]):
-                codes = list(compress(codes, map(operator.not_, sig[start:hi:stride])))
+            codes, ids = range(start, hi, stride), sig[start:hi:stride]
+            if not any(ids):
+                sig[start:hi:stride] = array("i", self._steps(codes, table))
+            elif not all(ids):
+                codes = list(compress(codes, map(operator.not_, ids)))
                 for a, sid in zip(codes, self._steps(codes, table)):
                     sig[a] = sid
-            else:
-                sig[start:hi:stride] = array("i", self._steps(codes, table))
 
     def _steps(self, codes, table):
         # the id of each code a whose cofactor is resolved: the step from

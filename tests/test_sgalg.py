@@ -1212,19 +1212,19 @@ def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
     # (the p codes that differ only in their constant term), single
     # members, the first and the last member absorb into the whole-degree
     # counts, each on a fresh context and all on one context that counts
-    # them, then the whole degree, then lists.  Only a whole degree, by a
-    # count or a listing run to its end, marks its member residues swept:
-    # open reaches n, and over N, where every such code is a member, the
-    # mark passes n.  Blocks of 3p codes cut the ranges further
+    # them, then the whole degree, then lists.  Only over N, where every
+    # such code is a member, does a whole degree, by a count or a listing
+    # run to its end, move the sweep mark past n.  Blocks of 3p codes cut
+    # the ranges further
     monkeypatch.setattr(sgalg, "SCAN_BLOCK", 3)
     field, semigroup = FieldSpec(q), from_generators(gens)
-    whole_mark = (n + 1, n) if gens == (1,) else (n, n)
+    whole_mark = n + 1 if gens == (1,) else n
 
     def fresh():
         return AlgebraContext(field, semigroup)
 
     def mark(ctx):
-        return ctx.signatures.swept, ctx.signatures.open
+        return ctx.signatures.swept
 
     whole, listing = count_classes(fresh(), n), list(iter_irreducible(fresh(), n))
     assert whole.total == len(listing) > 0
@@ -1242,12 +1242,12 @@ def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
         sig = alone.signatures.sig
         resolved = [a for a in range(q ** n, 2 * q ** n) if sig[a]]
         assert resolved == [a for a in codes[lo:hi] if a % q]
-        assert mark(alone) == (n, 0)
+        assert mark(alone) == n
     merged = ClassCounts()
     for lo, hi in ranges:
         merged.absorb(count_classes(fresh(), n, lo, hi))
     assert merged == whole
-    assert mark(ctx) == (n, 0)
+    assert mark(ctx) == n
     assert count_classes(ctx, n) == whole
     assert mark(ctx) == whole_mark
     assert list(iter_irreducible(ctx, n)) == listing
@@ -1255,26 +1255,30 @@ def test_dense_counts_over_uneven_ranges(monkeypatch, q, gens, n):
     for lo, hi in ranges:
         merged.absorb(count_classes(ctx, n, lo, hi))
     assert merged == whole and mark(ctx) == whole_mark
-    # a listing stopped partway leaves its degree's member residues open
+    # a listing stopped partway leaves the mark at n
     ctx = fresh()
     stream = iter_irreducible(ctx, n)
     head = [next(stream) for _ in range(3)]
-    assert mark(ctx) == (n, 0)
+    assert mark(ctx) == n
     assert head + list(stream) == listing
     assert mark(ctx) == whole_mark
-    # the next degree's scan sweeps at n only the residues n left open
-    swept = []
-    sweep_codes = sgalg._Signatures._sweep_codes
+    # the next degree's scan steps at n only the x-free codes n's scan
+    # left unresolved, those that are not members
+    handed = []
+    steps = sgalg._Signatures._steps
 
-    def spy(sigs, lo, hi, classes, table):
-        swept.append((lo, classes))
-        return sweep_codes(sigs, lo, hi, classes, table)
+    def spy(sigs, codes, table):
+        codes = list(codes)
+        handed.extend(codes)
+        return steps(sigs, codes, table)
 
-    monkeypatch.setattr(sgalg._Signatures, "_sweep_codes", spy)
+    monkeypatch.setattr(sgalg._Signatures, "_steps", spy)
     count_classes(ctx, n + 1)
-    at_n = [classes for lo, classes in swept if lo < q ** (n + 1)]
-    assert at_n == ([] if gens == (1,) else [ctx.signatures.others] * len(at_n)) and swept
-    assert mark(ctx) == ((n + 2, n + 1) if gens == (1,) else (n + 1, n + 1))
+    members = set(codes)
+    at_n = [a for a in handed if a < q ** (n + 1)]
+    assert sorted(at_n) == [a for a in range(q ** n, 2 * q ** n) if a % q and a not in members]
+    assert bool(at_n) == (gens != (1,)) and handed
+    assert mark(ctx) == (n + 2 if gens == (1,) else n + 1)
 
 
 def x_power_cuts(codes, q):
@@ -1366,3 +1370,12 @@ def test_dense_scans_match_chains_and_factoring(monkeypatch, q, gens, top):
         assert not any(ctx.signatures.sig[::q])  # no code x divides resolved
         assert handed[ctx.signatures]
     assert any(chained.signatures.sig[::q])
+    # the chain resolver called on a dense context gives the chains' ids,
+    # but keeps none of a code x divides, which dense tallies read as 0
+    codes = [f.encoding for f in enumerate_degree(ragged, top)]
+    monkeypatch.setattr(sgalg._Signatures, "_steps", steps)
+    ids = whole_ctx.signatures.ids(codes, table)
+    assert [whole_ctx.signatures.slots(sid) for sid in ids] == [
+        chained.signatures.slots(sid) for sid in chained.signatures.ids(codes, table)]
+    assert not any(whole_ctx.signatures.sig[::q]) and any(a % q == 0 for a in codes)
+    assert count_classes(whole_ctx, top) == whole
