@@ -7,6 +7,27 @@ test run on coefficient tuples for every p.  Only factoring over F_2
 goes to the bit-packed kernel in `_gf2`, since the Cantor-Zassenhaus
 split here is for odd p; for p = 2 the canonical integer encoding is the
 bitmask, so `mask` and `encoding` are one integer.
+
+The tuple kernel builds only what its callers read.  Gcds, modular
+powers and the distinct-degree loop take remainders by `_rem_t`, which
+builds no quotient and, for a monic divisor, multiplies by no inverse.
+Each of their loops raises ArithmeticError on a remainder that is not
+shorter than its divisor, and factoring raises when a factor of the
+squarefree part does not divide, so a faulty division fails instead of
+looping.  `_powmod_t` squares only while exponent bits remain.
+
+Each Frobenius step h -> h^p mod w, in the distinct-degree split and the
+irreducibility test, goes through `_frobenius_t`.  It takes one of two
+routes to the same polynomial: h(x^p), which is h^p over F_p, reduced
+mod w by one division, or the square-and-multiply ladder, whose operands
+stay below deg w.  The rule picks the route that reads and writes fewer
+coefficients, counted from p, deg h and deg w alone, with no tuned
+constant: the division's steps grow with p * deg h, the ladder's
+products with log2 p.  Up to degree 12
+it substitutes for every p <= 11 and climbs the ladder for every
+p >= 131; in between, low degrees substitute.  Kernel output becomes a
+`Polynomial` through `_from_kernel`, which skips the digit check that
+the public constructor keeps.
 """
 
 from __future__ import annotations
@@ -108,7 +129,7 @@ class Polynomial:
             raise ValueError("bitmask form is defined for p = 2 only")
         if mask < 0:
             raise ValueError("bitmask must be nonnegative")
-        return cls(field, tuple(mask >> i & 1 for i in range(mask.bit_length())))
+        return _from_kernel(field, tuple(mask >> i & 1 for i in range(mask.bit_length())))
 
     @classmethod
     def from_encoding(cls, field, code):
@@ -121,7 +142,7 @@ class Polynomial:
         while code:
             code, c = divmod(code, field.p)
             coeffs.append(c)
-        return cls(field, tuple(coeffs))
+        return _from_kernel(field, tuple(coeffs))  # the top digit of a code is nonzero
 
     # -- queries ---------------------------------------------------------
 
@@ -226,6 +247,14 @@ def _check_fields(a, b):
         raise ValueError(f"field mismatch: F_{a.field.p} vs F_{b.field.p}")
 
 
+def _from_kernel(field, coeffs):
+    # a Polynomial of coefficient tuple coeffs, which is trimmed and holds
+    # residues mod p: the constructor's check is skipped, not repeated
+    f = object.__new__(Polynomial)
+    vars(f).update(field=field, coeffs=coeffs)
+    return f
+
+
 # -- coefficient-tuple kernel ----------------------------------------------
 
 
@@ -286,9 +315,36 @@ def _divrem_t(a, b, p):
     return _trim(q), _trim(rem[:db])
 
 
+def _rem_t(a, b, p):
+    # _divrem_t(a, b, p)[1] with no quotient, and no inverse for monic b
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    db = len(b) - 1
+    if len(a) <= db:
+        return _trim(a)
+    rem = list(a)
+    inv = pow(b[-1], -1, p) if b[-1] != 1 else 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i] if inv == 1 else rem[i] * inv % p
+        if c:
+            k = i - db
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * b[j]) % p
+    return _trim(rem[:db])
+
+
+def _reduced(r, m):
+    # remainder r by divisor m, checked shorter than m by each loop that
+    # takes it, so a faulty division raises there instead of feeding the
+    # loop a polynomial that never shrinks
+    if len(r) >= len(m):
+        raise ArithmeticError(f"a remainder of degree {len(r) - 1} by a degree-{len(m) - 1} divisor")
+    return r
+
+
 def _gcd_t(a, b, p):
     while b:
-        a, b = b, _divrem_t(a, b, p)[1]
+        a, b = b, _reduced(_rem_t(a, b, p), b)
     return a
 
 
@@ -301,13 +357,54 @@ def _monic_t(a, p):
 
 def _powmod_t(a, e, m, p):
     r = (1,)
-    a = _divrem_t(a, m, p)[1]
+    a = _rem_t(a, m, p)
     while e:
         if e & 1:
-            r = _divrem_t(_mul_t(r, a, p), m, p)[1]
-        a = _divrem_t(_mul_t(a, a, p), m, p)[1]
+            r = _reduced(_rem_t(_mul_t(r, a, p), m, p), m)
         e >>= 1
+        if e:  # no square after the top bit
+            a = _reduced(_rem_t(_mul_t(a, a, p), m, p), m)
     return r
+
+
+def _rem_ops(n, dw):
+    # coefficients _rem_t reads or writes on n of them by a monic degree-dw
+    # divisor: the copy, one read and dw updates a step, the dw left
+    return n + (n - dw) * (dw + 1) + dw if n > dw else n
+
+
+def _ladder_ops(dh, dw, p):
+    # coefficients _powmod_t(h, p, w, p) reads or writes, deg h = dh < deg w
+    # = dw: on lengths i and j, a product reads i * j + i and writes its
+    # i + j - 1 zeros and then its trim, and _rem_t reduces it
+    ops, r, a, e = 0, 1, dh + 1, p
+    while e:
+        if e & 1:
+            n = r + a - 1
+            ops += r * a + r + 2 * n + _rem_ops(n, dw)
+            r = min(n, dw)
+        e >>= 1
+        if e:
+            n = 2 * a - 1
+            ops += a * a + a + 2 * n + _rem_ops(n, dw)
+            a = min(n, dw)
+    return ops
+
+
+def _substitutes(dh, dw, p):
+    # whether h(x^p) mod w reads and writes no more coefficients than the
+    # ladder: the p * dh + 1 of h(x^p) written, then reduced
+    n = p * dh + 1
+    return n + _rem_ops(n, dw) <= _ladder_ops(dh, dw, p)
+
+
+def _frobenius_t(h, w, p):
+    # h^p mod w for monic w and deg h < deg w, by the cheaper route
+    if not _substitutes(len(h) - 1, len(w) - 1, p):
+        return _powmod_t(h, p, w, p)
+    sub = [0] * (p * (len(h) - 1) + 1)
+    sub[::p] = h  # h(x^p), which is h^p over F_p
+    return _reduced(_rem_t(sub, w, p), w)
 
 
 def _deriv_t(a, p):
@@ -324,7 +421,7 @@ def _is_irreducible_t(a, p):
     x = (0, 1)
     h = x
     for _ in range(n // 2):
-        h = _powmod_t(h, p, a, p)
+        h = _frobenius_t(h, a, p)
         g = _gcd_t(_add_t(h, _neg_t(x, p), p), a, p)
         if len(g) != 1:
             return False
@@ -350,6 +447,8 @@ def _factor_monic_t(a, p, out):
                     break
                 a = q
                 e += 1
+            if not e:  # every factor of w divides a; a that does not shrink would loop forever
+                raise ArithmeticError(f"a degree-{len(f) - 1} factor of the squarefree part does not divide")
             out[f] = out.get(f, 0) + e
 
 
@@ -363,7 +462,7 @@ def _distinct_t(w, p):
         if 2 * d > len(w) - 1:
             res.append(w)
             break
-        h = _powmod_t(h, p, w, p)
+        h = _frobenius_t(h, w, p)
         g = _gcd_t(_add_t(h, _neg_t(x, p), p), w, p)
         if len(g) > 1:
             g = _monic_t(g, p)
@@ -372,7 +471,7 @@ def _distinct_t(w, p):
             w = _monic_t(_divrem_t(w, g, p)[0], p)
             if len(w) == 1:
                 break
-            h = _divrem_t(h, w, p)[1]
+            h = _reduced(_rem_t(h, w, p), w)
     return res
 
 
@@ -546,10 +645,9 @@ def factor_fq(f):
         pairs = _gf2.factor(f.mask)
         factors = tuple((Polynomial.from_mask(field, m), e) for m, e in pairs)
         return FqFactorization(field, 1, factors)
-    monic = f.monic()
     out: dict[tuple, int] = {}
-    if len(monic.coeffs) > 1:
-        coeffs = monic.coeffs
+    if len(f.coeffs) > 1:
+        coeffs = _monic_t(f.coeffs, field.p)
         tz = 0
         while coeffs and coeffs[0] == 0:
             tz += 1
@@ -558,7 +656,7 @@ def factor_fq(f):
             out[(0, 1)] = tz
         if len(coeffs) > 1:
             _factor_monic_t(coeffs, field.p, out)
-    factors = sorted((Polynomial(field, c) for c in out), key=canonical_key)
+    factors = sorted((_from_kernel(field, c) for c in out), key=canonical_key)
     return FqFactorization(field, unit, tuple((g, out[g.coeffs]) for g in factors))
 
 

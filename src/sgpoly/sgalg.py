@@ -68,7 +68,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import compress, islice
 
 from . import _gf2
-from .ffpoly import FieldSpec, FqFactorization, Polynomial, _divrem_t, _mul_t, factor_fq
+from .ffpoly import FieldSpec, FqFactorization, Polynomial, _divrem_t, _from_kernel, _mul_t, factor_fq
 from .numsgp import NumericalSemigroup, from_generators
 
 
@@ -359,7 +359,8 @@ def is_irreducible_in_algebra(ctx, f):
     p = 2 the work runs on the code: `_gf2.factor` factors it, g is
     multiplied out by `_gf2.mul` and f // g taken by `_gf2.divrem`;
     otherwise factor_fq factors f and both halves are coefficient tuples.
-    Only the two halves become Polynomials.
+    Only the two halves become Polynomials, as kernel output whose digits
+    are not checked again.
     """
     field = ctx.field
     if f.field != field:
@@ -385,7 +386,7 @@ def is_irreducible_in_algebra(ctx, f):
         h, r = _gf2.divrem(code, g) if p == 2 else _divrem_t(f.coeffs, g, p)
         if r:
             raise ArithmeticError("a member split's half leaves a remainder on the member")
-        half = partial(Polynomial.from_mask if p == 2 else Polynomial, field)
+        half = partial(Polynomial.from_mask if p == 2 else _from_kernel, field)
         return AlgebraVerdict("reducible", witness=(half(g), half(h)))
     classification = None
     if ctx.is_friendly:
@@ -537,16 +538,16 @@ MAX_SCAN = 1 << 24  # guard: members of one degree scan, entries of one factor t
 # member first cost, about 252 s; pinned so that re-measuring SCAN_US
 # moves no input across it
 TIME_CAP_US = 15 * MAX_SCAN
-# What one process spends, in microseconds (2-vCPU x86-64, Python 3.11):
-# a member on the factor table, tallied by signature id (1-12 us over F_2,
+# What one process spends, in microseconds (2-vCPU x86-64, Python 3.11): a
+# member on the factor table, tallied by signature id (1-12 us over F_2,
 # F_3, F_5, F_7, the most where ids rarely repeat and each takes its own
-# verdict; 8 stays, so no count moves between routes), a
-# member factored by factor_fq (208-450 us over F_3, F_257, F_4099,
-# code conversions included, and 25-90 us over F_2 at degrees 16-26,
-# where _gf2.factor takes the member's code with no conversion; 300
-# stays, so no scan changes route or admission), and, building a factor
-# table, one step of its Gray walks and one entry of its addition tables;
-# see scan_us and table_us.  The F_2 walks step by one xor and build no
+# verdict; 8 stays, so no count moves between routes), a member factored
+# by factor_fq (100-125 us over F_3, F_257, F_4099 at degrees 8-9, 3 and
+# 2, code conversions included, and 25-90 us over F_2 at degrees 16-26,
+# where _gf2.factor takes the member's code with no conversion; 300 stays,
+# so no scan changes route or admission), and, building a factor table,
+# one step of its Gray walks and one entry of its addition tables; see
+# scan_us and table_us.  The F_2 walks step by one xor and build no
 # addition table, so F_2 builds now take about half of table_us (0.017 s
 # at degree 16 and 0.37 s at 20, estimated at 0.039 and 0.67 s); WALK_US
 # and ADD_US stay as they are, so that no scan changes route or admission

@@ -21,7 +21,7 @@ from sgpoly import (
     q_transform,
     reciprocal,
 )
-from oracles import all_monic, is_palindrome, trial_division_factor
+from oracles import all_monic, is_palindrome, sieve_irreducibles, trial_division_factor
 
 
 def rand_poly(rng, field, max_degree, nonzero=False):
@@ -50,6 +50,18 @@ def test_polynomial_canonical_form(f2, f3):
         Polynomial(f3, (3, 1))
     with pytest.raises(ValueError):
         Polynomial(f2, (-1,))
+    # kernel output skips the digit check, but the public constructor keeps
+    # it: every coefficient must be an int residue mod p, wherever it sits
+    f257 = FieldSpec(257)
+    for field, bad in ((f3, 3), (f3, -1), (f257, 257), (f257, 10 ** 20)):
+        for coeffs in ((bad,), (1, bad), (bad, 0, 1), (1, 1, bad, 0)):
+            with pytest.raises(ValueError, match="is not a residue mod"):
+                Polynomial(field, coeffs)
+    for bad in (1.0, 2.5, "1", None, (1,)):
+        for coeffs in ((bad,), (0, bad, 1)):
+            with pytest.raises(ValueError, match="is not a residue mod"):
+                Polynomial(f3, coeffs)
+    assert Polynomial(f257, (256, 0, 1)).coeffs == (256, 0, 1)
 
 
 def test_zero_degree_sentinel(f2):
@@ -182,6 +194,109 @@ def test_gcd_divides_both(f2, f3):
                 assert poly_divrem(b, g)[1].is_zero
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from((2, 3, 5, 7, 257)), st.data())
+@example(3, None)
+def test_rem_t_is_divrem_t_remainder(p, data):
+    # the remainder-only division equals _divrem_t's remainder, for monic
+    # and non-monic divisors and for dividends shorter than the divisor
+    if data is None:
+        cases = [((1, 2), (0, 0, 2), 3), ((), (2,), 3), ((2, 1, 1), (1, 2), 3), ((1, 0, 1), (1, 1), 3)]
+    else:
+        digits = st.integers(0, p - 1)
+        a = data.draw(st.lists(digits, max_size=14))
+        b = data.draw(st.lists(digits, max_size=8)) + [data.draw(st.integers(1, p - 1))]
+        cases = [(tuple(a), tuple(b), p)]
+    for a, b, p in cases:
+        r = ffpoly._rem_t(a, b, p)
+        assert r == ffpoly._divrem_t(a, b, p)[1]
+        assert len(r) < len(b) and (not r or r[-1])
+    with pytest.raises(ZeroDivisionError):
+        ffpoly._rem_t((1, 1), (), p)
+
+
+def _mulmod(a, b, m, p):
+    return ffpoly._divrem_t(ffpoly._mul_t(a, b, p), m, p)[1]
+
+
+def test_powmod_t_is_repeated_multiplication():
+    # e runs over 0, 1, 2, p and (p^d - 1) / 2, the equal-degree split's
+    # exponent, with d the modulus's degree; (257^3 - 1) / 2 and larger
+    # would take millions of products by hand, so F_257 stops at d = 2
+    rng = random.Random(2718)
+    for p, degrees in ((3, (1, 2, 3, 5)), (5, (1, 2, 3, 5)), (7, (1, 2, 3, 4)), (257, (1, 2))):
+        for d in degrees:
+            for _ in range(3):
+                m = tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
+                a = tuple(rng.randrange(p) for _ in range(d + 3))
+                for e in sorted({0, 1, 2, p, (p ** d - 1) // 2}):
+                    expected = (1,)
+                    for _ in range(e):
+                        expected = _mulmod(expected, a, m, p)
+                    assert ffpoly._powmod_t(a, e, m, p) == expected, (p, m, a, e)
+
+
+def test_frobenius_routes_both_give_h_to_the_p(monkeypatch):
+    # h(x^p) reduced mod w and the square-and-multiply ladder are both h^p
+    # mod w, whichever the cost rule would pick
+    rng = random.Random(1618)
+    routes = set()
+    for p in (3, 5, 7, 11, 13, 17, 31, 257):
+        for dw in (2, 3, 4, 6, 9):
+            for dh in sorted({1, dw // 2, dw - 1}):
+                w = tuple(rng.randrange(p) for _ in range(dw)) + (1,)
+                h = tuple(rng.randrange(p) for _ in range(dh)) + (rng.randrange(1, p),)
+                expected = (1,)
+                for _ in range(p):
+                    expected = _mulmod(expected, h, w, p)
+                routes.add(ffpoly._substitutes(dh, dw, p))
+                for forced in (True, False):
+                    monkeypatch.setattr(ffpoly, "_substitutes", lambda *_, forced=forced: forced)
+                    assert ffpoly._frobenius_t(h, w, p) == expected, (p, w, h, forced)
+                monkeypatch.undo()
+    assert routes == {True, False}
+    assert ffpoly._substitutes(8, 9, 3) and not ffpoly._substitutes(2, 3, 257)
+
+
+def test_tuple_kernel_raises_on_an_unreduced_remainder(monkeypatch, f3):
+    # a division whose remainder keeps a multiple of the divisor (still
+    # congruent, but as long as the divisor) would leave the gcd loop and
+    # the exact divisions of factor_fq on polynomials that never shrink;
+    # each remainder is checked against its divisor's length, and each
+    # factor of the squarefree part must divide, so both raise at once.
+    # An alarm turns a hang past a second into a failure of this test
+    rem_t, divrem_t = ffpoly._rem_t, ffpoly._divrem_t
+
+    def unreduced(a, b, p):
+        return ffpoly._add_t(rem_t(a, b, p), b, p)
+
+    def unreduced_divrem(a, b, p):
+        q, r = divrem_t(a, b, p)
+        return q, ffpoly._add_t(r, b, p)
+
+    def hung(signum, frame):
+        raise TimeoutError("the tuple kernel ran past a second")
+
+    f = parse_poly("x^4+x^3+2*x+1", f3)
+    assert ffpoly._gcd_t((1, 0, 1), (1, 1), 3) == (2,)
+    assert factor_fq(f).expand() == f
+    previous = signal.signal(signal.SIGALRM, hung)
+    try:
+        for name, wrong in (("_divrem_t", unreduced_divrem), ("_rem_t", unreduced)):
+            monkeypatch.setattr(ffpoly, name, wrong)
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            if name == "_rem_t":
+                with pytest.raises(ArithmeticError, match="^a remainder of degree 1 by a degree-1 divisor$"):
+                    ffpoly._gcd_t((1, 0, 1), (1, 1), 3)
+            with pytest.raises(ArithmeticError):
+                factor_fq(f)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            monkeypatch.undo()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- irreducibility ----------------------------------------------------------
 
 
@@ -293,6 +408,36 @@ def test_factor_f3_vs_trial_division(f3, f3_sieve):
         fac = factor_fq(f)
         assert fac.unit == unit
         assert list(fac.factors) == sorted(expected, key=lambda ge: (ge[0].degree, tuple(reversed(ge[0].coeffs))))
+
+
+@pytest.mark.parametrize("p, top, calls, routes", [
+    (5, 3, 150, {True}), (7, 3, 150, {True}), (11, 3, 100, {True}), (13, 3, 100, {True}),
+    (17, 3, 100, {True, False}), (257, 1, 300, {False})])
+def test_factor_matches_trial_division_past_f3(monkeypatch, p, top, calls, routes):
+    # factor_fq against trial division by a multiplication sieve to degree
+    # top, on inputs of degree up to 2 * top + 1, which the sieve decides;
+    # routes are the sides of the Frobenius cost rule its steps take (True
+    # for h(x^p) reduced mod w, False for the ladder): substitution for
+    # small p, the ladder at p = 257, and both at p = 17
+    field = FieldSpec(p)
+    sieve = sieve_irreducibles(field, top)
+    taken = []
+    substitutes = ffpoly._substitutes
+
+    def recorded(dh, dw, p):
+        taken.append(substitutes(dh, dw, p))
+        return taken[-1]
+
+    monkeypatch.setattr(ffpoly, "_substitutes", recorded)
+    rng = random.Random(p)
+    for _ in range(calls):
+        n = rng.randint(1, 2 * top + 1)
+        f = Polynomial(field, tuple(rng.randrange(p) for _ in range(n)) + (rng.randrange(1, p),))
+        unit, expected = trial_division_factor(f, sieve)
+        fac = factor_fq(f)
+        assert fac.unit == unit
+        assert list(fac.factors) == sorted(expected, key=lambda ge: ffpoly.canonical_key(ge[0])), format_poly(f)
+    assert set(taken) == routes
 
 
 def test_factor_high_degree_products(monkeypatch, f2, f3, f2_sieve, f3_sieve):
